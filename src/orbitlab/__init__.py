@@ -14,8 +14,7 @@ from .basis import (BasisMap, assemble, build_f, calibrate_gamma,
                     lattice_descent, expand_e_structural, solve_F,
                     roundtrip_max_error, roundtrip_exact,
                     export_matrix_market, read_matrix_market)
-from .operators import (TruncatedOperator, matrix_of_T_in_f, truncated_shift,
-                        conjugated_power, op_norm, OpNormResult,
+from .operators import (conjugated_power, op_norm, OpNormResult,
                         block_estimates, tail_bound_entry, orbit_distances)
 from .hypercyclic import (Certificate, certify_hypercyclic_step, fan_residual,
                           fan_residual_bound, b_identity_residual,

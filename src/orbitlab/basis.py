@@ -160,33 +160,18 @@ class BasisMap:
 
     # -- scipy views -------------------------------------------------------
 
-    def _to_csc(self, cols) -> sparse.csc_matrix:
-        dtype = complex if self.schedule.scalar_field == COMPLEX else float
-        indptr = [0]
-        indices: list[int] = []
-        data: list = []
-        for j in range(self.n_trunc + 1):
-            col = cols[j]
-            for i in sorted(col):
-                indices.append(i)
-                data.append(dtype(col[i]))
-            indptr.append(len(indices))
-        n = self.n_trunc + 1
-        return sparse.csc_matrix(
-            (np.asarray(data, dtype=dtype), np.asarray(indices), np.asarray(indptr)),
-            shape=(n, n),
-        )
-
     @property
     def F_csc(self) -> sparse.csc_matrix:
         if self._F_csc is None:
-            self._F_csc = self._to_csc(self.F_cols)
+            self._F_csc = cols_to_csc(self.F_cols, self.n_trunc + 1,
+                                       self.schedule.scalar_field)
         return self._F_csc
 
     @property
     def E_csc(self) -> sparse.csc_matrix:
         if self._E_csc is None:
-            self._E_csc = self._to_csc(self.E_cols)
+            self._E_csc = cols_to_csc(self.E_cols, self.n_trunc + 1,
+                                       self.schedule.scalar_field)
         return self._E_csc
 
     # -- coordinate functional ----------------------------------------------
@@ -206,6 +191,25 @@ class BasisMap:
                 row[j] = v
         self._e0_rows[n] = row
         return row
+
+
+def cols_to_csc(cols, n_rows: int, field) -> sparse.csc_matrix:
+    """n_rows x len(cols) matrix whose column j holds the sparse vector cols[j],
+    with entries converted to the scalar field's float dtype."""
+    dtype = complex if field == COMPLEX else float
+    indptr = [0]
+    indices: list[int] = []
+    data: list = []
+    for col in cols:
+        for i in sorted(col):
+            indices.append(i)
+            data.append(dtype(col[i]))
+        indptr.append(len(indices))
+    return sparse.csc_matrix(
+        (np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.intp),
+         np.asarray(indptr)),
+        shape=(n_rows, len(cols)),
+    )
 
 
 # -- single-column construction ------------------------------------------------
@@ -250,17 +254,11 @@ def build_f(j: int, schedule: StageSchedule, families, gammas, mode,
 
 # -- assembly -------------------------------------------------------------------
 
-def _measure_frame_constant(F_cols, nu: int, field) -> float:
-    dtype = complex if field == COMPLEX else float
-    rows, cols, vals = [], [], []
-    for j in range(nu + 1):
-        for i, v in F_cols[j].items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(dtype(v))
-    block = sparse.csc_matrix(
-        (np.asarray(vals, dtype=dtype), (rows, cols)), shape=(nu + 1, nu + 1)
-    )
+def measure_frame_constant(F_cols, nu: int, field) -> float:
+    """Largest singular value of the frame block F[0..nu, 0..nu]: the
+    equivalence constant between e-coordinates and the ambient norm on
+    span f_[0, nu]."""
+    block = cols_to_csc(F_cols[: nu + 1], nu + 1, field)
     if nu + 1 <= 4000:
         return float(np.linalg.svd(block.toarray(), compute_uv=False)[0])
     from .operators import op_norm
@@ -268,14 +266,26 @@ def _measure_frame_constant(F_cols, nu: int, field) -> float:
     return op_norm(block, method="power_iter").value
 
 
-def assemble(schedule: StageSchedule, families, n_trunc: Optional[int] = None,
-             porosity_gamma_cap: bool = True) -> BasisMap:
+def _calibrate(schedule: StageSchedule, F_cols, n: int) -> CalibRecord:
+    """gamma_n = delta_n / C for the frame constant C of the block [0, nu_n]
+    (F_cols must cover it), capped at 2^{-n-1} so the e_0 functional norms
+    grow; in rational mode the result is rounded down to a dyadic."""
+    st = schedule.stage(n)
+    C = measure_frame_constant(F_cols, st.nu, schedule.scalar_field)
+    g_cal = st.delta / C
+    cap = 2.0 ** (-n - 1)
+    g = min(g_cal, cap)
+    if schedule.weight_mode == RATIONAL:
+        g = _dyadic_floor(g)
+    return CalibRecord(n, C, st.delta, g_cal, cap, g)
+
+
+def assemble(schedule: StageSchedule, families,
+             n_trunc: Optional[int] = None) -> BasisMap:
     """Build both triangular maps on [0, n_trunc] (default: the full truncation).
 
-    Stages whose gamma is None are calibrated on the fly: gamma_n is the
-    stage tolerance delta_n divided by the measured frame constant of the
-    block [0, nu_n], optionally capped at 2^{-n-1} so the e_0 functional
-    norms grow; in rational mode the result is rounded down to a dyadic.
+    Stages whose gamma is None are calibrated on the fly (see _calibrate)
+    once their b-part is assembled.
     """
     mode = schedule.weight_mode
     if mode == RATIONAL and schedule.scalar_field == COMPLEX:
@@ -343,16 +353,9 @@ def assemble(schedule: StageSchedule, families, n_trunc: Optional[int] = None,
         if n_trunc <= st.nu:
             break
         if gammas[n - 1] is None:
-            C = _measure_frame_constant(F_cols, st.nu, schedule.scalar_field)
-            g_cal = st.delta / C
-            cap = 2.0 ** (-n - 1)
-            g = min(g_cal, cap) if porosity_gamma_cap else g_cal
-            if mode == RATIONAL:
-                g = _dyadic_floor(g)
-            gammas[n - 1] = g
-            calibration.append(
-                CalibRecord(n, C, st.delta, g_cal, cap, g)
-            )
+            rec = _calibrate(schedule, F_cols, n)
+            gammas[n - 1] = rec.gamma
+            calibration.append(rec)
         for iv in table:
             if iv.hi <= st.nu:
                 continue
@@ -379,15 +382,8 @@ def calibrate_gamma(schedule: StageSchedule, families, n: int):
     the CalibRecord.  Guarantees the fan-residual bound by construction:
     the residual map has operator norm exactly gamma_n * frame_constant.
     """
-    st = schedule.stage(n)
-    probe = assemble(schedule, families, n_trunc=st.nu)
-    C = _measure_frame_constant(probe.F_cols, st.nu, schedule.scalar_field)
-    g_cal = st.delta / C
-    cap = 2.0 ** (-n - 1)
-    g = min(g_cal, cap)
-    if schedule.weight_mode == RATIONAL:
-        g = _dyadic_floor(g)
-    return CalibRecord(n, C, st.delta, g_cal, cap, g)
+    probe = assemble(schedule, families, n_trunc=schedule.stage(n).nu)
+    return _calibrate(schedule, probe.F_cols, n)
 
 
 # -- independent e -> f expansion (structural route) ---------------------------
@@ -430,7 +426,9 @@ class DescentExpansion:
     f_coords: Vec             # fully expanded f-frame coordinates
 
 
-def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord):
+def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord, extra: int = 0):
+    """Terms of the unrolled descent; extra = 1 runs each inner sum one step
+    further (the printed closed form).  Returns (terms, residual_poly)."""
     sched = basis.schedule
     st = sched.stage(coord.n)
     family = basis.families[coord.n - 1]
@@ -442,7 +440,7 @@ def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord):
     for l in range(t, 0, -1):
         rl = coord.r[l - 1]
         base_lower = sum(coord.r[i] * st.c[i] for i in range(l - 1))
-        for s in range(rl):
+        for s in range(rl + extra):
             cur_abs = sum(coord.r[: l - 1]) + (rl - s)
             coef = g * four ** (cur_abs - 1)
             terms.append(
@@ -503,28 +501,7 @@ def printed_closed_form_terms(basis: BasisMap, coord: geo.LatticeCoord):
     absent from the unrolled recursion.  The comparison is expression-level;
     the report records whether the printed form matches.
     """
-    sched = basis.schedule
-    st = sched.stage(coord.n)
-    family = basis.families[coord.n - 1]
-    g = basis.gamma(coord.n)
-    four = Fraction(4) if basis.mode == RATIONAL else 4.0
-    t = coord.t
-    printed: list[DescentTerm] = []
-    q_above = ONE
-    for l in range(t, 0, -1):
-        rl = coord.r[l - 1]
-        base_lower = sum(coord.r[i] * st.c[i] for i in range(l - 1))
-        for s in range(rl + 1):  # printed upper limit: r_l inclusive
-            cur_abs = sum(coord.r[: l - 1]) + (rl - s)
-            coef = g * four ** (cur_abs - 1)
-            printed.append(
-                DescentTerm(
-                    coefficient=coef,
-                    poly=q_above * (family[l - 1] ** s),
-                    f_index=base_lower + (rl - s) * st.c[l - 1] + coord.alpha,
-                )
-            )
-        q_above = q_above * (family[l - 1] ** rl)
+    printed, q_above = _descent_terms(basis, coord, extra=1)
     unrolled, _ = _descent_terms(basis, coord)
     unrolled_keys = {(t2.f_index, t2.poly.coeffs, repr(t2.coefficient)) for t2 in unrolled}
     extras = tuple(

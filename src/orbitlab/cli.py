@@ -19,22 +19,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import basis as basis_mod
-from . import hypercyclic as hyp
-from . import negligibility as neg
 from . import operators as ops
 from . import reflexivity as refl
-from . import unicell as uni
+from . import suites
 from .errors import ConfigError, OrbitLabError, ProfileError
-from .polynet import Poly
-from .profiles import doubled_layoffs, statistical_schedule
-from .report import VerificationReport, check
-from .schedule import COMPLEX, RATIONAL, REAL, load_config, save_config
+from .schedule import load_config, save_config
 
-SUITES = ("boundedness", "fan", "bfan", "hypercyclic", "unicell",
-          "negligibility", "reflexivity", "all")
+SUITES = (*suites.SUITES, "all")
 
 
 def _sha256(path) -> str:
@@ -91,114 +83,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def run_suite(b, suite: str, seed: int) -> VerificationReport:
-    rep = VerificationReport()
-    rng = np.random.default_rng(seed)
-    stages = range(1, b.schedule.n_stages + 1)
-
-    def do_boundedness():
-        entry, res = ops.full_norm_entry(b)
-        rep.add(entry)
-        for n in stages:
-            rep.extend(ops.block_estimates(b, n))
-        b_ok, b_info = ops.b_calibrated(b, 1)
-        doubled = doubled_layoffs(b.schedule)
-        b2 = basis_mod.assemble(doubled, b.families)
-        _, res2 = ops.full_norm_entry(b2)
-        rep.add(check(
-            "opnorm.gap_monotone",
-            "operator norm ratio after doubling every lay-off gap (strict "
-            "decrease expected above the b threshold)",
-            res2.value / res.value, 1.0 - 1e-9, asserted=b_ok,
-            details={"norm": res.value, "norm_doubled": res2.value, **b_info}))
-
-    def do_fan():
-        for n in stages:
-            rep.extend(hyp.fan_entries(b, n, rng=rng))
-            for k in range(1, b.schedule.stage(n).k + 1):
-                rep.add(ops.tail_bound_entry(b, n, k))
-
-    def do_bfan():
-        for n in stages:
-            rep.extend(hyp.bfan_entries(b, n))
-
-    def do_hypercyclic():
-        cert = hyp.certify_hypercyclic_step(b, {0: 1}, 1)
-        tol = 0.0 if b.mode == RATIONAL else 1e-9
-        rep.add(check(
-            "certificate.honesty",
-            "independently recomputed final residual equals the recorded one",
-            abs(cert.final_residual - cert.recomputed_final), tol,
-            asserted=True, details={"power": cert.power, "k": cert.k}))
-        rep.add(check(
-            "certificate.composed",
-            "final residual stays below the certificate's composed bound",
-            cert.final_residual, cert.composed_bound, asserted=True,
-            details={s.name: s.measured for s in cert.steps}))
-        chain = hyp.modulus_reduction_chain(b, {0: 1}, Poly((0, 4)), 1)
-        rep.add(check(
-            "certificate.chain",
-            "modulus-reduction chain: measured end-to-end residual vs the "
-            "telescoped bound",
-            chain.final_measured, chain.composed_bound, asserted=True,
-            details={"levels": chain.levels,
-                     "links": [l.measured for l in chain.links]}))
-
-    def do_unicell():
-        rep.extend(uni.unicell_entries(b, min(b.schedule.n_stages, 1), rng))
-
-    def do_negligibility():
-        for field in (REAL, COMPLEX):
-            sched6, fams6 = statistical_schedule(6, field)
-            rep.extend(neg.statistics_entries(sched6, fams6, seed))
-        for n in range(1, b.schedule.n_stages + 2):
-            if b.schedule.xi(n) > b.n_trunc:
-                break
-            structural = neg.e0_functional_structural(
-                b.schedule, b.families, n, b.gammas)
-            assembled = {j: float(v) for j, v in b.e0_functional(n).items()}
-            keys = set(structural) | set(assembled)
-            dev = max(abs(structural.get(j, 0.0) - assembled.get(j, 0.0))
-                      for j in keys)
-            rep.add(check(
-                f"functional.crosscheck.stage{n}",
-                "structural sparse head functional equals row 0 of the "
-                "assembled map",
-                dev, 1e-9 * max(1.0, neg.functional_norm(assembled)),
-                asserted=True, details={"support": sorted(keys)}))
-        k = b.schedule.n_stages + 1
-        rep.extend(neg.porosity_entries(b.schedule, b.families, b.gammas,
-                                        k, M=2.0, seed=seed))
-
-    def do_reflexivity():
-        if not refl.zero_constant_profile(b):
-            raise ProfileError(
-                "reflexivity suite needs the zero-constant-term fan profile")
-        rep.extend(refl.reflexivity_entries(b, 1, rng))
-
-    table = {
-        "boundedness": do_boundedness,
-        "fan": do_fan,
-        "bfan": do_bfan,
-        "hypercyclic": do_hypercyclic,
-        "unicell": do_unicell,
-        "negligibility": do_negligibility,
-        "reflexivity": do_reflexivity,
-    }
-    if suite == "all":
-        for name, fn in table.items():
-            if name == "reflexivity" and not refl.zero_constant_profile(b):
-                rep.add(check(
-                    "reflexivity.skipped",
-                    "companion checks skipped: fan profile keeps constant terms",
-                    None, None, asserted=False))
-                continue
-            fn()
-    else:
-        table[suite]()
-    return rep
-
-
 def cmd_verify(args) -> int:
     cfg = os.path.join(args.build, "schedule.cfg")
     try:
@@ -207,16 +91,15 @@ def cmd_verify(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        rep = run_suite(b, args.suite, args.seed)
-        if args.suite in ("hypercyclic", "all"):
-            cert = hyp.certify_hypercyclic_step(b, {0: 1}, 1)
-            with open(os.path.join(args.build, "certificate_stage1.json"),
-                      "w") as fh:
-                json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        rep, cert = suites.run_suite(b, args.suite, args.seed)
     except ProfileError as exc:
         print(f"profile mismatch: {exc}", file=sys.stderr)
         return 2
+    if cert is not None:
+        with open(os.path.join(args.build, "certificate_stage1.json"),
+                  "w") as fh:
+            json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     rep.to_csv(os.path.join(args.build, f"report_{args.suite}.csv"))
     rep.to_json(os.path.join(args.build, f"report_{args.suite}.json"))
     for line in rep.summary_lines():

@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .basis import (BasisMap, poly_shift_apply, shift_e, shift_exits, solve_F,
-                    vec_add, vec_clean, vec_norm)
+import numpy as np
+
+from .basis import (BasisMap, cols_to_csc, measure_frame_constant,
+                    poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
+                    vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
 from .operators import conjugated_power, sigma_max_block, sup_e_norm
 from .polynet import Poly, b_damped, nearest_member
@@ -38,10 +41,8 @@ def frame_constant(basis: BasisMap, n: int) -> float:
     for rec in basis.calibration:
         if rec.stage == n:
             return rec.frame_constant
-    from .basis import _measure_frame_constant
-
-    return _measure_frame_constant(basis.F_cols, basis.schedule.stage(n).nu,
-                                   basis.schedule.scalar_field)
+    return measure_frame_constant(basis.F_cols, basis.schedule.stage(n).nu,
+                                  basis.schedule.scalar_field)
 
 
 def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:
@@ -82,9 +83,6 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
     """Measured C with ||(T^b/b - I) T x|| <= C/b ||x|| on span e_[0, xi_n]:
     b times the operator norm of the residual map, plus per-basis values."""
     st = basis.schedule.stage(n)
-    import numpy as np
-    from scipy import sparse
-
     cols = []
     per_vec = []
     for j in range(st.xi + 1):
@@ -95,14 +93,7 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
         f = basis.e_to_f(vec_clean(diff))
         per_vec.append(vec_norm(f))
         cols.append(f)
-    rows_idx, cols_idx, vals = [], [], []
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            rows_idx.append(i)
-            cols_idx.append(j)
-            vals.append(float(v))
-    M = sparse.csc_matrix((vals, (rows_idx, cols_idx)),
-                          shape=(basis.n_trunc + 1, st.xi + 1))
+    M = cols_to_csc(cols, basis.n_trunc + 1, basis.schedule.scalar_field)
     sigma = float(np.linalg.svd(M[M.getnnz(axis=1) > 0, :].toarray(),
                                 compute_uv=False)[0]) if M.nnz else 0.0
     return st.b * sigma, per_vec
@@ -204,8 +195,7 @@ def _power_norms(basis: BasisMap, x_e: dict, powers) -> dict[int, float]:
 
 
 def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
-                             threshold: Optional[float] = None,
-                             target_index: int = 1) -> Certificate:
+                             threshold: Optional[float] = None) -> Certificate:
     """Certificate that some fan power of the operator carries x near e_1.
 
     Requires the head e_0-coordinate of x to clear the stage threshold
@@ -233,19 +223,19 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
         )
 
     # solve p (zeta divides p automatically: the target has no e_0 component)
-    target_e = {target_index: 1}
+    target_e = {1: 1}
     xi_range = list(range(0, st.xi + 1))
     x_vec = [alpha.get(j, 0) for j in xi_range]
     y_vec = [target_e.get(j, 0) for j in xi_range]
     p = solve_poly(ToeplitzSystem(st.xi, 0, tuple(x_vec), tuple(y_vec)))
-    solve_vec = _apply_truncated(p, alpha, st.xi)
+    solve_vec = poly_shift_apply(p, alpha, st.xi)
     vec_add(solve_vec, target_e, -1)
     m_solve = vec_norm(basis.e_to_f(vec_clean(solve_vec)))
 
     # spill of the plain shift past the truncated one
     full = poly_shift_apply(p, alpha, basis.n_trunc)
     spill = dict(full)
-    vec_add(spill, _apply_truncated(p, alpha, st.xi), -1)
+    vec_add(spill, poly_shift_apply(p, alpha, st.xi), -1)
     m_spill = vec_norm(basis.e_to_f(vec_clean(spill)))
 
     # modulus damping through the b-fan
@@ -308,7 +298,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     if shift_exits(x_e, ck, basis.n_trunc):
         raise TruncationError("fan power would leave the truncation")
     final_e = shift_e(x_e, ck, basis.n_trunc)
-    target_f = {target_index: 1}
+    target_f = {1: 1}
     fin = basis.e_to_f(final_e)
     vec_add(fin, target_f, -1)
     final = vec_norm(vec_clean(fin))
@@ -325,17 +315,6 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
         recomputed_final=recomputed,
         details={"mode": basis.mode, "head_support": st.xi, "body_support": st.nu},
     )
-
-
-def _apply_truncated(p: Poly, v: dict, xi: int) -> dict:
-    out: dict = {}
-    for u, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for i, x in v.items():
-            if i + u <= xi:
-                out[i + u] = out.get(i + u, 0) + a * x
-    return out
 
 
 def _poly_sub(p: Poly, q: Poly) -> Poly:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -22,18 +22,7 @@ from .schedule import COMPLEX
 DENSE_SVD_CAP = 4000
 
 
-# -- operator containers -------------------------------------------------------
-
-@dataclass
-class TruncatedOperator:
-    kind: str            # "full-shift", "truncated-shift", "orbit-closure-map"
-    frame: str           # "e" or "f"
-    n_trunc: int
-    mat: sparse.spmatrix
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.mat @ x
-
+# -- operator matrices ---------------------------------------------------------
 
 def shift_power_csc(n_dim: int, m: int, dtype=float) -> sparse.csc_matrix:
     """Matrix of the m-th shift power on [0, n_dim-1]: e_j -> e_{j+m}."""
@@ -45,18 +34,6 @@ def conjugated_power(basis: BasisMap, m: int) -> sparse.csc_matrix:
     dtype = complex if basis.schedule.scalar_field == COMPLEX else float
     S = shift_power_csc(basis.n_trunc + 1, m, dtype)
     return (basis.E_csc @ (S @ basis.F_csc)).tocsc()
-
-
-def matrix_of_T_in_f(basis: BasisMap) -> TruncatedOperator:
-    """The operator itself in the f-frame (conjugated forward shift)."""
-    return TruncatedOperator("full-shift", "f", basis.n_trunc,
-                             conjugated_power(basis, 1))
-
-
-def truncated_shift(xi: int, dtype=float) -> TruncatedOperator:
-    """T_xi on span[e_0..e_xi]: shifts up, kills e_xi."""
-    return TruncatedOperator("truncated-shift", "e", xi,
-                             shift_power_csc(xi + 1, 1, dtype))
 
 
 def projection_f(n_trunc: int, lo: int, hi: int, dtype=float) -> sparse.csc_matrix:
@@ -80,12 +57,8 @@ def _compress(M: sparse.spmatrix) -> sparse.csc_matrix:
     coo = M.tocoo()
     if coo.nnz == 0:
         return sparse.csc_matrix((1, 1))
-    rows = np.unique(coo.row)
-    cols = np.unique(coo.col)
-    rmap = {r: i for i, r in enumerate(rows)}
-    cmap = {c: i for i, c in enumerate(cols)}
-    rr = np.array([rmap[r] for r in coo.row])
-    cc = np.array([cmap[c] for c in coo.col])
+    rows, rr = np.unique(coo.row, return_inverse=True)
+    cols, cc = np.unique(coo.col, return_inverse=True)
     return sparse.csc_matrix((coo.data, (rr, cc)), shape=(len(rows), len(cols)))
 
 
@@ -141,9 +114,8 @@ def op_norm(M: sparse.spmatrix, method: str = "auto", tol: float = 1e-10,
     return OpNormResult(sig_prev, "power_iter", False, maxiter)
 
 
-def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice,
-                    method: str = "auto") -> OpNormResult:
-    return op_norm(M.tocsc()[rows, cols], method=method)
+def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResult:
+    return op_norm(M.tocsc()[rows, cols])
 
 
 # -- calibration gates -------------------------------------------------------------
@@ -250,8 +222,7 @@ def stage_gates(basis: BasisMap, n: int) -> dict:
 
 # -- block-norm verifiers -----------------------------------------------------------
 
-def block_estimates(basis: BasisMap, n: int,
-                    power_subsample: Optional[Sequence[int]] = None) -> list[Entry]:
+def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     """Measured block norms of the operator and its powers around stage n.
 
     Bands are cut at nu_n (the working-length convention of schedules with a
@@ -311,10 +282,8 @@ def block_estimates(basis: BasisMap, n: int,
             f"power c_{ki}={ck}: rows [0,{nu}] of the image of span f_({nu},{hi}]",
             low.value, delta, asserted=gate, details=info))
 
-    if power_subsample is None:
-        power_subsample = _default_subsample(nu // 2)
     spill_max, band_growth, low_growth = 0.0, {}, {}
-    for m in power_subsample:
+    for m in _default_subsample(nu // 2):
         if m >= max(nu // 2, 1) + 1:
             continue
         P = conjugated_power(basis, m)
@@ -374,12 +343,11 @@ def tail_bound_entry(basis: BasisMap, n: int, k: int) -> Entry:
         res.value, 100.0, asserted=h_ok and s_ok, details=det)
 
 
-def full_norm_entry(basis: BasisMap, label: str = "") -> tuple[Entry, OpNormResult]:
+def full_norm_entry(basis: BasisMap) -> tuple[Entry, OpNormResult]:
     T = conjugated_power(basis, 1)
     res = op_norm(T, method="power_iter", tol=1e-9)
-    suffix = f".{label}" if label else ""
     e = check(
-        f"opnorm.full{suffix}",
+        "opnorm.full",
         "measured operator norm of the full truncated operator (finite required)",
         res.value, None, asserted=False,
         details={"converged": res.converged, "iterations": res.iterations})

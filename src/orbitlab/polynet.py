@@ -219,10 +219,6 @@ def nearest_member(family: Sequence[Poly], q: Poly) -> tuple[int, float]:
     return best_i, best_d
 
 
-def covering_radius_bound(degree: int, resolution: float) -> float:
-    return (degree + 1) * resolution
-
-
 def net_to_csv(net: PolyNet, path) -> None:
     """One polynomial per row: index, l1 norm, then coefficients a_0..a_d."""
     import csv

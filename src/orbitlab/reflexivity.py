@@ -38,13 +38,6 @@ def build_A(basis: BasisMap) -> sparse.csc_matrix:
     return T.tocsc()
 
 
-def companion_operator(basis: BasisMap):
-    """The companion wrapped as a frame-tagged truncated operator."""
-    from .operators import TruncatedOperator
-
-    return TruncatedOperator("companion", "f", basis.n_trunc, build_A(basis))
-
-
 def build_A_independent(basis: BasisMap) -> sparse.csc_matrix:
     """Independent route: conjugate the e-frame matrix (shift after killing
     the e_0 component)."""

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,19 +124,3 @@ def _jsonable(obj):
         return {"re": obj.real, "im": obj.imag}
     return repr(obj)
 
-
-class timed:
-    """Context manager stamping entry runtime."""
-
-    def __init__(self, entry_holder: list):
-        self.holder = entry_holder
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        dt = time.perf_counter() - self.t0
-        for e in self.holder:
-            e.runtime = dt
-        return False

@@ -47,12 +47,9 @@ class StageParams:
     gamma: Optional[ScalarValue]
     delta: float
     eps: float
-    nu_declared: Optional[int] = None  # validated against xi * (b + 1)
 
     @property
     def nu(self) -> int:
-        if self.nu_declared is not None:
-            return self.nu_declared
         return self.xi * (self.b + 1)
 
     @property
@@ -113,8 +110,6 @@ def validate(schedule: StageSchedule) -> list[str]:
             v.append(f"xi growth at stage {n}")
         if st.b <= 2 * st.xi + st.d:
             v.append(f"b lower bound at stage {n}")
-        if st.nu_declared is not None and st.nu_declared != st.xi * (st.b + 1):
-            v.append(f"nu-formula at stage {n}")
         if st.d < 0 or st.d > st.nu:
             v.append(f"degree bound at stage {n}")
         if st.k != len(st.c) or st.k < 1:
@@ -170,23 +165,26 @@ def _format_scalar(x) -> str:
     return repr(x)
 
 
-def _parse_scalar(tok: str, field: str) -> Union[float, Fraction, complex]:
+def _parse_scalar(tok: str, field: str,
+                  exact: bool) -> Union[float, Fraction, complex]:
     tok = tok.strip()
     if "/" in tok:
         num, den = tok.split("/")
         return Fraction(int(num), int(den))
+    if exact:
+        return Fraction(tok)
     if field == COMPLEX and ("j" in tok or "J" in tok):
         return complex(tok)
     f = float(tok)
     return f
 
 
-def _parse_poly_list(text: str, field: str):
+def _parse_poly_list(text: str, field: str, exact: bool):
     from .polynet import Poly
 
     polys = []
     for chunk in text.split("|"):
-        coeffs = tuple(_parse_scalar(t, field) for t in chunk.split())
+        coeffs = tuple(_parse_scalar(t, field, exact) for t in chunk.split())
         polys.append(Poly(coeffs))
     return polys
 
@@ -227,7 +225,8 @@ def load_config(path):
     """Read a schedule config; returns (schedule, families).
 
     Raises ConfigError carrying the validator's violation list when the file
-    encodes an invalid schedule.
+    encodes an invalid schedule, or a declared nu other than xi * (b + 1).
+    In rational weight mode, fan and gamma scalars are parsed exactly.
     """
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -237,35 +236,38 @@ def load_config(path):
         sect = cp["schedule"]
         field = sect.get("scalar_field", REAL)
         mode = sect.get("weight_mode", FLOAT)
+        exact = mode == RATIONAL
         xi_end = int(sect["xi_end"])
         n_stages = int(sect["n_stages"])
         stages = []
         families = []
+        violations = []
         for n in range(1, n_stages + 1):
             s = cp[f"stage {n}"]
             gamma_tok = s.get("gamma", "auto").strip()
-            gamma = None if gamma_tok == "auto" else _parse_scalar(gamma_tok, REAL)
-            stages.append(
-                StageParams(
-                    xi=int(s["xi"]),
-                    b=int(s["b"]),
-                    nu_declared=int(s["nu"]) if "nu" in s else None,
-                    c=tuple(int(t) for t in s["c"].split()),
-                    h=int(s["h"]),
-                    k=int(s["k"]),
-                    d=int(s["d"]),
-                    gamma=gamma,
-                    delta=float(s["delta"]),
-                    eps=float(s["eps"]),
-                )
+            gamma = None if gamma_tok == "auto" else \
+                _parse_scalar(gamma_tok, REAL, exact)
+            st = StageParams(
+                xi=int(s["xi"]),
+                b=int(s["b"]),
+                c=tuple(int(t) for t in s["c"].split()),
+                h=int(s["h"]),
+                k=int(s["k"]),
+                d=int(s["d"]),
+                gamma=gamma,
+                delta=float(s["delta"]),
+                eps=float(s["eps"]),
             )
-            families.append(tuple(_parse_poly_list(s["fan"], field)))
+            if "nu" in s and int(s["nu"]) != st.nu:
+                violations.append(f"nu-formula at stage {n}")
+            stages.append(st)
+            families.append(tuple(_parse_poly_list(s["fan"], field, exact)))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
     schedule = StageSchedule(
         stages=tuple(stages), xi_end=xi_end, scalar_field=field, weight_mode=mode
     )
-    violations = validate(schedule)
+    violations += validate(schedule)
     if violations:
         raise ConfigError(
             f"invalid schedule in {path}: " + "; ".join(violations)

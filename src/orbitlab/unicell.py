@@ -154,7 +154,7 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
     p = solve_poly(ToeplitzSystem(xi, js, xs, ys))
 
     # steering error on the full heads (small-coordinate tails of both sides)
-    t1_vec = _apply_tshift(p, au, xi)
+    t1_vec = poly_shift_apply(p, au, xi)
     vec_add(t1_vec, av, -1)
     t1 = vec_norm(basis.e_to_f(vec_clean(t1_vec)))
 
@@ -225,17 +225,6 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
             "side_condition_ok": j_lead.side_condition_ok,
         },
     )
-
-
-def _apply_tshift(p: Poly, v: dict, xi: int) -> dict:
-    out: dict = {}
-    for u, a in enumerate(p.coeffs):
-        if a == 0:
-            continue
-        for i, x in v.items():
-            if i + u <= xi:
-                out[i + u] = out.get(i + u, 0) + a * x
-    return out
 
 
 # -- report rows ----------------------------------------------------------------------

@@ -202,9 +202,9 @@ def test_calibrate_gamma_formula():
 
 def test_calibration_identity_frame():
     # on an identity frame block the measured constant is 1, so gamma = delta
-    from orbitlab.basis import _measure_frame_constant
+    from orbitlab.basis import measure_frame_constant
     cols = [{j: 1.0} for j in range(6)]
-    assert _measure_frame_constant(cols, 5, ol.REAL) == pytest.approx(1.0)
+    assert measure_frame_constant(cols, 5, ol.REAL) == pytest.approx(1.0)
 
 
 def test_build_f_missing_family_member():

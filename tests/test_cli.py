@@ -86,6 +86,16 @@ def test_verify_bfan_suite(built):
     assert all(r["status"] != "fail" for r in rows)
 
 
+def test_verify_hypercyclic_writes_certificate(built):
+    rc = main(["verify", "--build", built, "--suite", "hypercyclic"])
+    assert rc == 0
+    cert = json.load(open(os.path.join(built, "certificate_stage1.json")))
+    rows = json.load(open(os.path.join(built, "report_hypercyclic.json")))
+    composed = next(r for r in rows if r["claim_id"] == "certificate.composed")
+    assert cert["final_residual"] == composed["measured"]
+    assert cert["composed_bound"] == composed["bound"]
+
+
 def test_verify_reports_deterministic(built):
     main(["verify", "--build", built, "--suite", "unicell", "--seed", "7"])
     a = open(os.path.join(built, "report_unicell.csv")).read()

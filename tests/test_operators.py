@@ -50,12 +50,13 @@ def test_shift_power_matrix():
     assert np.count_nonzero(ops.shift_power_csc(5, 1) @ y) == 0
 
 
-def test_truncated_shift_examples():
-    T2 = ol.truncated_shift(2)
+def test_shift_power_kills_last_coordinate():
+    # T_xi on span[e_0..e_xi] (xi = 2): shifts up, kills e_xi
+    T2 = ops.shift_power_csc(3, 1)
     x = np.zeros(3)
     x[1] = 1.0
-    assert np.array_equal(T2.apply(x), [0, 0, 1.0])
-    assert np.count_nonzero(T2.apply(T2.apply(x))) == 0
+    assert np.array_equal(T2 @ x, [0, 0, 1.0])
+    assert np.count_nonzero(T2 @ (T2 @ x)) == 0
 
 
 def test_layoff_action_interior_columns(r1):
@@ -212,17 +213,14 @@ def test_orbit_certified_minimum_at_fan_power(mini):
     assert dists[c2] == pytest.approx(float(mini.gammas[0]), abs=1e-12)
 
 
-def test_operator_wrappers(mini):
-    T = ops.matrix_of_T_in_f(mini)
-    assert T.kind == "full-shift" and T.frame == "f"
-    assert T.n_trunc == mini.n_trunc
+def test_operator_and_companion_on_f0(mini):
+    T = ops.conjugated_power(mini, 1)
+    assert T.shape == (mini.n_trunc + 1, mini.n_trunc + 1)
     x = np.zeros(mini.n_trunc + 1)
     x[0] = 1.0
-    y = T.apply(x)
+    y = T @ x
     assert y[1] == pytest.approx(1.0)
-    from orbitlab.reflexivity import companion_operator
     sched, fams = ol.profiles.mini_schedule(companion=True)
     bc = ol.assemble(sched, fams)
-    A = companion_operator(bc)
-    assert A.kind == "companion" and A.frame == "f"
-    assert np.count_nonzero(A.apply(x)) == 0
+    A = ol.build_A(bc)
+    assert np.count_nonzero(A @ x) == 0

@@ -1,12 +1,17 @@
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import orbitlab as ol
 from orbitlab.errors import ConfigError
-from orbitlab.profiles import mini_schedule, reference_schedule, statistical_schedule
+from orbitlab.profiles import (doubled_layoffs, mini_schedule, reference_schedule,
+                               statistical_schedule)
 from orbitlab.schedule import StageParams, StageSchedule
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def broken(sched, **changes):
@@ -21,10 +26,6 @@ def test_reference_schedule_is_valid():
 
 def test_nu_formula_violation():
     sched, _ = reference_schedule()
-    bad = broken(sched, nu_declared=4 * 64)  # anything but xi * (b + 1)
-    assert any("nu-formula at stage 1" in v for v in ol.validate(bad))
-    ok = broken(sched, nu_declared=4 * 65)
-    assert ol.validate(ok) == []
     worse = broken(sched, b=11)  # 11 <= 2*4 + 4
     assert any("b lower bound at stage 1" in v for v in ol.validate(worse))
 
@@ -83,24 +84,34 @@ def test_truncation_length():
 
 
 def test_config_roundtrip(tmp_path):
-    sched, fams = mini_schedule()
-    path = tmp_path / "mini.cfg"
-    ol.save_config(path, sched, fams)
-    sched2, fams2 = ol.load_config(path)
-    # the echo pins nu explicitly; everything else round-trips unchanged
-    norm = lambda s: tuple(replace(st, nu_declared=None) for st in s.stages)
-    assert norm(sched2) == norm(sched)
-    assert all(st.nu_declared == st.xi * (st.b + 1) for st in sched2.stages)
-    assert (sched2.xi_end, sched2.scalar_field, sched2.weight_mode) == \
-        (sched.xi_end, sched.scalar_field, sched.weight_mode)
-    assert fams2 == fams
+    for mode in (ol.FLOAT, ol.RATIONAL):
+        sched, fams = mini_schedule(weight_mode=mode)
+        if mode == ol.RATIONAL:
+            sched = sched.with_gammas([Fraction(1, 8), Fraction(1, 1 << 20)])
+        path = tmp_path / f"mini_{mode}.cfg"
+        ol.save_config(path, sched, fams)
+        sched2, fams2 = ol.load_config(path)
+        assert sched2 == sched
+        assert fams2 == fams
+    # 1.0 == 1, so equality alone does not show that rational mode parsed
+    # the fan and gamma scalars exactly
+    scalars = [a for fam in fams2 for p in fam for a in p.coeffs]
+    scalars += [st.gamma for st in sched2.stages]
+    assert not any(isinstance(a, float) for a in scalars)
+
+
+def test_doubled_layoffs_of_loaded_config_is_valid():
+    sched, _ = ol.load_config(CONFIGS / "mini.cfg")
+    assert ol.validate(doubled_layoffs(sched)) == []
 
 
 def test_config_rejects_bad_nu(tmp_path):
     sched, fams = mini_schedule()
-    bad = broken(sched, nu_declared=3)
     path = tmp_path / "bad_nu.cfg"
-    ol.save_config(path, bad, fams)
+    ol.save_config(path, sched, fams)
+    text = path.read_text()
+    assert "nu = 16\n" in text
+    path.write_text(text.replace("nu = 16\n", "nu = 3\n", 1))
     with pytest.raises(ConfigError) as exc:
         ol.load_config(path)
     assert "nu-formula at stage 1" in str(exc.value)
