@@ -22,6 +22,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -119,6 +120,7 @@ class BasisMap:
         self._E_csc = None
         self._expand_memo: dict[int, Vec] = {}
         self._e0_rows: dict[int, dict] = {}
+        self._frame_constants: dict[int, float] = {}
 
     # -- scalar / column access ------------------------------------------
 
@@ -197,19 +199,16 @@ def cols_to_csc(cols, n_rows: int, field) -> sparse.csc_matrix:
     """n_rows x len(cols) matrix whose column j holds the sparse vector cols[j],
     with entries converted to the scalar field's float dtype."""
     dtype = complex if field == COMPLEX else float
-    indptr = [0]
-    indices: list[int] = []
-    data: list = []
-    for col in cols:
-        for i in sorted(col):
-            indices.append(i)
-            data.append(dtype(col[i]))
-        indptr.append(len(indices))
-    return sparse.csc_matrix(
-        (np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.intp),
-         np.asarray(indptr)),
-        shape=(n_rows, len(cols)),
-    )
+    indptr = np.zeros(len(cols) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, cols), dtype=np.intp, count=len(cols)),
+              out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(cols), dtype=np.intp, count=nnz)
+    data = np.fromiter(map(dtype, chain.from_iterable(c.values() for c in cols)),
+                       dtype=dtype, count=nnz)
+    mat = sparse.csc_matrix((data, indices, indptr), shape=(n_rows, len(cols)))
+    mat.sort_indices()  # a c-working column lists its diagonal first
+    return mat
 
 
 # -- single-column construction ------------------------------------------------
@@ -308,11 +307,12 @@ def assemble(schedule: StageSchedule, families,
         F_cols.append({j: one})
         E_cols.append({j: one})
 
-    def add_layoff(j, tag):
-        lam = geo.layoff_weight(j, schedule, tag)
-        lambdas[j] = lam
-        F_cols.append({j: lam})
-        E_cols.append({j: one / lam})
+    def add_layoffs(iv, j_lo, j_hi):
+        for j, lam in zip(range(j_lo, j_hi + 1),
+                          geo.interval_weights(iv, schedule, j_lo, j_hi)):
+            lambdas[j] = lam
+            F_cols.append({j: lam})
+            E_cols.append({j: one / lam})
 
     def add_bworking(j, st):
         F_cols.append({j: one, j - st.b: -st.b * one})
@@ -341,14 +341,14 @@ def assemble(schedule: StageSchedule, families,
             break
         table = geo.stage_table(schedule, n)
         hi_bpart = min(st.nu, n_trunc)
-        j = st.xi + 1
         for iv in table:
             if iv.lo > hi_bpart:
                 break
-            for j in range(iv.lo, min(iv.hi, hi_bpart) + 1):
-                if geo.is_layoff(iv.tag):
-                    add_layoff(j, iv.tag)
-                else:
+            j_hi = min(iv.hi, hi_bpart)
+            if geo.is_layoff(iv.tag):
+                add_layoffs(iv, iv.lo, j_hi)
+            else:
+                for j in range(iv.lo, j_hi + 1):
                     add_bworking(j, st)
         if n_trunc <= st.nu:
             break
@@ -361,10 +361,11 @@ def assemble(schedule: StageSchedule, families,
                 continue
             if iv.lo > n_trunc:
                 break
-            for j in range(max(iv.lo, st.nu + 1), min(iv.hi, n_trunc) + 1):
-                if geo.is_layoff(iv.tag):
-                    add_layoff(j, iv.tag)
-                else:
+            j_lo, j_hi = max(iv.lo, st.nu + 1), min(iv.hi, n_trunc)
+            if geo.is_layoff(iv.tag):
+                add_layoffs(iv, j_lo, j_hi)
+            else:
+                for j in range(j_lo, j_hi + 1):
                     add_cworking(j, n, st)
 
     if len(F_cols) != n_trunc + 1:

@@ -12,7 +12,10 @@ Every index j of a truncation [0, xi_{N+1}] belongs to exactly one region:
 On a lay-off interval written as [r+1, r+s] the weight of index j is
 2^((s/2 + r + 1 - j)/sqrt(s)); b-side lay-offs use sqrt(b) and b/2 in place
 of the actual interval length, which keeps the iterated-power ratios of the
-shade estimate independent of the gap position.
+shade estimate independent of the gap position.  ``interval_weights`` is the
+one home of that formula: it weighs a run of indices of one stage-table
+interval, and ``layoff_weight`` looks up the interval of a single index and
+calls it.
 """
 
 from __future__ import annotations
@@ -148,12 +151,8 @@ def _stage_starts(schedule: StageSchedule, n: int) -> tuple[int, ...]:
     return tuple(iv.lo for iv in stage_table(schedule, n))
 
 
-def classify(j: int, schedule: StageSchedule) -> RegionTag:
-    """The unique region containing index j; CWorking carries the full coordinate."""
-    if j < 0 or j > schedule.xi_end:
-        raise TruncationError(f"index {j} outside truncation [0, {schedule.xi_end}]")
-    if j <= schedule.xi(1):
-        return Seed()
+def locate(j: int, schedule: StageSchedule) -> _Interval:
+    """The stage-table interval containing index j > xi_1."""
     # stage n owns (xi_n, xi_{n+1}]
     lo, hi = 1, schedule.n_stages
     while lo < hi:
@@ -162,14 +161,22 @@ def classify(j: int, schedule: StageSchedule) -> RegionTag:
             hi = mid
         else:
             lo = mid + 1
-    n = lo
-    table = stage_table(schedule, n)
-    i = bisect.bisect_right(_stage_starts(schedule, n), j) - 1
-    iv = table[i]
+    i = bisect.bisect_right(_stage_starts(schedule, lo), j) - 1
+    iv = stage_table(schedule, lo)[i]
     assert iv.lo <= j <= iv.hi
+    return iv
+
+
+def classify(j: int, schedule: StageSchedule) -> RegionTag:
+    """The unique region containing index j; CWorking carries the full coordinate."""
+    if j < 0 or j > schedule.xi_end:
+        raise TruncationError(f"index {j} outside truncation [0, {schedule.xi_end}]")
+    if j <= schedule.xi(1):
+        return Seed()
+    iv = locate(j, schedule)
     tag = iv.tag
     if isinstance(tag, CWorking):
-        return CWorking(n, LatticeCoord(n, tag.coord.r, j - iv.lo))
+        return CWorking(tag.n, LatticeCoord(tag.n, tag.coord.r, j - iv.lo))
     return tag
 
 
@@ -193,15 +200,31 @@ def region_interval(tag: RegionTag, schedule: StageSchedule) -> tuple[int, int]:
 
 # -- lay-off weights -----------------------------------------------------------
 
-def layoff_exponent(j: int, tag: RegionTag, schedule: StageSchedule) -> float:
-    """Exponent e with weight(j) = 2^e."""
-    st = schedule.stage(tag.n)
+def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
+                     j_hi: int) -> list:
+    """Weights of the indices j_lo..j_hi of the lay-off interval iv, as floats
+    or 40-bit dyadics per weight mode; weight(j) = 2^e with
+
+        e = (s/2 + lo - j) / sqrt(s)            s = hi - lo + 1
+        e = (b/2 + r*b + xi + 1 - j) / sqrt(b)  b-side gap [r*b + xi + 1, ...]
+    """
+    tag = iv.tag
+    if not is_layoff(tag):
+        raise ValueError(f"interval [{iv.lo}, {iv.hi}] is not a lay-off ({tag})")
+    if j_lo < iv.lo or j_hi > iv.hi:
+        raise ValueError(f"indices [{j_lo}, {j_hi}] outside [{iv.lo}, {iv.hi}]")
     if isinstance(tag, BLayOff):
-        # [r*b + xi + 1, (r+1)(b+1) - 1], denominator sqrt(b) by convention
-        return (0.5 * st.b + tag.r * st.b + st.xi + 1 - j) / math.sqrt(st.b)
-    lo, hi = region_interval(tag, schedule)
-    s = hi - lo + 1
-    return (0.5 * s + lo - j) / math.sqrt(s)
+        st = schedule.stage(tag.n)
+        top = 0.5 * st.b + tag.r * st.b + st.xi + 1
+        root = math.sqrt(st.b)
+    else:
+        s = iv.hi - iv.lo + 1
+        top = 0.5 * s + iv.lo
+        root = math.sqrt(s)
+    js = range(j_lo, j_hi + 1)
+    if schedule.weight_mode == RATIONAL:
+        return [pow2_dyadic((top - j) / root) for j in js]
+    return [2.0 ** ((top - j) / root) for j in js]
 
 
 def dyadic(x: float, bits: int = 40) -> Fraction:
@@ -221,15 +244,14 @@ def pow2_dyadic(e: float, bits: int = 40) -> Fraction:
 
 
 def layoff_weight(j: int, schedule: StageSchedule, tag: RegionTag | None = None):
-    """Weight of a lay-off index, as float or 40-bit dyadic per weight mode."""
+    """Weight of a lay-off index, as float or 40-bit dyadic per weight mode:
+    interval_weights on the stage-table interval holding j.  A caller that
+    walks a whole interval should call interval_weights once instead."""
     if tag is None:
         tag = classify(j, schedule)
     if not is_layoff(tag):
         raise ValueError(f"index {j} is not in a lay-off region ({tag})")
-    e = layoff_exponent(j, tag, schedule)
-    if schedule.weight_mode == RATIONAL:
-        return pow2_dyadic(e)
-    return 2.0 ** e
+    return interval_weights(locate(j, schedule), schedule, j, j)[0]
 
 
 # -- lattice coordinate arithmetic ----------------------------------------------

@@ -41,8 +41,12 @@ def frame_constant(basis: BasisMap, n: int) -> float:
     for rec in basis.calibration:
         if rec.stage == n:
             return rec.frame_constant
-    return measure_frame_constant(basis.F_cols, basis.schedule.stage(n).nu,
-                                  basis.schedule.scalar_field)
+    memo = basis._frame_constants
+    if n not in memo:
+        memo[n] = measure_frame_constant(basis.F_cols,
+                                         basis.schedule.stage(n).nu,
+                                         basis.schedule.scalar_field)
+    return memo[n]
 
 
 def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:

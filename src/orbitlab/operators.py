@@ -20,6 +20,7 @@ from .report import Entry, check
 from .schedule import COMPLEX
 
 DENSE_SVD_CAP = 4000
+NONFINITE_FLAG = "operator matrix has non-finite entries; no norm measured"
 
 
 # -- operator matrices ---------------------------------------------------------
@@ -69,10 +70,14 @@ def op_norm(M: sparse.spmatrix, method: str = "auto", tol: float = 1e-10,
     dense_svd compresses away zero rows/columns and requires the compressed
     side to stay within 4000; power_iter iterates on M*M with a seeded random
     start until the Rayleigh quotient stabilizes, and flags non-convergence.
+    A matrix with an inf or nan entry has no norm to measure: the result is
+    nan with method "nonfinite" and no iterations.
     """
     C = _compress(M)
     if C.nnz == 0:
         return OpNormResult(0.0, "empty", True, 0)
+    if not np.isfinite(C.data).all():
+        return OpNormResult(math.nan, "nonfinite", False, 0)
     scale = float(np.max(np.abs(C.data)))
     if scale > 1e100 or scale < 1e-100:
         res = op_norm(C / scale, method=method, tol=tol, seed=seed,
@@ -351,7 +356,9 @@ def full_norm_entry(basis: BasisMap) -> tuple[Entry, OpNormResult]:
         "measured operator norm of the full truncated operator (finite required)",
         res.value, None, asserted=False,
         details={"converged": res.converged, "iterations": res.iterations})
-    if not res.converged:
+    if res.method == "nonfinite":
+        e.details["flag"] = NONFINITE_FLAG
+    elif not res.converged:
         e.details["flag"] = "power iteration hit the cap; value is an estimate"
     return e, res
 

@@ -36,12 +36,14 @@ def boundedness(b, rep: VerificationReport, rng, seed: int) -> None:
     b_ok, b_info = ops.b_calibrated(b, 1)
     b2 = assemble(doubled_layoffs(b.schedule), b.families)
     _, res2 = ops.full_norm_entry(b2)
+    details = {"norm": res.value, "norm_doubled": res2.value, **b_info}
+    if "nonfinite" in (res.method, res2.method):
+        details["flag"] = ops.NONFINITE_FLAG
     rep.add(check(
         "opnorm.gap_monotone",
         "operator norm ratio after doubling every lay-off gap (strict "
         "decrease expected above the b threshold)",
-        res2.value / res.value, 1.0 - 1e-9, asserted=b_ok,
-        details={"norm": res.value, "norm_doubled": res2.value, **b_info}))
+        res2.value / res.value, 1.0 - 1e-9, asserted=b_ok, details=details))
 
 
 def fan(b, rep: VerificationReport, rng, seed: int) -> None:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import PreconditionError, TruncationError
 from .polynet import Poly, ZETA, b_damped, nearest_member
 from .report import Entry, check
@@ -327,8 +329,6 @@ def growth_exponent_fit(xi: int, r: int, rng) -> float:
     dip into the curve at one scale, which tilts a least-squares line above
     the true exponent; the median of pairwise slopes ignores it.
     """
-    from scipy.stats import theilslopes
-
     base_x = rng.standard_normal(xi - r + 1)
     y = rng.standard_normal(xi - r + 1)
     ells = [2.0 ** -e for e in range(6, 22)]
@@ -338,8 +338,19 @@ def growth_exponent_fit(xi: int, r: int, rng) -> float:
         x[0] = ell
         p = solve_poly(ToeplitzSystem(xi, r, tuple(x), tuple(y)))
         logs.append(math.log(float(p.ell1)))
-    res = theilslopes(logs, [math.log(1 / e) for e in ells])
-    return float(res[0])
+    return theil_sen_slope([math.log(1 / e) for e in ells], logs)
+
+
+def theil_sen_slope(x, y) -> float:
+    """Median of the pairwise slopes (y_j - y_i) / (x_j - x_i) over x_j > x_i:
+    the slope of ``scipy.stats.theilslopes(y, x)``, without loading
+    scipy.stats (some 400 modules that would stay resident)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x[:, np.newaxis] - x
+    dy = y[:, np.newaxis] - y
+    up = dx > 0
+    return float(np.median(dy[up] / dx[up]))
 
 
 def _random_unit_head(basis, xi: int, rng) -> dict:

@@ -211,3 +211,60 @@ def test_build_f_missing_family_member():
     sched, fams = mini_schedule()
     with pytest.raises(ol.errors.ScheduleError):
         ol.assemble(sched, ((fams[0][0],), fams[1]))  # stage 1 needs 2 members
+
+
+def _reference_csc(cols, n_rows, field):
+    """The per-entry builder: sorted keys, each entry through dtype()."""
+    from scipy import sparse
+
+    dtype = complex if field == ol.COMPLEX else float
+    indptr, indices, data = [0], [], []
+    for col in cols:
+        for i in sorted(col):
+            indices.append(i)
+            data.append(dtype(col[i]))
+        indptr.append(len(indices))
+    return sparse.csc_matrix(
+        (np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.intp),
+         np.asarray(indptr)), shape=(n_rows, len(cols)))
+
+
+def _assert_same_csc(got, ref):
+    assert got.shape == ref.shape
+    assert got.has_sorted_indices
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
+                 (got.data, ref.data)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("field", [ol.REAL, ol.COMPLEX])
+def test_cols_to_csc_matches_per_entry_builder(field):
+    from orbitlab.basis import cols_to_csc
+
+    cols = [
+        {},
+        {4: 1.5, 0: -2.0, 2: 3.0},             # keys out of order
+        {3: Fraction(1, 3), 1: Fraction(-7, 5)},
+        {},
+        {5: 1, 2: Fraction(2, 3), 0: 0.25},
+    ]
+    if field == ol.COMPLEX:
+        cols.append({5: 1 + 2j, 1: -0.5j})
+    _assert_same_csc(cols_to_csc(cols, 6, field), _reference_csc(cols, 6, field))
+    empty = cols_to_csc([], 3, field)
+    _assert_same_csc(empty, _reference_csc([], 3, field))
+    assert empty.shape == (3, 0)
+
+
+@pytest.mark.parametrize("which", ["mini", "mini_rational"])
+def test_cols_to_csc_matches_per_entry_builder_assembled(which, request):
+    from orbitlab.basis import cols_to_csc
+
+    b = request.getfixturevalue(which)
+    # c-working columns put their diagonal first
+    assert any(list(c) != sorted(c) for c in b.F_cols)
+    field = b.schedule.scalar_field
+    for cols in (b.F_cols, b.E_cols):
+        _assert_same_csc(cols_to_csc(cols, b.n_trunc + 1, field),
+                         _reference_csc(cols, b.n_trunc + 1, field))

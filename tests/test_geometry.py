@@ -166,3 +166,83 @@ def test_coord_validation(r1s):
         ol.coord_to_index(geo.LatticeCoord(1, (1, 0), 261), r1s)  # above nu
     with pytest.raises(ValueError):
         ol.index_to_coord(5, r1s)  # a lay-off index
+
+
+def _reference_weights(iv, sched):
+    """Weights of a whole lay-off interval by the per-index formula, with the
+    interval bounds found by scanning the stage table (region_interval)."""
+    tag = iv.tag
+    st = sched.stage(tag.n)
+    lo, hi = geo.region_interval(tag, sched)
+    s = hi - lo + 1
+    out = []
+    for j in range(iv.lo, iv.hi + 1):
+        if isinstance(tag, geo.BLayOff):
+            e = (0.5 * st.b + tag.r * st.b + st.xi + 1 - j) / math.sqrt(st.b)
+        else:
+            e = (0.5 * s + lo - j) / math.sqrt(s)
+        out.append(geo.pow2_dyadic(e) if sched.weight_mode == ol.RATIONAL
+                   else 2.0 ** e)
+    return out
+
+
+def _layoff_intervals(sched):
+    return [iv for n in range(1, sched.n_stages + 1)
+            for iv in geo.stage_table(sched, n) if geo.is_layoff(iv.tag)]
+
+
+def _same_float(a, b):
+    return a == b and float.hex(a) == float.hex(b)
+
+
+def test_interval_weights_bit_identical_mini(minis):
+    ivs = _layoff_intervals(minis)
+    assert {iv.tag.n for iv in ivs} == {1, 2}
+    for iv in ivs:
+        got = geo.interval_weights(iv, minis, iv.lo, iv.hi)
+        ref = _reference_weights(iv, minis)
+        assert len(got) == iv.hi - iv.lo + 1
+        for j, w, r in zip(range(iv.lo, iv.hi + 1), got, ref):
+            assert _same_float(w, r), (iv, j)
+            assert _same_float(w, ol.layoff_weight(j, minis)), (iv, j)
+
+
+def test_interval_weights_bit_identical_r1_sampled(r1s):
+    ivs = _layoff_intervals(r1s)
+    kinds = {type(iv.tag) for iv in ivs}
+    assert {geo.BLayOff, geo.CLayOff, geo.TailLayOff} <= kinds
+    for iv in ivs:
+        ref = _reference_weights(iv, r1s)
+        full = geo.interval_weights(iv, r1s, iv.lo, iv.hi)
+        mid = (iv.lo + iv.hi) // 2
+        samples = {iv.lo, iv.lo + 1, mid, iv.hi - 1, iv.hi}
+        for j in samples:
+            k = j - iv.lo
+            assert _same_float(full[k], ref[k]), (iv, j)
+            assert _same_float(full[k], ol.layoff_weight(j, r1s)), (iv, j)
+            # a sub-run starting inside the interval gives the same values
+            part = geo.interval_weights(iv, r1s, j, min(j + 3, iv.hi))
+            assert all(_same_float(a, b) for a, b in zip(part, full[k:])), (iv, j)
+
+
+def test_interval_weights_rational_mini_exact():
+    sched, _ = mini_schedule(weight_mode=ol.RATIONAL)
+    for iv in _layoff_intervals(sched):
+        got = geo.interval_weights(iv, sched, iv.lo, iv.hi)
+        assert all(isinstance(w, Fraction) for w in got)
+        assert got == _reference_weights(iv, sched), iv
+        assert got == [ol.layoff_weight(j, sched)
+                       for j in range(iv.lo, iv.hi + 1)], iv
+
+
+def test_interval_weights_rejects_working_and_outside(r1s):
+    table = geo.stage_table(r1s, 1)
+    work = next(iv for iv in table if not geo.is_layoff(iv.tag))
+    with pytest.raises(ValueError):
+        geo.interval_weights(work, r1s, work.lo, work.hi)
+    lay = next(iv for iv in table if geo.is_layoff(iv.tag))
+    with pytest.raises(ValueError):
+        geo.interval_weights(lay, r1s, lay.lo, lay.hi + 1)
+    with pytest.raises(ValueError):
+        geo.interval_weights(lay, r1s, lay.lo - 1, lay.hi)
+    assert geo.interval_weights(lay, r1s, lay.lo, lay.lo - 1) == []

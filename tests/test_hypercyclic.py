@@ -181,3 +181,21 @@ def test_frame_constant_consistency(r1):
     from orbitlab.basis import measure_frame_constant
     C = measure_frame_constant(r1.F_cols, r1.schedule.stage(1).nu, ol.REAL)
     assert hyp.frame_constant(r1, 1) == pytest.approx(C, rel=1e-12)
+
+
+def test_frame_constant_memoised_without_calibration(r1, monkeypatch):
+    # a basis assembled with frozen gammas has no calibration records
+    frozen = ol.BasisMap(r1.schedule, r1.families, r1.mode, r1.n_trunc,
+                         r1.gammas, r1.F_cols, r1.E_cols, r1.lambdas, ())
+    calls = []
+    measure = hyp.measure_frame_constant
+
+    def counting(*args):
+        calls.append(args[1])
+        return measure(*args)
+
+    monkeypatch.setattr(hyp, "measure_frame_constant", counting)
+    first = hyp.frame_constant(frozen, 1)
+    assert hyp.frame_constant(frozen, 1) == first
+    assert calls == [r1.schedule.stage(1).nu]
+    assert first == r1.calibration[0].frame_constant

@@ -7,7 +7,7 @@ from scipy import sparse
 import orbitlab as ol
 from orbitlab import geometry as geo
 from orbitlab import operators as ops
-from orbitlab.report import FAIL, INFO, PASS
+from orbitlab.report import FAIL, INFO, PASS, check
 
 
 def test_op_norm_identity():
@@ -224,3 +224,48 @@ def test_operator_and_companion_on_f0(mini):
     bc = ol.assemble(sched, fams)
     A = ol.build_A(bc)
     assert np.count_nonzero(A @ x) == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("method", ["auto", "dense_svd", "power_iter"])
+def test_op_norm_nonfinite_returns_at_once(bad, method):
+    import warnings
+
+    M = sparse.csc_matrix(np.array([[1.0, 0.0, 0.5], [bad, 2.0, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ops.op_norm(M, method=method)
+    assert math.isnan(res.value)
+    assert res.method == "nonfinite"
+    assert not res.converged and res.iterations == 0
+
+
+def test_asserted_nan_measurement_fails():
+    assert check("x", "", math.nan, 1.0, asserted=True).status == FAIL
+    assert check("x", "", math.nan, 1.0, asserted=False).status == INFO
+
+
+def test_boundedness_flags_nonfinite_doubled_mini(mini, monkeypatch):
+    # the b^xi difference chains of the doubled-gap twin overflow its E
+    from orbitlab import suites
+
+    monkeypatch.setattr(ops, "block_estimates", lambda b, n: [])
+    full_entries = []
+    full_norm_entry = ops.full_norm_entry
+
+    def recording(b):
+        e, res = full_norm_entry(b)
+        full_entries.append((e, res))
+        return e, res
+
+    monkeypatch.setattr(ops, "full_norm_entry", recording)
+    rep = ol.VerificationReport()
+    suites.boundedness(mini, rep, np.random.default_rng(0), 0)
+    (e1, r1_), (e2, r2) = full_entries
+    assert r1_.method != "nonfinite" and "flag" not in e1.details
+    assert r2.method == "nonfinite" and r2.iterations == 0
+    assert math.isnan(e2.measured) and e2.status == INFO
+    assert e2.details["flag"] == ops.NONFINITE_FLAG
+    row = next(e for e in rep.entries if e.claim_id == "opnorm.gap_monotone")
+    assert math.isnan(row.measured) and row.status == INFO  # b = 7: ungated
+    assert row.details["flag"] == ops.NONFINITE_FLAG

@@ -167,3 +167,17 @@ def test_unicell_entries_pass(r1, rng):
     assert by_id["compare.total"].status == "pass"
     assert by_id["compare.antisym"].status == "pass"
     assert by_id["compare.stages"].status == "informational"
+
+
+def test_theil_sen_slope_equals_scipy_theilslopes(rng):
+    from scipy.stats import theilslopes
+
+    x = [math.log(1 / 2.0 ** -e) for e in range(6, 22)]
+    for y in (rng.standard_normal(len(x)), np.cumsum(rng.standard_normal(16)),
+              [3.0 * v + 1 for v in x]):
+        want = float(theilslopes(y, x)[0])
+        assert uni.theil_sen_slope(x, y) == want
+    # repeated x values: pairs with equal x carry no slope
+    xr = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0]
+    yr = rng.standard_normal(len(xr))
+    assert uni.theil_sen_slope(xr, yr) == float(theilslopes(yr, xr)[0])
