@@ -222,10 +222,17 @@ def build_f(j: int, schedule: StageSchedule, families, gammas, mode,
     if geo.is_layoff(tag):
         lam = weight if weight is not None else geo.layoff_weight(j, schedule, tag)
         return {j: lam}
-    st = schedule.stage(tag.n)
     if isinstance(tag, geo.BWorking):
+        st = schedule.stage(tag.n)
         return {j: 1, j - st.b: -st.b}
     assert isinstance(tag, geo.CWorking)
+    return _cworking_f(j, tag, schedule, families, gammas, mode)
+
+
+def _cworking_f(j: int, tag, schedule: StageSchedule, families, gammas,
+                mode) -> Vec:
+    """e-frame coordinates of the c-working vector f_j with region tag `tag`."""
+    st = schedule.stage(tag.n)
     coord = tag.coord
     t = coord.t
     family = families[tag.n - 1]
@@ -323,11 +330,11 @@ def assemble(schedule: StageSchedule, families,
         E_cols.append(vec_clean(col))
 
     def add_cworking(j, n, st):
-        fcol = build_f(j, schedule, families, gammas, mode)
+        tag = geo.classify(j, schedule)
+        fcol = _cworking_f(j, tag, schedule, families, gammas, mode)
         F_cols.append(fcol)
         diag = fcol[j]
         ecol: Vec = {j: one / diag}
-        tag = geo.classify(j, schedule)
         t = tag.coord.t
         base = j - st.c[t - 1]
         for u, a in enumerate(families[n - 1][t - 1].coeffs):

@@ -20,6 +20,9 @@ from .report import Entry, check
 from .schedule import COMPLEX
 
 DENSE_SVD_CAP = 4000
+# Widest component (rows or columns) op_norm's "auto" split solves exactly.
+SMALL_COMPONENT = 32
+_SVD_STACK_ELEMENTS = 1 << 20  # entries per batched-SVD stack (memory cap)
 NONFINITE_FLAG = "operator matrix has non-finite entries; no norm measured"
 
 
@@ -54,24 +57,137 @@ class OpNormResult:
     iterations: int
 
 
+def _rank_map(idx: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """For indices in [0, n): the map sending each present value to its rank
+    among the present values, and their count.  ``_rank_map(idx, n)[0][idx]``
+    equals ``np.unique(idx, return_inverse=True)[1]``, without the sort."""
+    present = np.zeros(n, dtype=bool)
+    present[idx] = True
+    rank = np.cumsum(present) - 1
+    return rank, int(rank[-1]) + 1
+
+
 def _compress(M: sparse.spmatrix) -> sparse.csc_matrix:
     coo = M.tocoo()
     if coo.nnz == 0:
         return sparse.csc_matrix((1, 1))
-    rows, rr = np.unique(coo.row, return_inverse=True)
-    cols, cc = np.unique(coo.col, return_inverse=True)
-    return sparse.csc_matrix((coo.data, (rr, cc)), shape=(len(rows), len(cols)))
+    row_rank, n_rows = _rank_map(coo.row, coo.shape[0])
+    col_rank, n_cols = _rank_map(coo.col, coo.shape[1])
+    return sparse.csc_matrix((coo.data, (row_rank[coo.row], col_rank[coo.col])),
+                             shape=(n_rows, n_cols))
+
+
+def _component_labels(S: sparse.csc_matrix):
+    """Connected components of the row/column graph of a compressed matrix
+    (a row and a column are joined when they share a stored entry), as
+    (row labels, column labels), each label the smallest column index of its
+    component; None as soon as a component is found to span more than
+    SMALL_COMPONENT rows or columns.
+
+    Labels are the minimum propagated across rows and columns.  A component
+    of at most SMALL_COMPONENT rows and columns has diameter below
+    2 * SMALL_COMPONENT, so propagation that has not settled by then has
+    found a larger one.
+    """
+    n_cols = S.shape[1]
+    R = S.tocsr()
+    col_label = np.arange(n_cols)
+    for _ in range(2 * SMALL_COMPONENT):
+        row_label = np.minimum.reduceat(col_label[R.indices], R.indptr[:-1])
+        new = np.minimum.reduceat(row_label[S.indices], S.indptr[:-1])
+        if (np.bincount(row_label, minlength=n_cols).max() > SMALL_COMPONENT
+                or np.bincount(new, minlength=n_cols).max() > SMALL_COMPONENT):
+            return None
+        if np.array_equal(new, col_label):
+            return row_label, col_label
+        col_label = new
+    return None
+
+
+def _split_norm(C: sparse.csc_matrix) -> float | None:
+    """Largest singular value of a compressed finite matrix from its
+    connected components (block-diagonal up to permutation, so the largest
+    over the blocks), or None when a row, column or component spans more
+    than SMALL_COMPONENT rows or columns.
+
+    The largest column norm bounds the answer from below.  It covers every
+    1x1 component, and a one-row or one-column component is a vector whose
+    norm is exact.  A component's Frobenius norm bounds its own from above,
+    so only the components above the lower bound go to dense SVD, batched
+    over a zero-padded stack.
+    """
+    n_rows, n_cols = C.shape
+    col_nnz = np.diff(C.indptr)
+    row_nnz = np.bincount(C.indices, minlength=n_rows)
+    if max(col_nnz.max(), row_nnz.max()) > SMALL_COMPONENT:
+        return None
+    sq = np.abs(C.data) ** 2
+    lower2 = float(np.add.reduceat(sq, C.indptr[:-1]).max())
+    # the rest: C without its 1x1 components (entries alone in row and column)
+    col_of = np.repeat(np.arange(n_cols), col_nnz)
+    rest = (row_nnz[C.indices] > 1) | (col_nnz[col_of] > 1)
+    if not rest.any():
+        return math.sqrt(lower2)
+    S = _compress(sparse.coo_matrix(
+        (C.data[rest], (C.indices[rest], col_of[rest])), shape=C.shape))
+    labels = _component_labels(S)
+    if labels is None:
+        return None
+    rank, n_comp = _rank_map(labels[1], S.shape[1])
+    row_comp, col_comp = rank[labels[0]], rank[labels[1]]
+    s_col_nnz = np.diff(S.indptr)
+    entry_comp = np.repeat(col_comp, s_col_nnz)
+    fro2 = np.bincount(entry_comp, weights=np.abs(S.data) ** 2,
+                       minlength=n_comp)
+    n_r = np.bincount(row_comp, minlength=n_comp)
+    n_c = np.bincount(col_comp, minlength=n_comp)
+    vector = (n_r == 1) | (n_c == 1)
+    if vector.any():
+        lower2 = max(lower2, float(fro2[vector].max()))
+    cand = ~vector & (fro2 > lower2)
+    if not cand.any():
+        return math.sqrt(lower2)
+    # position of each candidate row and column inside its zero-padded block
+    local_row = np.empty(S.shape[0], dtype=np.intp)
+    local_col = np.empty(S.shape[1], dtype=np.intp)
+    for comp, local in ((row_comp, local_row), (col_comp, local_col)):
+        idx = np.flatnonzero(cand[comp])
+        idx = idx[np.argsort(comp[idx], kind="stable")]
+        local[idx] = np.arange(len(idx)) - np.searchsorted(comp[idx], comp[idx])
+    entries = np.flatnonzero(cand[entry_comp])
+    block = (np.cumsum(cand) - 1)[entry_comp[entries]]
+    r = local_row[S.indices[entries]]
+    c = local_col[np.repeat(np.arange(S.shape[1]), s_col_nnz)[entries]]
+    n_blocks = int(cand.sum())
+    height, width = int(n_r[cand].max()), int(n_c[cand].max())
+    step = max(1, _SVD_STACK_ELEMENTS // (height * width))
+    best = math.sqrt(lower2)
+    for start in range(0, n_blocks, step):
+        sel = (block >= start) & (block < start + step)
+        stack = np.zeros((min(step, n_blocks - start), height, width),
+                         dtype=S.dtype)
+        stack[block[sel] - start, r[sel], c[sel]] = S.data[entries[sel]]
+        best = max(best, float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+    return best
 
 
 def op_norm(M: sparse.spmatrix, method: str = "auto", tol: float = 1e-10,
             seed: int = 7, maxiter: int = 5000) -> OpNormResult:
-    """Largest singular value.
+    """Largest singular value of M, after compressing away zero rows/columns.
 
-    dense_svd compresses away zero rows/columns and requires the compressed
-    side to stay within 4000; power_iter iterates on M*M with a seeded random
-    start until the Rayleigh quotient stabilizes, and flags non-convergence.
-    A matrix with an inf or nan entry has no norm to measure: the result is
-    nan with method "nonfinite" and no iterations.
+    method="auto" first splits the compressed matrix into the connected
+    components of its row/column graph.  When no component exceeds
+    SMALL_COMPONENT rows or columns the value is exact, the largest over the
+    components (vectors in closed form, the rest by batched dense SVD), and
+    is reported as dense_svd with no iterations.  Otherwise the whole
+    compressed matrix goes to dense_svd when its smaller side is within
+    DENSE_SVD_CAP, else to power_iter.
+
+    An explicit method skips the split.  dense_svd requires the compressed
+    smaller side to stay within DENSE_SVD_CAP; power_iter iterates on M*M
+    with a seeded random start until the Rayleigh quotient stabilizes, and
+    flags non-convergence.  A matrix with an inf or nan entry has no norm to
+    measure: the result is nan with method "nonfinite" and no iterations.
     """
     C = _compress(M)
     if C.nnz == 0:
@@ -85,6 +201,9 @@ def op_norm(M: sparse.spmatrix, method: str = "auto", tol: float = 1e-10,
         return OpNormResult(res.value * scale, res.method, res.converged,
                             res.iterations)
     if method == "auto":
+        value = _split_norm(C)
+        if value is not None:
+            return OpNormResult(value, "dense_svd", True, 0)
         method = "dense_svd" if min(C.shape) <= DENSE_SVD_CAP else "power_iter"
     if method == "dense_svd":
         if min(C.shape) > DENSE_SVD_CAP:
@@ -291,9 +410,12 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     for m in _default_subsample(nu // 2):
         if m >= max(nu // 2, 1) + 1:
             continue
-        P = conjugated_power(basis, m)
+        P = T if m == 1 else conjugated_power(basis, m)
         spill = sigma_max_block(P, slice(nu + 1, hi + 1), slice(0, nu + 1))
         spill_max = max(spill_max, spill.value)
+        if m == 1:  # the nu-cut band and low blocks of T, measured above
+            band_growth[m], low_growth[m] = band_blk.value, lo_blk.value
+            continue
         band_growth[m] = sigma_max_block(
             P, slice(nu + 1, hi + 1), slice(nu + 1, hi + 1)).value
         low_growth[m] = sigma_max_block(

@@ -40,6 +40,121 @@ def test_dense_svd_cap():
         ops.op_norm(M, method="dense_svd")
 
 
+def _permuted_block_diag(rng, shapes, complex_=False, pad=3):
+    """Random blocks of the given shapes on the diagonal, rows and columns
+    shuffled, with `pad` empty rows and columns mixed in."""
+    def block(r, c):
+        a = rng.standard_normal((r, c))
+        if complex_:
+            a = a + 1j * rng.standard_normal((r, c))
+        a[rng.random((r, c)) < 0.3] = 0
+        # the diagonal, last row and last column keep the block connected
+        a[np.arange(min(r, c)), np.arange(min(r, c))] += 3
+        a[:, -1] += 1
+        a[-1, :] += 1
+        return a
+
+    B = sparse.block_diag([block(r, c) for r, c in shapes], format="coo")
+    n_r, n_c = B.shape[0] + pad, B.shape[1] + pad
+    pr, pc = rng.permutation(n_r), rng.permutation(n_c)
+    return sparse.csc_matrix((B.data, (pr[B.row], pc[B.col])), shape=(n_r, n_c))
+
+
+SPLIT_SHAPES = [(1, 5), (1, 32), (7, 1), (32, 1), (1, 1), (2, 3), (5, 5),
+                (12, 9), (32, 32), (3, 32), (32, 17)]
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("winner", [None, 0, 2, 4, 8])
+@pytest.mark.parametrize("scale", [1.0, 1e150])
+def test_op_norm_auto_splits_small_components_exactly(complex_, winner, scale,
+                                                       monkeypatch):
+    # `winner` appends an inflated copy of one block shape (a row vector, a
+    # column vector, a 1x1, a 32x32), so each kind of component holds the max
+    rng = np.random.default_rng(11 if winner is None else winner)
+    M = _permuted_block_diag(rng, SPLIT_SHAPES, complex_)
+    if winner is not None:
+        B = _permuted_block_diag(np.random.default_rng(5),
+                                 [SPLIT_SHAPES[winner]], complex_, pad=0)
+        M = sparse.block_diag([M, 40 * B])
+    M = (M * scale).tocsc()
+    want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
+    # 4500 tiny 1x1 components: the whole-matrix rule would power-iterate
+    M = sparse.block_diag([M, 1e-3 * scale * sparse.identity(4500)]).tocsc()
+    for stack_elements in (ops._SVD_STACK_ELEMENTS, 1):  # one block per SVD
+        monkeypatch.setattr(ops, "_SVD_STACK_ELEMENTS", stack_elements)
+        res = ops.op_norm(M)
+        assert res.method == "dense_svd" and res.iterations == 0
+        assert res.converged
+        assert res.value == pytest.approx(want, rel=1e-12)
+
+
+def _whole_matrix_rule(M):
+    C = ops._compress(M)
+    method = "dense_svd" if min(C.shape) <= ops.DENSE_SVD_CAP else "power_iter"
+    return ops.op_norm(M, method=method)
+
+
+@pytest.mark.parametrize("case", ["wide_candidate", "chain", "wide_row",
+                                  "power_iter"])
+def test_op_norm_auto_falls_back_to_whole_matrix(case):
+    rng = np.random.default_rng(3)
+    small = _permuted_block_diag(rng, [(2, 2), (1, 4), (5, 3)])
+    if case == "wide_candidate":
+        M = sparse.block_diag([small, 10 * sparse.random(
+            40, 33, density=0.5, random_state=1)]).tocsc()
+    elif case == "chain":
+        n = 300  # one long weighted-shift chain, at most 2 entries per line
+        M = sparse.block_diag([small, sparse.diags(
+            [1 + rng.random(n), rng.random(n - 1)], [0, 1])]).tocsc()
+    elif case == "wide_row":
+        M = sparse.block_diag([small, rng.standard_normal((1, 33))]).tocsc()
+    else:  # a wide candidate beside a 4500-wide diagonal: power iteration
+        M = sparse.block_diag([sparse.identity(4500), 10 * sparse.random(
+            40, 40, density=0.5, random_state=2)]).tocsc()
+    res = ops.op_norm(M)
+    assert res == _whole_matrix_rule(M)
+    assert res.method == ("power_iter" if case == "power_iter" else "dense_svd")
+
+
+def test_compress_matches_unique_reference():
+    M = sparse.random(60, 80, density=0.03, random_state=4, format="csc")
+    M = M.tolil()
+    M[:, 0] = 0  # empty first column, and empty last rows and columns
+    M[-5:, :] = 0
+    M[:, -7:] = 0
+    M[10, 3] = 2.0
+    M = M.tocsc()
+    M.eliminate_zeros()
+    coo = M.tocoo()
+    rows, rr = np.unique(coo.row, return_inverse=True)
+    cols, cc = np.unique(coo.col, return_inverse=True)
+    ref = sparse.csc_matrix((coo.data, (rr, cc)), shape=(len(rows), len(cols)))
+    C = ops._compress(M)
+    assert C.shape == ref.shape and C.dtype == ref.dtype
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(C, a), getattr(ref, a))
+    assert ops._compress(sparse.csc_matrix((4, 5))).shape == (1, 1)
+
+
+def test_op_norm_does_not_import_csgraph():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(ops.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from scipy import sparse\n"
+            "from orbitlab import operators as ops\n"
+            "M = sparse.random(300, 200, density=0.02, random_state=1)\n"
+            "ops.op_norm(M)\n"
+            "ops.op_norm(sparse.identity(5000, format='csc'))\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_shift_power_matrix():
     S = ops.shift_power_csc(5, 2)
     x = np.array([1.0, 2.0, 0, 0, 0])
@@ -136,8 +251,13 @@ def test_pure_layoff_block_norm_is_max_ratio(mini):
     assert sigma == pytest.approx(max(ratios), rel=1e-9)
 
 
-def test_block_estimates_r1(r1):
-    entries = {e.claim_id: e for e in ops.block_estimates(r1, 1)}
+@pytest.fixture(scope="module")
+def r1_block_entries(r1):
+    return {e.claim_id: e for e in ops.block_estimates(r1, 1)}
+
+
+def test_block_estimates_r1(r1_block_entries):
+    entries = r1_block_entries
     e = entries["shift.low.nu.stage1"]
     assert e.status == PASS and e.measured <= 0.25
     e = entries["shift.band.nu.stage1"]
@@ -151,9 +271,9 @@ def test_block_estimates_r1(r1):
     assert entries["powm.spill.stage1"].status == PASS
 
 
-def test_fan_power_band_value_is_gap_ratio(r1):
+def test_fan_power_band_value_is_gap_ratio(r1_block_entries):
     # the k=2 band norm equals the within-tail weight ratio 2^(c_2/sqrt(s))
-    entries = {e.claim_id: e for e in ops.block_estimates(r1, 1)}
+    entries = r1_block_entries
     s_tail = 400_000 - 139_525 + 1
     predicted = 2.0 ** (65536 / math.sqrt(s_tail))
     assert entries["fanpow.band.stage1.k2"].measured == pytest.approx(
