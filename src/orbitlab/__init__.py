@@ -10,7 +10,7 @@ from .geometry import (Seed, BLayOff, BWorking, CLayOff, CWorking, TailLayOff,
 from .polynet import (Poly, PolyNet, ZERO, ONE, ZETA, generate_net, apply_poly,
                       b_damped, ell1_distance, nearest_member,
                       NO_CONSTRAINT, ZERO_CONSTANT_TERM)
-from .basis import (BasisMap, assemble, build_f, calibrate_gamma,
+from .basis import (BasisMap, assemble, calibrate_gamma,
                     lattice_descent, expand_e_structural, solve_F,
                     roundtrip_max_error, roundtrip_exact,
                     export_matrix_market, read_matrix_market)

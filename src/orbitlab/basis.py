@@ -53,10 +53,6 @@ def vec_clean(v: Vec) -> Vec:
     return {i: x for i, x in v.items() if x != 0}
 
 
-def vec_norm_sq(v: Vec):
-    return sum(abs(x) ** 2 for x in v.values())
-
-
 def vec_norm(v: Vec) -> float:
     """l2 norm, safe against squares overflowing the float range (difference
     chains reach b^xi, whose square can pass 1e308 on deep stages)."""
@@ -213,22 +209,6 @@ def cols_to_csc(cols, n_rows: int, field) -> sparse.csc_matrix:
 
 # -- single-column construction ------------------------------------------------
 
-def build_f(j: int, schedule: StageSchedule, families, gammas, mode,
-            weight=None) -> Vec:
-    """e-frame coordinates of f_j from its region rule alone."""
-    tag = geo.classify(j, schedule)
-    if isinstance(tag, geo.Seed):
-        return {j: 1}
-    if geo.is_layoff(tag):
-        lam = weight if weight is not None else geo.layoff_weight(j, schedule, tag)
-        return {j: lam}
-    if isinstance(tag, geo.BWorking):
-        st = schedule.stage(tag.n)
-        return {j: 1, j - st.b: -st.b}
-    assert isinstance(tag, geo.CWorking)
-    return _cworking_f(j, tag, schedule, families, gammas, mode)
-
-
 def _cworking_f(j: int, tag, schedule: StageSchedule, families, gammas,
                 mode) -> Vec:
     """e-frame coordinates of the c-working vector f_j with region tag `tag`."""
@@ -264,12 +244,11 @@ def measure_frame_constant(F_cols, nu: int, field) -> float:
     """Largest singular value of the frame block F[0..nu, 0..nu]: the
     equivalence constant between e-coordinates and the ambient norm on
     span f_[0, nu]."""
-    block = cols_to_csc(F_cols[: nu + 1], nu + 1, field)
-    if nu + 1 <= 4000:
-        return float(np.linalg.svd(block.toarray(), compute_uv=False)[0])
-    from .operators import op_norm
+    from .operators import DENSE_SVD_CAP, op_norm
 
-    return op_norm(block, method="power_iter").value
+    block = cols_to_csc(F_cols[: nu + 1], nu + 1, field)
+    method = "dense_svd" if nu + 1 <= DENSE_SVD_CAP else "power_iter"
+    return op_norm(block, method=method).value
 
 
 def _calibrate(schedule: StageSchedule, F_cols, n: int) -> CalibRecord:

@@ -6,8 +6,8 @@
 
 Vector specs are frame-prefixed sparse coordinate lists: ``f:0=1,3=-2`` or
 ``e:1=1``; targets are semicolon-separated specs.  Reports are deterministic
-for a fixed config and seed, up to the runtime columns.  The only environment
-knob is ORBITLAB_THREADS (Monte Carlo chunk mapping).
+for a fixed config and seed, up to the runtime columns.  orbitlab reads no
+environment variables.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def cmd_build(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    n_trunc = args.trunc if args.trunc is not None else None
-    b = basis_mod.assemble(schedule, families, n_trunc=n_trunc)
+    b = basis_mod.assemble(schedule, families, n_trunc=args.trunc)
     os.makedirs(args.out, exist_ok=True)
     echo = os.path.join(args.out, "schedule.cfg")
     save_config(echo, b.schedule.with_gammas(b.gammas), families)

@@ -16,13 +16,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .basis import (BasisMap, cols_to_csc, measure_frame_constant,
                     poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
                     vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
-from .operators import conjugated_power, sigma_max_block, sup_e_norm
+from .operators import conjugated_power, op_norm, sigma_max_block, sup_e_norm
 from .polynet import Poly, b_damped, nearest_member
 from .report import Entry, check
 from .schedule import RATIONAL
@@ -98,9 +96,7 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
         per_vec.append(vec_norm(f))
         cols.append(f)
     M = cols_to_csc(cols, basis.n_trunc + 1, basis.schedule.scalar_field)
-    sigma = float(np.linalg.svd(M[M.getnnz(axis=1) > 0, :].toarray(),
-                                compute_uv=False)[0]) if M.nnz else 0.0
-    return st.b * sigma, per_vec
+    return st.b * op_norm(M, method="dense_svd").value, per_vec
 
 
 def shade_measurements(basis: BasisMap, n: int):
@@ -191,11 +187,65 @@ class Certificate:
         }
 
 
-def _power_norms(basis: BasisMap, x_e: dict, powers) -> dict[int, float]:
-    out = {}
-    for u in powers:
-        out[u] = vec_norm(basis.e_to_f(shift_e(x_e, u, basis.n_trunc)))
-    return out
+def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
+    """The ending shared by every steering certificate: snap the damped
+    polynomial q to the nearest fan polynomial p_k and let T^(c_k) carry x.
+
+    Returns (k0, snap distance, p_k, the e-coordinates of T^(c_k) x, steps),
+    k0 the 0-based index into the stage's family and steps the four
+    PipelineSteps mid-band, snap, fan and tail.  Raises TruncationError when
+    the tail above nu_n, or x itself, would leave the truncation under
+    T^(c_k).
+    """
+    st = basis.schedule.stage(n)
+    mid = basis.project_f(x_f, st.xi + 1, st.nu)
+    body = basis.project_f(x_f, 0, st.nu)
+    tail = {j: v for j, v in x_f.items() if j > st.nu}
+
+    # mid-band leakage of the damped polynomial
+    mid_e = basis.f_to_e(mid)
+    m_mid = vec_norm(basis.e_to_f(poly_shift_apply(q, mid_e, basis.n_trunc)))
+
+    # snap to the fan family
+    family = basis.families[n - 1][: st.k]
+    k0, snap_dist = nearest_member(family, q)
+    pk = family[k0]
+    ck = st.c[k0]
+    body_e = basis.f_to_e(body)
+    dq = q - pk
+    m_snap = vec_norm(basis.e_to_f(poly_shift_apply(dq, body_e, basis.n_trunc)))
+    snap_bound = float(sum(
+        abs(a) * vec_norm(basis.e_to_f(shift_e(body_e, u, basis.n_trunc)))
+        for u, a in enumerate(dq.coeffs) if a != 0))
+
+    # fan residual on the body
+    m_fan = fan_residual(basis, body, n, k0 + 1)
+    fan_bound = fan_residual_bound(basis, n) * vec_norm(body)
+
+    # tail carried by the fan power
+    if tail:
+        tail_e = basis.f_to_e(tail)
+        if shift_exits(tail_e, ck, basis.n_trunc):
+            raise TruncationError("tail would be pushed past the truncation")
+        m_tail = vec_norm(basis.e_to_f(shift_e(tail_e, ck, basis.n_trunc)))
+    else:
+        m_tail = 0.0
+
+    x_e = basis.f_to_e(x_f)
+    if shift_exits(x_e, ck, basis.n_trunc):
+        raise TruncationError("fan power would leave the truncation")
+    steps = (
+        PipelineStep("mid-band", m_mid, m_mid,
+                     "damped polynomial applied between xi and nu"),
+        PipelineStep("snap", m_snap, snap_bound,
+                     "distance to the nearest fan polynomial, times measured "
+                     "power norms"),
+        PipelineStep("fan", m_fan, fan_bound,
+                     "fan residual at the snapped index (calibrated bound)"),
+        PipelineStep("tail", m_tail, m_tail,
+                     "mass above nu carried by the fan power"),
+    )
+    return k0, snap_dist, pk, shift_e(x_e, ck, basis.n_trunc), steps
 
 
 def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
@@ -214,12 +264,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     if not x_f:
         raise PreconditionError("zero vector refused")
 
-    head = basis.project_f(x_f, 0, st.xi)
-    mid = basis.project_f(x_f, st.xi + 1, st.nu)
-    body = basis.project_f(x_f, 0, st.nu)
-    tail = {j: v for j, v in x_f.items() if j > st.nu}
-
-    alpha = basis.f_to_e(head)
+    alpha = basis.f_to_e(basis.project_f(x_f, 0, st.xi))
     a0 = alpha.get(0, 0)
     if abs(a0) < threshold:
         raise PreconditionError(
@@ -249,35 +294,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     vec_add(damp, full, -1)
     m_damp = vec_norm(basis.e_to_f(vec_clean(damp)))
 
-    # mid-band leakage of the damped polynomial
-    mid_e = basis.f_to_e(mid)
-    m_mid = vec_norm(basis.e_to_f(poly_shift_apply(q, mid_e, basis.n_trunc)))
-
-    # snap to the fan family
-    family = basis.families[n - 1][: st.k]
-    k0, snap_dist = nearest_member(family, q)
-    pk = family[k0]
-    ck = st.c[k0]
-    body_e = basis.f_to_e(body)
-    dq = _poly_sub(q, pk)
-    m_snap = vec_norm(basis.e_to_f(poly_shift_apply(dq, body_e, basis.n_trunc)))
-    powers = [u for u, a in enumerate(dq.coeffs) if a != 0]
-    pw = _power_norms(basis, body_e, powers)
-    snap_bound = float(sum(abs(a) * pw[u] for u, a in enumerate(dq.coeffs) if a != 0))
-
-    # fan residual on the body
-    m_fan = fan_residual(basis, body, n, k0 + 1)
-    fan_bound = fan_residual_bound(basis, n) * vec_norm(body)
-
-    # tail carried by the fan power
-    if tail:
-        tail_e = basis.f_to_e(tail)
-        if shift_exits(tail_e, ck, basis.n_trunc):
-            raise TruncationError("tail would be pushed past the truncation")
-        m_tail = vec_norm(basis.e_to_f(shift_e(tail_e, ck, basis.n_trunc)))
-    else:
-        m_tail = 0.0
-
+    k0, snap_dist, pk, final_e, fan_steps = fan_power_steps(basis, x_f, q, n)
     steps = (
         PipelineStep("solve", m_solve, max(m_solve, 1e-300),
                      "truncated-shift steering residual (exact solve)"),
@@ -285,23 +302,11 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
                      "plain shift vs truncated shift on the head"),
         PipelineStep("damping", m_damp, m_damp,
                      "modulus reduction through the b-fan"),
-        PipelineStep("mid-band", m_mid, m_mid,
-                     "damped polynomial applied between xi and nu"),
-        PipelineStep("snap", m_snap, snap_bound,
-                     "distance to the nearest fan polynomial, times measured "
-                     "power norms"),
-        PipelineStep("fan", m_fan, fan_bound,
-                     "fan residual at the snapped index (calibrated bound)"),
-        PipelineStep("tail", m_tail, m_tail,
-                     "mass above nu carried by the fan power"),
+        *fan_steps,
     )
     composed = float(sum(s.bound for s in steps))
 
     # final residual, two routes
-    x_e = basis.f_to_e(x_f)
-    if shift_exits(x_e, ck, basis.n_trunc):
-        raise TruncationError("fan power would leave the truncation")
-    final_e = shift_e(x_e, ck, basis.n_trunc)
     target_f = {1: 1}
     fin = basis.e_to_f(final_e)
     vec_add(fin, target_f, -1)
@@ -311,7 +316,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     recomputed = vec_norm(vec_clean(fin2))
 
     return Certificate(
-        stage=n, power=ck, k=k0 + 1, target=target_f,
+        stage=n, power=st.c[k0], k=k0 + 1, target=target_f,
         precondition_value=float(abs(a0)), threshold=threshold,
         solver_poly=p, damped_poly=q, snapped_poly=pk,
         snap_distance=float(snap_dist), steps=steps,
@@ -319,13 +324,6 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
         recomputed_final=recomputed,
         details={"mode": basis.mode, "head_support": st.xi, "body_support": st.nu},
     )
-
-
-def _poly_sub(p: Poly, q: Poly) -> Poly:
-    n = max(len(p.coeffs), len(q.coeffs))
-    pa = p.coeffs + (0,) * (n - len(p.coeffs))
-    qa = q.coeffs + (0,) * (n - len(q.coeffs))
-    return Poly(tuple(a - b for a, b in zip(pa, qa)))
 
 
 # -- modulus-reduction chain --------------------------------------------------------

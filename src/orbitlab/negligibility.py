@@ -16,7 +16,6 @@ behind the quadratic tail bound.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -98,25 +97,13 @@ class GaussianSampler:
 
 
 def _chunked_draw(sampler: GaussianSampler, trials: int, k: int, seed: int):
-    """Deterministic chunked sampling; thread count only maps fixed chunks."""
+    """Deterministic chunked sampling: fixed-size chunks, each drawn from its
+    own child of the seed's SeedSequence."""
     chunk = 20_000
     seqs = np.random.SeedSequence(seed).spawn(max(1, (trials + chunk - 1) // chunk))
     sizes = [min(chunk, trials - i * chunk) for i in range(len(seqs))]
-
-    def one(args):
-        sq, m = args
-        return sampler.draw(m, k, np.random.default_rng(sq))
-
-    threads = int(os.environ.get("ORBITLAB_THREADS", "1"))
-    jobs = list(zip(seqs, sizes))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one, jobs))
-    else:
-        parts = [one(j) for j in jobs]
-    return np.concatenate(parts, axis=0)
+    return np.concatenate([sampler.draw(m, k, np.random.default_rng(sq))
+                           for sq, m in zip(seqs, sizes)], axis=0)
 
 
 @dataclass(frozen=True)

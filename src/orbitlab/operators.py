@@ -68,13 +68,18 @@ def _rank_map(idx: np.ndarray, n: int) -> tuple[np.ndarray, int]:
 
 
 def _compress(M: sparse.spmatrix) -> sparse.csc_matrix:
-    coo = M.tocoo()
-    if coo.nnz == 0:
+    """M without its empty rows and columns, in canonical CSC form."""
+    M = M.tocsc()
+    nnz = M.nnz
+    if nnz == 0:
         return sparse.csc_matrix((1, 1))
-    row_rank, n_rows = _rank_map(coo.row, coo.shape[0])
-    col_rank, n_cols = _rank_map(coo.col, coo.shape[1])
-    return sparse.csc_matrix((coo.data, (row_rank[coo.row], col_rank[coo.col])),
-                             shape=(n_rows, n_cols))
+    indices = M.indices[:nnz]
+    row_rank, n_rows = _rank_map(indices, M.shape[0])
+    indptr = np.append(M.indptr[:-1][np.diff(M.indptr) > 0], nnz)
+    C = sparse.csc_matrix((M.data[:nnz].copy(), row_rank[indices], indptr),
+                          shape=(n_rows, len(indptr) - 1))
+    C.sum_duplicates()  # sorts a copy: M itself may have unsorted indices
+    return C
 
 
 def _component_labels(S: sparse.csc_matrix):

@@ -62,6 +62,12 @@ class Poly:
                 out[i + j] += a * b
         return Poly(tuple(out))
 
+    def __sub__(self, other: "Poly") -> "Poly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        pa = self.coeffs + (0,) * (n - len(self.coeffs))
+        qa = other.coeffs + (0,) * (n - len(other.coeffs))
+        return Poly(tuple(a - b for a, b in zip(pa, qa)))
+
     def __pow__(self, m: int) -> "Poly":
         result = Poly((1,))
         for _ in range(m):
@@ -90,10 +96,7 @@ ZETA = Poly((0, 1))
 
 
 def ell1_distance(p: Poly, q: Poly):
-    n = max(len(p.coeffs), len(q.coeffs))
-    pa = p.coeffs + (0,) * (n - len(p.coeffs))
-    qa = q.coeffs + (0,) * (n - len(q.coeffs))
-    return sum(abs(a - b) for a, b in zip(pa, qa))
+    return (p - q).ell1
 
 
 @dataclass(frozen=True)

@@ -129,11 +129,3 @@ def doubled_layoffs(schedule: StageSchedule) -> StageSchedule:
         new_stages.append(replace(st, xi=xi, b=b2, c=tuple(c2), gamma=None))
         xi = xi_next
     return replace(schedule, stages=tuple(new_stages), xi_end=xi)
-
-
-BUILTIN_PROFILES = {
-    "thm1": reference_schedule,
-    "orbit-reflexive": reference_schedule_companion,
-    "thm1-bcal": reference_schedule_bcal,
-    "mini": mini_schedule,
-}

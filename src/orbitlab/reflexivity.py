@@ -33,9 +33,11 @@ def build_A(basis: BasisMap) -> sparse.csc_matrix:
     if not zero_constant_profile(basis):
         raise ProfileError(
             "companion operator needs fan polynomials with zero constant term")
-    T = conjugated_power(basis, 1).tolil()
-    T[:, 0] = 0
-    return T.tocsc()
+    T = conjugated_power(basis, 1)
+    T.data[T.indptr[0]:T.indptr[1]] = 0
+    T.eliminate_zeros()
+    T.sort_indices()
+    return T
 
 
 def build_A_independent(basis: BasisMap) -> sparse.csc_matrix:

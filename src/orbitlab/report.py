@@ -11,6 +11,8 @@ PASS = "pass"
 FAIL = "fail"
 INFO = "informational"
 
+REL_SLACK = 1e-9  # relative slack of an asserted measured <= bound
+
 
 @dataclass
 class Entry:
@@ -30,14 +32,14 @@ class Entry:
 
 
 def check(claim_id: str, description: str, measured: Optional[float],
-          bound: Optional[float], asserted: bool, details: Optional[dict] = None,
-          rel_slack: float = 1e-9) -> Entry:
+          bound: Optional[float], asserted: bool, details: Optional[dict] = None
+          ) -> Entry:
     """Build an entry; `asserted` decides pass/fail vs informational."""
     details = dict(details or {})
     if bound is None or measured is None or not asserted:
         status = INFO
     else:
-        status = PASS if measured <= bound * (1 + rel_slack) + 1e-300 else FAIL
+        status = PASS if measured <= bound * (1 + REL_SLACK) + 1e-300 else FAIL
     return Entry(claim_id, description, bound, measured, status, details)
 
 

@@ -17,10 +17,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError, TruncationError
-from .polynet import Poly, ZETA, b_damped, nearest_member
+from .errors import PreconditionError
+from .polynet import Poly, ZETA, b_damped
 from .report import Entry, check
-from .basis import shift_e, shift_exits, vec_add, vec_clean, vec_norm, poly_shift_apply
+from .basis import shift_e, vec_add, vec_clean, vec_norm, poly_shift_apply
 
 X_CONTAINS_Y = "x-contains-y"
 Y_CONTAINS_X = "y-contains-x"
@@ -124,8 +124,7 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
                    ) -> ComparisonResult:
     """Decide which orbit closure contains the other at this truncation scale
     and certify the steering chain; ties keep the first argument in front."""
-    from .hypercyclic import PipelineStep, _poly_sub, _power_norms, \
-        fan_residual, fan_residual_bound
+    from .hypercyclic import PipelineStep, fan_power_steps
 
     nx, ny = vec_norm(x_f), vec_norm(y_f)
     if nx == 0 or ny == 0:
@@ -171,37 +170,8 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
     vec_add(t3_vec, target, -1)
     t3 = vec_norm(basis.e_to_f(vec_clean(t3_vec)))
 
-    family = basis.families[n - 1][: st.k]
-    k0, snap_dist = nearest_member(family, q)
-    pk = family[k0]
-    ck = st.c[k0]
-
-    body = basis.project_f(lead, 0, st.nu)
-    body_e = basis.f_to_e(body)
-    mid = basis.project_f(lead, xi + 1, st.nu)
-    m_mid = vec_norm(basis.e_to_f(
-        poly_shift_apply(q, basis.f_to_e(mid), basis.n_trunc)))
-    dq = _poly_sub(q, pk)
-    m_snap = vec_norm(basis.e_to_f(poly_shift_apply(dq, body_e, basis.n_trunc)))
-    pw = _power_norms(basis, body_e,
-                      [u for u, a in enumerate(dq.coeffs) if a != 0])
-    snap_bound = float(sum(abs(a) * pw[u]
-                           for u, a in enumerate(dq.coeffs) if a != 0))
-    m_fan = fan_residual(basis, body, n, k0 + 1)
-    fan_bound = fan_residual_bound(basis, n) * vec_norm(body)
-    tail = {j: v for j, v in lead.items() if j > st.nu}
-    if tail:
-        te = basis.f_to_e(tail)
-        if shift_exits(te, ck, basis.n_trunc):
-            raise TruncationError("tail would leave the truncation")
-        m_tail = vec_norm(basis.e_to_f(shift_e(te, ck, basis.n_trunc)))
-    else:
-        m_tail = 0.0
-
-    lead_e = basis.f_to_e(lead)
-    if shift_exits(lead_e, ck, basis.n_trunc):
-        raise TruncationError("fan power would leave the truncation")
-    fin_vec = basis.e_to_f(shift_e(lead_e, ck, basis.n_trunc))
+    k0, snap_dist, _, lead_e, fan_steps = fan_power_steps(basis, lead, q, n)
+    fin_vec = basis.e_to_f(lead_e)
     vec_add(fin_vec, basis.e_to_f(target), -1)
     final = vec_norm(vec_clean(fin_vec))
 
@@ -210,15 +180,12 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
         PipelineStep("shift-target", t2, max(t2, 1e-300),
                      "after multiplying the steering polynomial by zeta"),
         PipelineStep("damped-target", t3, t3, "after modulus damping"),
-        PipelineStep("mid-band", m_mid, m_mid, "leakage between xi and nu"),
-        PipelineStep("snap", m_snap, snap_bound, "fan-family snap"),
-        PipelineStep("fan", m_fan, fan_bound, "fan residual at the snap"),
-        PipelineStep("tail", m_tail, m_tail, "mass above nu"),
+        *fan_steps,
     )
-    composed = float(t3 + m_mid + snap_bound + fan_bound + m_tail)
+    composed = float(sum((s.bound for s in fan_steps), t3))
     return ComparisonResult(
         direction=direction, j_lead=js, j_follow=j_follow, poly=p,
-        damped_ell1=float(q.ell1), k=k0 + 1, power=ck, steps=steps,
+        damped_ell1=float(q.ell1), k=k0 + 1, power=st.c[k0], steps=steps,
         final_residual=final, composed_bound=composed,
         details={
             "snap_distance": float(snap_dist),

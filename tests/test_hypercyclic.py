@@ -6,7 +6,7 @@ import pytest
 
 import orbitlab as ol
 from orbitlab import hypercyclic as hyp
-from orbitlab.errors import PreconditionError, SupportError
+from orbitlab.errors import PreconditionError, SupportError, TruncationError
 from orbitlab.polynet import ONE, ZETA, Poly
 
 
@@ -134,6 +134,17 @@ def test_certify_general_vector_with_tail(r1):
     assert cert.final_residual <= cert.composed_bound * (1 + 1e-9)
     steps = {s.name: s for s in cert.steps}
     assert steps["tail"].measured > 0
+    assert len(cert.steps) == 7
+    assert cert.composed_bound == sum(s.bound for s in cert.steps)
+
+
+def test_tail_past_truncation_raises(r1):
+    # the tail at 399 990 leaves [0, 400 000] under either fan power
+    x = {0: 1.0, 3: -0.5, 399_990: 0.25}
+    with pytest.raises(TruncationError, match="tail"):
+        hyp.certify_hypercyclic_step(r1, x, 1)
+    with pytest.raises(TruncationError, match="tail"):
+        ol.compare_orbits(r1, x, {1: 1.0}, 1)
 
 
 def test_certify_companion_profile_is_tight(r1_companion):

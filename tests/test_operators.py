@@ -126,14 +126,23 @@ def test_compress_matches_unique_reference():
     M[10, 3] = 2.0
     M = M.tocsc()
     M.eliminate_zeros()
-    coo = M.tocoo()
-    rows, rr = np.unique(coo.row, return_inverse=True)
-    cols, cc = np.unique(coo.col, return_inverse=True)
-    ref = sparse.csc_matrix((coo.data, (rr, cc)), shape=(len(rows), len(cols)))
-    C = ops._compress(M)
-    assert C.shape == ref.shape and C.dtype == ref.dtype
-    for a in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(C, a), getattr(ref, a))
+    # unsorted row indices within columns, as in a conjugated_power slice
+    U = M[np.random.default_rng(4).permutation(60), :].tocsc()
+    assert not U.has_sorted_indices
+    for M in (M, U, U.tocoo()):
+        before = M.copy()
+        coo = M.tocoo()
+        rows, rr = np.unique(coo.row, return_inverse=True)
+        cols, cc = np.unique(coo.col, return_inverse=True)
+        ref = sparse.csc_matrix((coo.data, (rr, cc)),
+                                shape=(len(rows), len(cols)))
+        C = ops._compress(M)
+        assert C.shape == ref.shape and C.dtype == ref.dtype
+        for a in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(C, a), getattr(ref, a))
+        for a in ("row", "col", "data") if M.format == "coo" else (
+                "indptr", "indices", "data"):
+            assert np.array_equal(getattr(M, a), getattr(before, a))
     assert ops._compress(sparse.csc_matrix((4, 5))).shape == (1, 1)
 
 

@@ -120,6 +120,25 @@ def test_poly_trim_and_degree():
     assert ell1_distance(Poly((1,)), Poly((0, 1))) == 2
 
 
+def test_poly_sub_trims_and_matches_ell1_distance():
+    assert Poly((1, 2, 3)) - Poly((0, 0, 3)) == Poly((1, 2))
+    assert (Poly((1, 2, 3)) - Poly((0, 0, 3))).coeffs == (1, 2)
+    assert (Poly((0.5, 1.0)) - Poly((0.5, 1.0))).coeffs == ()
+    assert (Poly((1,)) - Poly((0, 0, 2))).coeffs == (1, 0, -2)
+    assert (Poly(()) - Poly((0, 1))).coeffs == (0, -1)
+    cases = [
+        (Poly((0.25, -1.5, 3.0)), Poly((0.25, 0.5))),
+        (Poly((Fraction(1, 3), Fraction(-2, 7))),
+         Poly((Fraction(1, 5), Fraction(-2, 7), Fraction(1, 9)))),
+        (Poly((1 + 2j, -0.5j)), Poly((1 - 1j, -0.5j, 0.25))),
+    ]
+    for p, q in cases:
+        assert ell1_distance(p, q) == (p - q).ell1
+        assert ell1_distance(q, p) == (q - p).ell1
+    exact = cases[1][0] - cases[1][1]
+    assert all(isinstance(a, Fraction) for a in exact.coeffs)
+
+
 def test_net_csv_dump(tmp_path):
     import csv
     net = generate_net(degree=1, radius=1, resolution=1)

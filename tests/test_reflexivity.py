@@ -42,6 +42,12 @@ def test_column_identity_exact(r1_companion):
     T = ops.conjugated_power(r1_companion, 1)
     assert (A[:, 1:] - T[:, 1:]).nnz == 0
     assert A[:, 0].nnz == 0
+    ref = T.tolil()  # reference route: zero column 0 through LIL
+    ref[:, 0] = 0
+    ref = ref.tocsc()
+    assert A.has_sorted_indices
+    for a in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, a), getattr(ref, a))
 
 
 def test_independent_conjugation_route(r1_companion):

@@ -157,6 +157,11 @@ def test_compare_certificate_steps_are_bounded(r1, rng):
         for s in res.steps:
             assert s.measured <= s.bound * (1 + 1e-9) + 1e-300
         assert res.final_residual <= res.composed_bound * (1 + 1e-9)
+        # t3 (the damped-target step) plus the shared fan-power steps
+        damped, shared = res.steps[2], res.steps[3:]
+        assert damped.name == "damped-target"
+        assert [s.name for s in shared] == ["mid-band", "snap", "fan", "tail"]
+        assert res.composed_bound == sum((s.bound for s in shared), damped.bound)
 
 
 def test_unicell_entries_pass(r1, rng):
