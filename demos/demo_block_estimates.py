@@ -15,8 +15,7 @@ sched, fams = ol.profiles.mini_schedule()
 b = ol.assemble(sched, fams)
 
 entry, res = ops.full_norm_entry(b)
-print(f"operator norm: {res.value:.6g} "
-      f"(power iteration, {res.iterations} steps)\n")
+print(f"operator norm: {res.value:.6g} ({res.method})\n")
 
 for n in (1, 2):
     print(f"stage {n} gates: {ops.stage_gates(b, n)['band']=} "

@@ -26,8 +26,8 @@ print(f"columns j >= 1 identical to the operator: "
 ta, at = refl.noncommutation_witness(b, A)
 print(f"T A f_0 = {ta or 0}   A T f_0 = {at}  (no commutation)")
 
-nA = ops.op_norm(A, method='power_iter').value
-nT = ops.op_norm(T, method='power_iter').value
+nA = ops.op_norm(A).value
+nT = ops.op_norm(T).value
 print(f"norms: companion {nA:.6g} <= operator {nT:.6g}\n")
 
 for x in ({3: 1.0}, {0: 1.0}, {0: 1.0, 3: 1.0}):

@@ -244,11 +244,9 @@ def measure_frame_constant(F_cols, nu: int, field) -> float:
     """Largest singular value of the frame block F[0..nu, 0..nu]: the
     equivalence constant between e-coordinates and the ambient norm on
     span f_[0, nu]."""
-    from .operators import DENSE_SVD_CAP, op_norm
+    from .operators import op_norm
 
-    block = cols_to_csc(F_cols[: nu + 1], nu + 1, field)
-    method = "dense_svd" if nu + 1 <= DENSE_SVD_CAP else "power_iter"
-    return op_norm(block, method=method).value
+    return op_norm(cols_to_csc(F_cols[: nu + 1], nu + 1, field)).value
 
 
 def _calibrate(schedule: StageSchedule, F_cols, n: int) -> CalibRecord:

@@ -96,7 +96,7 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
         per_vec.append(vec_norm(f))
         cols.append(f)
     M = cols_to_csc(cols, basis.n_trunc + 1, basis.schedule.scalar_field)
-    return st.b * op_norm(M, method="dense_svd").value, per_vec
+    return st.b * op_norm(M).value, per_vec
 
 
 def shade_measurements(basis: BasisMap, n: int):

@@ -146,8 +146,8 @@ def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
         "companion.witness",
         "T A e_0 = 0 and A T e_0 = e_2, both exact",
         max(ta_norm, vec_norm(vec_clean(at_err))), 0.0, asserted=True))
-    nT = op_norm(T, method="power_iter", tol=1e-9)
-    nA = op_norm(A, method="power_iter", tol=1e-9)
+    nT = op_norm(T)
+    nA = op_norm(A)
     entries.append(check(
         "companion.norm",
         "companion norm at most the operator norm (it kills one column)",

@@ -207,6 +207,26 @@ def test_calibration_identity_frame():
     assert measure_frame_constant(cols, 5, ol.REAL) == pytest.approx(1.0)
 
 
+def test_mini_cfg_frame_constant_is_exact():
+    # gamma_2 = delta_2 / C keeps the fan residual map within delta_2 only if
+    # C is the true largest singular value of the stage-2 frame block
+    from pathlib import Path
+
+    from scipy.sparse.linalg import svds
+
+    from orbitlab.basis import cols_to_csc
+
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "mini.cfg"
+    b = ol.assemble(*ol.load_config(cfg))
+    rec = b.calibration[1]
+    st = b.schedule.stage(2)
+    assert rec.stage == 2
+    block = cols_to_csc(b.F_cols[: st.nu + 1], st.nu + 1, b.schedule.scalar_field)
+    c_ref = float(svds(block, k=1, return_singular_vectors=False, rng=0)[0])
+    assert rec.frame_constant == pytest.approx(c_ref, rel=1e-10)
+    assert float(b.gamma(2)) * c_ref <= st.delta * (1 + 1e-12)
+
+
 def test_build_f_missing_family_member():
     sched, fams = mini_schedule()
     with pytest.raises(ol.errors.ScheduleError):

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("demo", ["demo_certificates.py",
                                   "demo_orbit_comparison.py",
-                                  "demo_companion_operator.py"])
+                                  "demo_companion_operator.py",
+                                  "demo_block_estimates.py"])
 def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -11,9 +11,9 @@ from orbitlab.report import FAIL, INFO, PASS, check
 
 
 def test_op_norm_identity():
-    M = sparse.identity(40, format="csc")
-    assert ops.op_norm(M, method="dense_svd").value == pytest.approx(1.0)
-    assert ops.op_norm(M, method="power_iter").value == pytest.approx(1.0)
+    for M in (sparse.identity(40, format="csc"),
+              sparse.identity(40, dtype=complex, format="csr")):
+        assert ops.op_norm(M) == ops.OpNormResult(1.0, "dense_svd", True, 0)
 
 
 def test_op_norm_diagonal():
@@ -23,21 +23,54 @@ def test_op_norm_diagonal():
 
 def test_op_norm_methods_agree(rng):
     M = sparse.random(300, 200, density=0.02, random_state=7, format="csc")
-    d = ops.op_norm(M, method="dense_svd").value
-    p = ops.op_norm(M, method="power_iter", tol=1e-12).value
-    assert p == pytest.approx(d, rel=1e-6)
+    res = ops.op_norm(M)
+    assert res.method == "dense_svd" and res.iterations == 0
+    want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
+    assert res.value == pytest.approx(want, rel=1e-12)
 
 
-def test_op_norm_flags_nonconvergence():
-    M = sparse.diags([1.0, 0.999]).tocsc()
-    res = ops.op_norm(M, method="power_iter", tol=1e-30, maxiter=1)
-    assert not res.converged
+def _chain(n, rng):
+    """An n x n upper-bidiagonal matrix, one component n rows and columns
+    wide, whose largest singular value (about 5) stands well apart."""
+    main = 1 + rng.random(n)
+    main[n // 2] = 5.0
+    return sparse.diags([main, rng.random(n - 1)], [0, 1]).tocsc()
+
+
+def test_op_norm_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(ops, "_POWER_ITER_CAP", 1)
+    M = _chain(ops.DENSE_COMPONENT_CAP + 1, np.random.default_rng(1))
+    res = ops.op_norm(M)
+    assert res.method == "power_iter"
+    assert not res.converged and res.iterations == 1
 
 
 def test_dense_svd_cap():
-    M = sparse.identity(5000, format="csc")
-    with pytest.raises(ValueError):
-        ops.op_norm(M, method="dense_svd")
+    rng = np.random.default_rng(2)
+    cap = ops.DENSE_COMPONENT_CAP
+    at_cap, above = _chain(cap, rng), _chain(cap + 1, rng)
+    res = ops.op_norm(at_cap)
+    assert res.method == "dense_svd" and res.iterations == 0
+    want = np.linalg.svd(at_cap.toarray(), compute_uv=False)[0]
+    assert res.value == pytest.approx(want, rel=1e-12)
+    res = ops.op_norm(above)
+    assert res.method == "power_iter" and res.converged
+    want = np.linalg.svd(above.toarray(), compute_uv=False)[0]
+    assert res.value == pytest.approx(want, rel=1e-9)
+    # cap + 1 rows and cap columns: wider than the cap as well
+    tall = sparse.vstack([at_cap, sparse.csc_matrix(np.eye(1, cap))]).tocsc()
+    assert ops.op_norm(tall).method == "power_iter"
+
+
+def test_op_norm_prunes_wide_component_below_lower_bound():
+    # a component wider than the cap whose Frobenius norm stays below the
+    # largest column norm cannot hold the maximum: no power iteration
+    chain = 1e-3 * _chain(ops.DENSE_COMPONENT_CAP + 50, np.random.default_rng(3))
+    column = sparse.csc_matrix(np.arange(1.0, 4.0).reshape(3, 1))
+    M = sparse.block_diag([chain, column, sparse.identity(7)]).tocsc()
+    assert math.sqrt((chain.data ** 2).sum()) < math.sqrt(14)
+    res = ops.op_norm(M)
+    assert res == ops.OpNormResult(math.sqrt(14), "dense_svd", True, 0)
 
 
 def _permuted_block_diag(rng, shapes, complex_=False, pad=3):
@@ -79,7 +112,7 @@ def test_op_norm_auto_splits_small_components_exactly(complex_, winner, scale,
         M = sparse.block_diag([M, 40 * B])
     M = (M * scale).tocsc()
     want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
-    # 4500 tiny 1x1 components: the whole-matrix rule would power-iterate
+    # 4500 tiny 1x1 components beside them are dropped before labelling
     M = sparse.block_diag([M, 1e-3 * scale * sparse.identity(4500)]).tocsc()
     for stack_elements in (ops._SVD_STACK_ELEMENTS, 1):  # one block per SVD
         monkeypatch.setattr(ops, "_SVD_STACK_ELEMENTS", stack_elements)
@@ -87,12 +120,6 @@ def test_op_norm_auto_splits_small_components_exactly(complex_, winner, scale,
         assert res.method == "dense_svd" and res.iterations == 0
         assert res.converged
         assert res.value == pytest.approx(want, rel=1e-12)
-
-
-def _whole_matrix_rule(M):
-    C = ops._compress(M)
-    method = "dense_svd" if min(C.shape) <= ops.DENSE_SVD_CAP else "power_iter"
-    return ops.op_norm(M, method=method)
 
 
 @pytest.mark.parametrize("case", ["wide_candidate", "chain", "wide_row",
@@ -109,12 +136,17 @@ def test_op_norm_auto_falls_back_to_whole_matrix(case):
             [1 + rng.random(n), rng.random(n - 1)], [0, 1])]).tocsc()
     elif case == "wide_row":
         M = sparse.block_diag([small, rng.standard_normal((1, 33))]).tocsc()
-    else:  # a wide candidate beside a 4500-wide diagonal: power iteration
-        M = sparse.block_diag([sparse.identity(4500), 10 * sparse.random(
-            40, 40, density=0.5, random_state=2)]).tocsc()
+    else:  # a candidate wider than the cap: the whole matrix is iterated
+        M = sparse.block_diag([small, 10 * _chain(
+            ops.DENSE_COMPONENT_CAP + 1, rng)]).tocsc()
     res = ops.op_norm(M)
-    assert res == _whole_matrix_rule(M)
-    assert res.method == ("power_iter" if case == "power_iter" else "dense_svd")
+    want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
+    if case == "power_iter":
+        assert res.method == "power_iter" and res.converged
+        assert res.value == pytest.approx(want, rel=1e-9)
+    else:  # components of any width up to the cap are solved exactly
+        assert res.method == "dense_svd" and res.iterations == 0
+        assert res.value == pytest.approx(want, rel=1e-12)
 
 
 def test_compress_matches_unique_reference():
@@ -144,6 +176,39 @@ def test_compress_matches_unique_reference():
                 "indptr", "indices", "data"):
             assert np.array_equal(getattr(M, a), getattr(before, a))
     assert ops._compress(sparse.csc_matrix((4, 5))).shape == (1, 1)
+
+
+@pytest.mark.parametrize("shape", ["shuffled_chain", "random"])
+def test_component_labels_match_union_find(shape):
+    rng = np.random.default_rng(6)
+    n = 20_000
+    if shape == "shuffled_chain":  # one component of diameter 2n
+        rows = rng.permutation(n)[np.r_[np.arange(n), np.arange(n - 1)]]
+        cols = rng.permutation(n)[np.r_[np.arange(n), np.arange(1, n)]]
+    else:
+        rows, cols = rng.integers(0, n, (2, int(1.2 * n)))
+    S = ops._compress(sparse.coo_matrix((np.ones(len(rows)), (rows, cols)),
+                                        shape=(n, n)))
+    row_label, col_label = ops._component_labels(S)
+    # reference: union-find over the nodes (rows, then columns)
+    n_r, n_c = S.shape
+    parent = list(range(n_r + n_c))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    coo = S.tocoo()
+    for r, c in zip(coo.row.tolist(), coo.col.tolist()):
+        parent[find(r)] = find(n_r + c)
+    root = np.array([find(x) for x in range(n_r + n_c)])
+    smallest = {}
+    for c in range(n_c):
+        smallest.setdefault(root[n_r + c], c)
+    assert col_label.tolist() == [smallest[root[n_r + c]] for c in range(n_c)]
+    assert row_label.tolist() == [smallest[root[r]] for r in range(n_r)]
 
 
 def test_op_norm_does_not_import_csgraph():
@@ -320,6 +385,16 @@ def test_full_norm_entry(r1):
     e, res = ops.full_norm_entry(r1)
     assert res.converged and math.isfinite(res.value)
     assert res.value == pytest.approx(1.247e6, rel=1e-3)
+    assert e.details["method"] == "dense_svd" and "flag" not in e.details
+
+
+def test_full_norm_entry_flags_unconverged_power_iteration(mini, monkeypatch):
+    monkeypatch.setattr(ops, "DENSE_COMPONENT_CAP", 2)
+    monkeypatch.setattr(ops, "_POWER_ITER_CAP", 1)
+    e, res = ops.full_norm_entry(mini)
+    assert res.method == e.details["method"] == "power_iter"
+    assert not e.details["converged"] and e.details["iterations"] == 1
+    assert "hit the cap" in e.details["flag"]
 
 
 def test_orbit_distances(mini):
@@ -356,14 +431,22 @@ def test_operator_and_companion_on_f0(mini):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("method", ["auto", "dense_svd", "power_iter"])
-def test_op_norm_nonfinite_returns_at_once(bad, method):
+@pytest.mark.parametrize("route", ["closed_form", "dense_svd", "power_iter"])
+def test_op_norm_nonfinite_returns_at_once(bad, route):
     import warnings
 
-    M = sparse.csc_matrix(np.array([[1.0, 0.0, 0.5], [bad, 2.0, 0.0]]))
+    if route == "closed_form":  # a row vector
+        M = sparse.csc_matrix(np.array([[1.0, 2.0, 0.5]]))
+    elif route == "dense_svd":
+        M = sparse.csc_matrix(np.array([[1.0, 0.0, 0.5], [1.0, 2.0, 0.0]]))
+    else:
+        M = _chain(ops.DENSE_COMPONENT_CAP + 1, np.random.default_rng(4))
+    assert ops.op_norm(M).method == ("power_iter" if route == "power_iter"
+                                     else "dense_svd")
+    M.data[0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = ops.op_norm(M, method=method)
+        res = ops.op_norm(M)
     assert math.isnan(res.value)
     assert res.method == "nonfinite"
     assert not res.converged and res.iterations == 0
