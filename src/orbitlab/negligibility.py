@@ -332,13 +332,18 @@ def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
     phi = e0_functional_structural(schedule, families, k, gammas)
     norm = functional_norm(phi)
     entries: list[Entry] = []
-    val, expected = functional_gamma_identity(schedule, families, k - 1, gammas)
-    entries.append(check(
-        f"porosity.pairing.stage{k - 1}",
-        "head functional on the first fan base vector equals -1/gamma exactly",
-        abs(val - expected), 0.0, asserted=True,
-        details={"value": val, "norm_lower_bound": abs(expected),
-                 "functional_norm": norm}))
+    pairing = f"porosity.pairing.stage{k - 1}"
+    try:
+        val, expected = functional_gamma_identity(schedule, families, k - 1, gammas)
+    except ProfileError as exc:
+        entries.append(check(pairing, f"pairing identity skipped: {exc}",
+                             None, 0.0, asserted=False))
+    else:
+        entries.append(check(
+            pairing, "head functional on the first fan base vector equals "
+            "-1/gamma exactly", abs(val - expected), 0.0, asserted=True,
+            details={"value": val, "norm_lower_bound": abs(expected),
+                     "functional_norm": norm}))
     entries.append(check(
         f"porosity.normgrowth.stage{k}",
         f"functional norm vs the dyadic growth target 2^{k}",

@@ -16,15 +16,14 @@ import numpy as np
 from scipy import sparse
 
 from .basis import BasisMap, shift_e, vec_norm
+from .errors import OrbitLabError
 from .report import Entry, check
 from .schedule import COMPLEX
 
-# Widest component (rows or columns) op_norm solves by dense SVD.
+# Widest component (rows or columns) op_norm solves by dense SVD; a wider
+# one that can hold the norm makes op_norm raise.
 DENSE_COMPONENT_CAP = 1024
 _SVD_STACK_ELEMENTS = 1 << 20  # entries per batched-SVD stack (memory cap)
-# op_norm's power iteration past the cap: relative stall tolerance, seed of
-# the random start, and the most steps it takes
-_POWER_TOL, _POWER_SEED, _POWER_ITER_CAP = 1e-10, 7, 5000
 NONFINITE_FLAG = "operator matrix has non-finite entries; no norm measured"
 
 
@@ -109,23 +108,31 @@ def _component_labels(S: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
             label = jumped
 
 
-def _split_norm(C: sparse.csc_matrix) -> float | None:
+def _split_norm(C: sparse.csc_matrix) -> float:
     """Largest singular value of a compressed finite matrix from its
     connected components (block-diagonal up to permutation, so the largest
-    over the blocks), or None when a component wider than
-    DENSE_COMPONENT_CAP rows or columns may hold it.
+    over the blocks).  C is op_norm's private copy and is changed in place.
 
-    The largest column norm bounds the answer from below.  It covers every
-    1x1 component, and a one-row or one-column component is a vector whose
-    norm is exact.  A component's Frobenius norm bounds its own from above,
-    so only the components above the lower bound go to dense SVD, batched
-    over stacks of components of one shape.
+    The largest column norm L bounds the answer from below.  Every entry
+    with |a|^2 <= u^2 L^2 / nnz (u the unit roundoff) is dropped first: the
+    dropped part has Frobenius norm at most u L, so by Weyl's inequality the
+    norm moves by no more than the dense SVD's own rounding, while the
+    rounding-level links that would join small blocks into wide ones go.
+    L covers every 1x1 component, and a one-row or one-column component is
+    a vector whose norm is exact.  A component's Frobenius norm bounds its
+    own from above, so only the components above the lower bound go to
+    dense SVD, batched over stacks of components of one shape.  Raises
+    OrbitLabError when such a component is wider than DENSE_COMPONENT_CAP
+    rows or columns.
     """
+    sq = np.abs(C.data) ** 2
+    lower2 = float(np.add.reduceat(sq, C.indptr[:-1]).max())
+    u = np.finfo(float).eps / 2
+    C.data[sq <= u * u * lower2 / C.nnz] = 0
+    C.eliminate_zeros()
     n_rows, n_cols = C.shape
     col_nnz = np.diff(C.indptr)
     row_nnz = np.bincount(C.indices, minlength=n_rows)
-    sq = np.abs(C.data) ** 2
-    lower2 = float(np.add.reduceat(sq, C.indptr[:-1]).max())
     # the rest: C without its 1x1 components (entries alone in row and column)
     col_of = np.repeat(np.arange(n_cols), col_nnz)
     rest = (row_nnz[C.indices] > 1) | (col_nnz[col_of] > 1)
@@ -148,8 +155,11 @@ def _split_norm(C: sparse.csc_matrix) -> float | None:
     cand = np.flatnonzero(~vector & (fro2 > lower2))
     if len(cand) == 0:
         return math.sqrt(lower2)
-    if max(n_r[cand].max(), n_c[cand].max()) > DENSE_COMPONENT_CAP:
-        return None
+    wide = max(n_r[cand].max(), n_c[cand].max())
+    if wide > DENSE_COMPONENT_CAP:
+        raise OrbitLabError(
+            f"op_norm: a {wide}-wide component of a {n_rows}x{n_cols} matrix "
+            f"may hold the norm; dense SVD is capped at {DENSE_COMPONENT_CAP}")
     # number the candidates by shape, then place each row and column of a
     # candidate at its rank within the component
     cand = cand[np.lexsort((n_c[cand], n_r[cand]))]
@@ -186,22 +196,15 @@ def _split_norm(C: sparse.csc_matrix) -> float | None:
 
 
 def op_norm(M: sparse.spmatrix) -> OpNormResult:
-    """Largest singular value of M; the matrix alone decides the route.
+    """Largest singular value of M, exact up to rounding.
 
-    M is compressed (empty rows and columns dropped) and split into the
-    connected components of its row/column graph; the norm is the largest
-    over the components.  Vectors are solved in closed form, components
-    whose Frobenius norm cannot beat the largest vector are skipped, and the
-    rest go to dense SVD.  The result is exact up to rounding: method
-    "dense_svd", converged, no iterations.
-
-    Only when a component wider than DENSE_COMPONENT_CAP rows or columns
-    survives that pruning is the whole compressed matrix power-iterated
-    instead, on M*M from a seeded random start: method "power_iter", a
-    lower bound, with its iteration count and whether the Rayleigh quotient
-    settled.  An all-zero M gives 0 with method "empty"; a matrix with an
-    inf or nan entry has no norm to measure: the result is nan with method
-    "nonfinite" and no iterations.
+    M is compressed (empty rows and columns dropped) and measured from the
+    connected components of its row/column graph (see _split_norm): method
+    "dense_svd", converged, no iterations.  A component wider than
+    DENSE_COMPONENT_CAP rows or columns that may hold the norm raises
+    OrbitLabError rather than being estimated.  An all-zero M gives 0 with
+    method "empty"; a matrix with an inf or nan entry has no norm to
+    measure: the result is nan with method "nonfinite" and no iterations.
     """
     C = _compress(M)
     if C.nnz == 0:
@@ -209,35 +212,11 @@ def op_norm(M: sparse.spmatrix) -> OpNormResult:
     if not np.isfinite(C.data).all():
         return OpNormResult(math.nan, "nonfinite", False, 0)
     scale = float(np.max(np.abs(C.data)))
-    if scale > 1e100 or scale < 1e-100:
-        res = op_norm(C / scale)
-        return OpNormResult(res.value * scale, res.method, res.converged,
-                            res.iterations)
-    value = _split_norm(C)
-    if value is not None:
-        return OpNormResult(value, "dense_svd", True, 0)
-    rng = np.random.default_rng(_POWER_SEED)
-    n = C.shape[1]
-    v = rng.standard_normal(n)
-    if C.dtype.kind == "c":
-        v = v + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    CH = C.conj().T.tocsc()
-    sig_prev = 0.0
-    for it in range(1, _POWER_ITER_CAP + 1):
-        w = C @ v
-        sig = float(np.linalg.norm(w))
-        if sig == 0.0:
-            return OpNormResult(0.0, "power_iter", True, it)
-        v = CH @ (w / sig)  # normalize first: squared entries can overflow
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return OpNormResult(sig, "power_iter", True, it)
-        v /= nv
-        if abs(sig - sig_prev) <= _POWER_TOL * max(sig, 1e-300):
-            return OpNormResult(sig, "power_iter", True, it)
-        sig_prev = sig
-    return OpNormResult(sig_prev, "power_iter", False, _POWER_ITER_CAP)
+    if 1e-100 <= scale <= 1e100:
+        scale = 1.0
+    else:  # keep the squared entries inside the float range
+        C.data *= 1 / scale
+    return OpNormResult(_split_norm(C) * scale, "dense_svd", True, 0)
 
 
 def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResult:
@@ -481,12 +460,9 @@ def full_norm_entry(basis: BasisMap) -> tuple[Entry, OpNormResult]:
         "opnorm.full",
         "measured operator norm of the full truncated operator (finite required)",
         res.value, None, asserted=False,
-        details={"method": res.method, "converged": res.converged,
-                 "iterations": res.iterations})
+        details={"method": res.method})
     if res.method == "nonfinite":
         e.details["flag"] = NONFINITE_FLAG
-    elif res.method == "power_iter" and not res.converged:
-        e.details["flag"] = "power iteration hit the cap; value is an estimate"
     return e, res
 
 

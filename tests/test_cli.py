@@ -117,6 +117,20 @@ def test_verify_reflexivity_on_companion(built_companion):
     assert rc == 0
 
 
+def test_verify_negligibility_on_companion(built_companion):
+    # the companion profile's first fan polynomial is not 1: the pairing
+    # identity is reported as skipped, the porosity witnesses still run
+    rc = main(["verify", "--build", built_companion, "--suite",
+               "negligibility"])
+    assert rc == 0
+    rows = json.load(open(os.path.join(built_companion,
+                                       "report_negligibility.json")))
+    by_id = {r["claim_id"]: r for r in rows}
+    assert by_id["porosity.pairing.stage2"]["status"] == ol.INFO
+    assert "skipped" in by_id["porosity.pairing.stage2"]["description"]
+    assert by_id["porosity.witness.stage3"]["status"] == ol.PASS
+
+
 def test_verify_unknown_suite(built):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--build", built, "--suite", "nonsense"])

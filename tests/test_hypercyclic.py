@@ -15,6 +15,30 @@ def test_calibration_bound_is_delta(r1):
     assert hyp.fan_residual_bound(r1, 1) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_fan_residual_norm_equals_calibrated_bound(r1):
+    # the residual map sends e_j to gamma f_(c_k + j): its norm is gamma * C
+    for k in (1, 2):
+        assert hyp.fan_residual_norm(r1, 1, k) == pytest.approx(
+            hyp.fan_residual_bound(r1, 1), rel=1e-12)
+
+
+def test_fan_opbound_fails_on_underreported_frame_constant(monkeypatch):
+    # gamma = delta / C from a C 1e-3 too small: the calibration record
+    # agrees with itself, the measured residual norm does not
+    from orbitlab import basis as basis_mod
+    from orbitlab.profiles import mini_schedule
+
+    measure = basis_mod.measure_frame_constant
+    monkeypatch.setattr(basis_mod, "measure_frame_constant",
+                        lambda *a: measure(*a) * (1 - 1e-3))
+    b = ol.assemble(*mini_schedule())
+    for n in (1, 2):
+        row = hyp.fan_entries(b, n)[0]
+        assert row.claim_id == f"fan.opbound.stage{n}"
+        assert row.status == ol.FAIL
+        assert row.measured == pytest.approx(row.bound / (1 - 1e-3), rel=1e-9)
+
+
 def test_fan_residual_unit_vector(r1):
     # T^(c_1) e_0 - p_1(T) e_0 = gamma f_(c_1): the residual is exactly gamma
     g = float(r1.gammas[0])

@@ -37,14 +37,6 @@ def _chain(n, rng):
     return sparse.diags([main, rng.random(n - 1)], [0, 1]).tocsc()
 
 
-def test_op_norm_flags_nonconvergence(monkeypatch):
-    monkeypatch.setattr(ops, "_POWER_ITER_CAP", 1)
-    M = _chain(ops.DENSE_COMPONENT_CAP + 1, np.random.default_rng(1))
-    res = ops.op_norm(M)
-    assert res.method == "power_iter"
-    assert not res.converged and res.iterations == 1
-
-
 def test_dense_svd_cap():
     rng = np.random.default_rng(2)
     cap = ops.DENSE_COMPONENT_CAP
@@ -53,18 +45,33 @@ def test_dense_svd_cap():
     assert res.method == "dense_svd" and res.iterations == 0
     want = np.linalg.svd(at_cap.toarray(), compute_uv=False)[0]
     assert res.value == pytest.approx(want, rel=1e-12)
-    res = ops.op_norm(above)
-    assert res.method == "power_iter" and res.converged
-    want = np.linalg.svd(above.toarray(), compute_uv=False)[0]
-    assert res.value == pytest.approx(want, rel=1e-9)
+    with pytest.raises(ol.errors.OrbitLabError, match="capped at"):
+        ops.op_norm(above)
     # cap + 1 rows and cap columns: wider than the cap as well
     tall = sparse.vstack([at_cap, sparse.csc_matrix(np.eye(1, cap))]).tocsc()
-    assert ops.op_norm(tall).method == "power_iter"
+    with pytest.raises(ol.errors.OrbitLabError, match="capped at"):
+        ops.op_norm(tall)
+
+
+def test_op_norm_drops_rounding_level_links():
+    # a chain wider than the cap whose links are far below rounding of its
+    # O(1) diagonal splits into 1x1 components: exact, no raise
+    n = ops.DENSE_COMPONENT_CAP + 50
+    rng = np.random.default_rng(6)
+    main = 1 + rng.random(n)
+    M = sparse.diags([main, np.full(n - 1, 1e-20)], [0, 1]).tocsc()
+    data = M.data.copy()
+    res = ops.op_norm(M)
+    assert np.array_equal(M.data, data)  # the drop works on a private copy
+    assert res.method == "dense_svd" and res.iterations == 0
+    want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
+    u_L = np.finfo(float).eps / 2 * main.max()
+    assert abs(res.value - want) <= u_L
 
 
 def test_op_norm_prunes_wide_component_below_lower_bound():
     # a component wider than the cap whose Frobenius norm stays below the
-    # largest column norm cannot hold the maximum: no power iteration
+    # largest column norm cannot hold the maximum: no raise
     chain = 1e-3 * _chain(ops.DENSE_COMPONENT_CAP + 50, np.random.default_rng(3))
     column = sparse.csc_matrix(np.arange(1.0, 4.0).reshape(3, 1))
     M = sparse.block_diag([chain, column, sparse.identity(7)]).tocsc()
@@ -123,8 +130,8 @@ def test_op_norm_auto_splits_small_components_exactly(complex_, winner, scale,
 
 
 @pytest.mark.parametrize("case", ["wide_candidate", "chain", "wide_row",
-                                  "power_iter"])
-def test_op_norm_auto_falls_back_to_whole_matrix(case):
+                                  "too_wide"])
+def test_op_norm_solves_wide_components_up_to_cap(case):
     rng = np.random.default_rng(3)
     small = _permuted_block_diag(rng, [(2, 2), (1, 4), (5, 3)])
     if case == "wide_candidate":
@@ -136,17 +143,17 @@ def test_op_norm_auto_falls_back_to_whole_matrix(case):
             [1 + rng.random(n), rng.random(n - 1)], [0, 1])]).tocsc()
     elif case == "wide_row":
         M = sparse.block_diag([small, rng.standard_normal((1, 33))]).tocsc()
-    else:  # a candidate wider than the cap: the whole matrix is iterated
+    else:  # a candidate wider than the cap: no estimate, a raise
         M = sparse.block_diag([small, 10 * _chain(
             ops.DENSE_COMPONENT_CAP + 1, rng)]).tocsc()
+        with pytest.raises(ol.errors.OrbitLabError, match="capped at"):
+            ops.op_norm(M)
+        return
     res = ops.op_norm(M)
     want = np.linalg.svd(M.toarray(), compute_uv=False)[0]
-    if case == "power_iter":
-        assert res.method == "power_iter" and res.converged
-        assert res.value == pytest.approx(want, rel=1e-9)
-    else:  # components of any width up to the cap are solved exactly
-        assert res.method == "dense_svd" and res.iterations == 0
-        assert res.value == pytest.approx(want, rel=1e-12)
+    # components of any width up to the cap are solved exactly
+    assert res.method == "dense_svd" and res.iterations == 0
+    assert res.value == pytest.approx(want, rel=1e-12)
 
 
 def test_compress_matches_unique_reference():
@@ -388,13 +395,19 @@ def test_full_norm_entry(r1):
     assert e.details["method"] == "dense_svd" and "flag" not in e.details
 
 
-def test_full_norm_entry_flags_unconverged_power_iteration(mini, monkeypatch):
-    monkeypatch.setattr(ops, "DENSE_COMPONENT_CAP", 2)
-    monkeypatch.setattr(ops, "_POWER_ITER_CAP", 1)
-    e, res = ops.full_norm_entry(mini)
-    assert res.method == e.details["method"] == "power_iter"
-    assert not e.details["converged"] and e.details["iterations"] == 1
-    assert "hit the cap" in e.details["flag"]
+def test_mini_tail_block_is_exact(mini):
+    # the c_1 tail block of mini's stage 1 is the widest measured block
+    from scipy.sparse.linalg import svds
+
+    e = ops.tail_bound_entry(mini, 1, 1)
+    assert e.details["method"] == "dense_svd"
+    st = mini.schedule.stage(1)
+    jmax = mini.n_trunc - st.c[0] - st.d - 1
+    P = ops.conjugated_power(mini, st.c[0])[:, st.nu + 1:jmax + 1]
+    scale = abs(P).max()  # its squared entries overflow
+    want = svds(P / scale, k=1, return_singular_vectors=False,
+                random_state=0)[0] * scale
+    assert e.measured == pytest.approx(want, rel=1e-12)
 
 
 def test_orbit_distances(mini):
@@ -431,7 +444,7 @@ def test_operator_and_companion_on_f0(mini):
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("route", ["closed_form", "dense_svd", "power_iter"])
+@pytest.mark.parametrize("route", ["closed_form", "dense_svd", "too_wide"])
 def test_op_norm_nonfinite_returns_at_once(bad, route):
     import warnings
 
@@ -441,8 +454,11 @@ def test_op_norm_nonfinite_returns_at_once(bad, route):
         M = sparse.csc_matrix(np.array([[1.0, 0.0, 0.5], [1.0, 2.0, 0.0]]))
     else:
         M = _chain(ops.DENSE_COMPONENT_CAP + 1, np.random.default_rng(4))
-    assert ops.op_norm(M).method == ("power_iter" if route == "power_iter"
-                                     else "dense_svd")
+    if route == "too_wide":
+        with pytest.raises(ol.errors.OrbitLabError, match="capped at"):
+            ops.op_norm(M)
+    else:
+        assert ops.op_norm(M).method == "dense_svd"
     M.data[0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
