@@ -14,6 +14,12 @@ Region rules for f_j:
 
 where t is the top nonzero lattice coordinate of j and p_t(T) e_m expands
 as the plain coefficient shift sum(a_u e_{m+u}).
+
+Storage is columnar: F and E are kept only as CSC arrays (column pointers,
+sorted row indices, values), filled one stage-table interval at a time.  In
+rational mode the CSC data are the float roundings, and the exact values sit
+beside them as one numpy object array of Fractions aligned with ``data``;
+the index arrays are shared, so there is one layout for both modes.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -98,25 +103,79 @@ class CalibRecord:
     gamma: object                  # value actually used
 
 
-class BasisMap:
-    """Assembled change-of-basis on [0, n_trunc] plus assembly metadata."""
+def _column(M: sparse.csc_matrix, values, j: int) -> tuple[list, list]:
+    """Rows (ascending) and values of column j of a stored matrix; `values`
+    is the exact value array in rational mode and None otherwise."""
+    s, e = M.indptr[j], M.indptr[j + 1]
+    vals = M.data if values is None else values
+    return M.indices[s:e].tolist(), vals[s:e].tolist()
 
-    def __init__(self, schedule, families, mode, n_trunc, gammas, F_cols, E_cols,
-                 lambdas, calibration):
+
+def _combine(M: sparse.csc_matrix, values, x: Vec) -> Vec:
+    """sum_j x_j * (column j of M), accumulated column by column in the
+    order of x."""
+    out: Vec = {}
+    for j, c in x.items():
+        if c != 0:
+            for i, v in zip(*_column(M, values, j)):
+                out[i] = out.get(i, 0) + c * v
+    return vec_clean(out)
+
+
+class _ColumnDicts:
+    """Read-only sequence of a stored matrix's columns as {row: value} dicts,
+    each built on access; iteration converts one block of columns at a time."""
+
+    _BLOCK = 4096
+
+    def __init__(self, M: sparse.csc_matrix, values):
+        self._M, self._values = M, values
+
+    def __len__(self) -> int:
+        return self._M.shape[1]
+
+    def __getitem__(self, j: int) -> Vec:
+        return dict(zip(*_column(self._M, self._values, range(len(self))[j])))
+
+    def __iter__(self):
+        M = self._M
+        vals = M.data if self._values is None else self._values
+        for lo in range(0, len(self), self._BLOCK):
+            ptr = M.indptr[lo:lo + self._BLOCK + 1]
+            rows = M.indices[ptr[0]:ptr[-1]].tolist()
+            data = vals[ptr[0]:ptr[-1]].tolist()
+            ptr = (ptr - ptr[0]).tolist()
+            for s, e in zip(ptr, ptr[1:]):
+                # most columns hold one entry, which a dict literal builds fast
+                yield ({rows[s]: data[s]} if e - s == 1
+                       else dict(zip(rows[s:e], data[s:e])))
+
+
+class BasisMap:
+    """Assembled change-of-basis on [0, n_trunc] plus assembly metadata.
+
+    F and E are stored as CSC matrices with sorted row indices and float (or
+    complex) data; ``exact`` holds, in rational mode, each one's exact values
+    as an object array aligned with its ``data``.  ``layoff`` marks the
+    lay-off columns, whose weights are F's diagonal entries.
+    """
+
+    def __init__(self, schedule, families, mode, n_trunc, gammas, F, E,
+                 layoff, calibration, exact=(None, None)):
         self.schedule = schedule
         self.families = families
         self.mode = mode
         self.n_trunc = n_trunc
         self.gammas = tuple(gammas)
-        self.F_cols = F_cols
-        self.E_cols = E_cols
-        self.lambdas = lambdas
+        self._F, self._E = F, E
+        self._F_values, self._E_values = exact
+        self.layoff = layoff
         self.calibration = tuple(calibration)
-        self._F_csc = None
-        self._E_csc = None
+        self._T = None  # the operator's f-frame matrix, built on first use
         self._expand_memo: dict[int, Vec] = {}
         self._e0_rows: dict[int, dict] = {}
         self._frame_constants: dict[int, float] = {}
+        self._e_norms: list[float] = []  # ||e_u|| for u < len, see sup_e_norm
 
     # -- scalar / column access ------------------------------------------
 
@@ -127,31 +186,34 @@ class BasisMap:
         return g
 
     def weight(self, j: int):
-        if j not in self.lambdas:
+        if not (0 <= j <= self.n_trunc and self.layoff[j]):
             raise ValueError(f"index {j} is not a lay-off index")
-        return self.lambdas[j]
+        p = self._F.indptr[j]
+        if self._F_values is not None:
+            return self._F_values[p]
+        return float(self._F.data[p].real)
 
     def f_col(self, j: int) -> Vec:
-        return self.F_cols[j]
+        return dict(zip(*_column(self._F, self._F_values, j)))
 
     def e_col(self, m: int) -> Vec:
-        return self.E_cols[m]
+        return dict(zip(*_column(self._E, self._E_values, m)))
+
+    @property
+    def F_cols(self) -> _ColumnDicts:
+        return _ColumnDicts(self._F, self._F_values)
+
+    @property
+    def E_cols(self) -> _ColumnDicts:
+        return _ColumnDicts(self._E, self._E_values)
 
     # -- frame conversion --------------------------------------------------
 
     def f_to_e(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for j, c in x.items():
-            if c != 0:
-                vec_add(out, self.F_cols[j], c)
-        return vec_clean(out)
+        return _combine(self._F, self._F_values, x)
 
     def e_to_f(self, a: Vec) -> Vec:
-        out: Vec = {}
-        for m, c in a.items():
-            if c != 0:
-                vec_add(out, self.E_cols[m], c)
-        return vec_clean(out)
+        return _combine(self._E, self._E_values, a)
 
     def project_f(self, x: Vec, lo: int, hi: int) -> Vec:
         return {j: c for j, c in x.items() if lo <= j <= hi and c != 0}
@@ -160,17 +222,11 @@ class BasisMap:
 
     @property
     def F_csc(self) -> sparse.csc_matrix:
-        if self._F_csc is None:
-            self._F_csc = cols_to_csc(self.F_cols, self.n_trunc + 1,
-                                       self.schedule.scalar_field)
-        return self._F_csc
+        return self._F
 
     @property
     def E_csc(self) -> sparse.csc_matrix:
-        if self._E_csc is None:
-            self._E_csc = cols_to_csc(self.E_cols, self.n_trunc + 1,
-                                       self.schedule.scalar_field)
-        return self._E_csc
+        return self._E
 
     # -- coordinate functional ----------------------------------------------
 
@@ -182,37 +238,94 @@ class BasisMap:
         xi_n = self.schedule.xi(n)
         if xi_n > self.n_trunc:
             raise TruncationError(f"truncation does not cover xi_{n}")
-        row = {}
-        for j in range(xi_n + 1):
-            v = self.F_cols[j].get(0, 0)
-            if v != 0:
-                row[j] = v
+        F = self._F
+        first = F.indptr[: xi_n + 1]  # every column is nonempty, rows sorted
+        js = np.flatnonzero(F.indices[first] == 0)
+        vals = F.data if self._F_values is None else self._F_values
+        row = {j: v for j, v in zip(js.tolist(), vals[first[js]].tolist())
+               if v != 0}
         self._e0_rows[n] = row
         return row
 
 
-def cols_to_csc(cols, n_rows: int, field) -> sparse.csc_matrix:
-    """n_rows x len(cols) matrix whose column j holds the sparse vector cols[j],
-    with entries converted to the scalar field's float dtype."""
-    dtype = complex if field == COMPLEX else float
-    indptr = np.zeros(len(cols) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, cols), dtype=np.intp, count=len(cols)),
-              out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(chain.from_iterable(cols), dtype=np.intp, count=nnz)
-    data = np.fromiter(map(dtype, chain.from_iterable(c.values() for c in cols)),
-                       dtype=dtype, count=nnz)
-    mat = sparse.csc_matrix((data, indices, indptr), shape=(n_rows, len(cols)))
-    mat.sort_indices()  # a c-working column lists its diagonal first
-    return mat
+# -- assembly -------------------------------------------------------------------
+
+class _Columns:
+    """CSC arrays of a matrix filled one block of consecutive columns at a
+    time; the row and value arrays grow geometrically."""
+
+    def __init__(self, n_cols: int, dtype):
+        self.indptr = np.zeros(n_cols + 1, dtype=np.int64)
+        self.n_cols = 0
+        cap = n_cols + n_cols // 8  # room for the multi-entry working columns
+        self.indices = np.empty(cap, dtype=np.int64)
+        self.data = np.empty(cap, dtype=dtype)
+
+    def append(self, counts, rows, vals) -> None:
+        """Append len(counts) columns holding `counts` entries each, given
+        column after column with rows ascending."""
+        start = self.indptr[self.n_cols]
+        end = start + len(rows)
+        if end > len(self.indices):
+            cap = max(end, len(self.indices) * 3 // 2)
+            for name in ("indices", "data"):
+                old = getattr(self, name)
+                new = np.empty(cap, dtype=old.dtype)
+                new[:start] = old[:start]
+                setattr(self, name, new)
+        self.indices[start:end] = rows
+        self.data[start:end] = vals
+        ptr = self.indptr[self.n_cols + 1:self.n_cols + 1 + len(counts)]
+        np.cumsum(counts, out=ptr)
+        ptr += start
+        self.n_cols += len(counts)
+
+    def gather(self, src: np.ndarray, factor):
+        """The entries of the columns src, column after column, as
+        (position of the column in src, row, value * factor)."""
+        starts = self.indptr[src]
+        counts = self.indptr[src + 1] - starts
+        owner = np.repeat(np.arange(len(src)), counts)
+        pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                counts)
+        return owner, self.indices[pos], self.data[pos] * factor
+
+    def matrix(self, n_rows: int):
+        """(CSC matrix of the columns so far with float or complex data, its
+        exact values as an object array in rational mode, else None)."""
+        nnz = self.indptr[self.n_cols]
+        values = self.data[:nnz].copy()
+        exact = values.dtype == object
+        data = np.fromiter(map(float, values), dtype=float, count=nnz) \
+            if exact else values
+        M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
+                              shape=(n_rows, self.n_cols))
+        return M, (values if exact else None)
 
 
-# -- single-column construction ------------------------------------------------
+def _sum_in_order(owner, rows, vals, n_rows: int):
+    """Entries sharing (owner, row) summed left to right in the given order,
+    as vec_add accumulates them; exact zeros are dropped and the result is
+    ordered by (owner, row)."""
+    key = owner * n_rows + rows
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(key)))
+    acc = vals[starts]
+    for p in range(1, sizes.max(initial=1)):
+        more = sizes > p
+        acc[more] = acc[more] + vals[starts[more] + p]
+    keep = acc != 0
+    key = key[starts[keep]]
+    return key // n_rows, key % n_rows, acc[keep]
 
-def _cworking_f(j: int, tag, schedule: StageSchedule, families, gammas,
-                mode) -> Vec:
-    """e-frame coordinates of the c-working vector f_j with region tag `tag`."""
-    st = schedule.stage(tag.n)
+
+def _fan_rule(tag, st, families, gammas, mode):
+    """(c_t, p_t, gamma^{-1} 4^{1-|r|}) of the c-working interval tagged `tag`:
+    its vectors are f_j = scale (e_j - p_t(T) e_{j - c_t})."""
     coord = tag.coord
     t = coord.t
     family = families[tag.n - 1]
@@ -230,31 +343,24 @@ def _cworking_f(j: int, tag, schedule: StageSchedule, families, gammas,
         scale = Fraction(1, 1) / Fraction(g) * Fraction(4) ** (1 - coord.abs_r)
     else:
         scale = (1.0 / g) * 4.0 ** (1 - coord.abs_r)
-    col: Vec = {j: scale}
-    base = j - st.c[t - 1]
-    for u, a in enumerate(p.coeffs):
-        if a != 0:
-            col[base + u] = col.get(base + u, 0) - scale * a
-    return col
+    return st.c[t - 1], p, scale
 
 
-# -- assembly -------------------------------------------------------------------
-
-def measure_frame_constant(F_cols, nu: int, field) -> float:
+def measure_frame_constant(F: sparse.csc_matrix, nu: int) -> float:
     """Largest singular value of the frame block F[0..nu, 0..nu]: the
     equivalence constant between e-coordinates and the ambient norm on
     span f_[0, nu]."""
     from .operators import op_norm
 
-    return op_norm(cols_to_csc(F_cols[: nu + 1], nu + 1, field)).value
+    return op_norm(F[: nu + 1, : nu + 1]).value
 
 
-def _calibrate(schedule: StageSchedule, F_cols, n: int) -> CalibRecord:
+def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRecord:
     """gamma_n = delta_n / C for the frame constant C of the block [0, nu_n]
-    (F_cols must cover it), capped at 2^{-n-1} so the e_0 functional norms
-    grow; in rational mode the result is rounded down to a dyadic."""
+    (F must cover it), capped at 2^{-n-1} so the e_0 functional norms grow;
+    in rational mode the result is rounded down to a dyadic."""
     st = schedule.stage(n)
-    C = measure_frame_constant(F_cols, st.nu, schedule.scalar_field)
+    C = measure_frame_constant(F, st.nu)
     g_cal = st.delta / C
     cap = 2.0 ** (-n - 1)
     g = min(g_cal, cap)
@@ -263,10 +369,17 @@ def _calibrate(schedule: StageSchedule, F_cols, n: int) -> CalibRecord:
     return CalibRecord(n, C, st.delta, g_cal, cap, g)
 
 
+_LAYOFF_BLOCK = 1 << 16  # lay-off weights converted per block (bounds the float lists)
+
+
 def assemble(schedule: StageSchedule, families,
              n_trunc: Optional[int] = None) -> BasisMap:
     """Build both triangular maps on [0, n_trunc] (default: the full truncation).
 
+    Each stage-table interval is appended to F and E as one block of
+    columns.  Working vectors read f_j = scale (e_j - p(T) e_{j - shift})
+    (b-working: scale 1, p = b, shift b), so E's column j is e_j / scale plus
+    the earlier E columns j - shift + u weighted by p's coefficients.
     Stages whose gamma is None are calibrated on the fly (see _calibrate)
     once their b-part is assembled.
     """
@@ -280,44 +393,49 @@ def assemble(schedule: StageSchedule, families,
     if len(families) != schedule.n_stages:
         raise ScheduleError(["one fan family per stage required"])
 
-    one = Fraction(1) if mode == RATIONAL else 1.0
-    F_cols: list[Vec] = []
-    E_cols: list[Vec] = []
-    lambdas: dict[int, object] = {}
+    exact = mode == RATIONAL
+    one = Fraction(1) if exact else 1.0
+    dtype = object if exact else complex if schedule.scalar_field == COMPLEX else float
+    size = n_trunc + 1
+    F, E = _Columns(size, dtype), _Columns(size, dtype)
+    layoff = np.zeros(size, dtype=bool)
     gammas: list = [st.gamma for st in schedule.stages]
     calibration: list[CalibRecord] = []
 
-    for j in range(min(schedule.xi(1), n_trunc) + 1):
-        F_cols.append({j: one})
-        E_cols.append({j: one})
+    def add_diagonal(j_lo, f_vals, e_vals):
+        ones = np.ones(len(f_vals), dtype=np.int64)
+        rows = np.arange(j_lo, j_lo + len(f_vals))
+        F.append(ones, rows, f_vals)
+        E.append(ones, rows, e_vals)
 
     def add_layoffs(iv, j_lo, j_hi):
-        for j, lam in zip(range(j_lo, j_hi + 1),
-                          geo.interval_weights(iv, schedule, j_lo, j_hi)):
-            lambdas[j] = lam
-            F_cols.append({j: lam})
-            E_cols.append({j: one / lam})
+        layoff[j_lo:j_hi + 1] = True
+        for lo in range(j_lo, j_hi + 1, _LAYOFF_BLOCK):
+            hi = min(lo + _LAYOFF_BLOCK - 1, j_hi)
+            lam = np.array(geo.interval_weights(iv, schedule, lo, hi),
+                           dtype=object if exact else float)
+            add_diagonal(lo, lam, one / lam)
 
-    def add_bworking(j, st):
-        F_cols.append({j: one, j - st.b: -st.b * one})
-        col = dict(E_cols[j - st.b])
-        for i in col:
-            col[i] = col[i] * st.b
-        col[j] = col.get(j, 0) + one
-        E_cols.append(vec_clean(col))
+    def add_working(j_lo, j_hi, shift, p, scale):
+        terms = [(u - shift, a) for u, a in enumerate(p.coeffs) if a != 0]
+        f_rows = np.array([d for d, _ in terms] + [0])
+        f_vals = np.array([0 - scale * a for _, a in terms] + [scale], dtype=dtype)
+        # the E sources j - shift + u (u <= deg p) of a block at most
+        # shift - deg p wide all precede it
+        for lo in range(j_lo, j_hi + 1, shift - p.degree):
+            js = np.arange(lo, min(lo + shift - p.degree, j_hi + 1))
+            F.append(np.full(len(js), len(f_rows)), (js[:, None] + f_rows).ravel(),
+                     np.tile(f_vals, len(js)))
+            with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
+                parts = [E.gather(js + d, a) for d, a in terms] or [E.gather(js[:0], 1)]
+                owner, rows, vals = _sum_in_order(
+                    *(np.concatenate(x) for x in zip(*parts)), size)
+            ends = np.searchsorted(owner, np.arange(len(js)), side="right")
+            E.append(np.diff(ends, prepend=0) + 1, np.insert(rows, ends, js),
+                     np.insert(vals, ends, one / scale))
 
-    def add_cworking(j, n, st):
-        tag = geo.classify(j, schedule)
-        fcol = _cworking_f(j, tag, schedule, families, gammas, mode)
-        F_cols.append(fcol)
-        diag = fcol[j]
-        ecol: Vec = {j: one / diag}
-        t = tag.coord.t
-        base = j - st.c[t - 1]
-        for u, a in enumerate(families[n - 1][t - 1].coeffs):
-            if a != 0:
-                vec_add(ecol, E_cols[base + u], a)
-        E_cols.append(vec_clean(ecol))
+    seeds = min(schedule.xi(1), n_trunc) + 1
+    add_diagonal(0, np.full(seeds, one, dtype=dtype), np.full(seeds, one, dtype=dtype))
 
     for n in range(1, schedule.n_stages + 1):
         st = schedule.stage(n)
@@ -332,12 +450,11 @@ def assemble(schedule: StageSchedule, families,
             if geo.is_layoff(iv.tag):
                 add_layoffs(iv, iv.lo, j_hi)
             else:
-                for j in range(iv.lo, j_hi + 1):
-                    add_bworking(j, st)
+                add_working(iv.lo, j_hi, st.b, Poly((st.b,)), one)
         if n_trunc <= st.nu:
             break
         if gammas[n - 1] is None:
-            rec = _calibrate(schedule, F_cols, n)
+            rec = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
             gammas[n - 1] = rec.gamma
             calibration.append(rec)
         for iv in table:
@@ -349,15 +466,17 @@ def assemble(schedule: StageSchedule, families,
             if geo.is_layoff(iv.tag):
                 add_layoffs(iv, j_lo, j_hi)
             else:
-                for j in range(j_lo, j_hi + 1):
-                    add_cworking(j, n, st)
+                add_working(j_lo, j_hi, *_fan_rule(iv.tag, st, families, gammas, mode))
 
-    if len(F_cols) != n_trunc + 1:
+    if F.n_cols != size:
         raise TruncationError(
-            f"assembly stopped at {len(F_cols) - 1}, requested {n_trunc}"
+            f"assembly stopped at {F.n_cols - 1}, requested {n_trunc}"
         )
-    return BasisMap(schedule, families, mode, n_trunc, gammas, F_cols, E_cols,
-                    lambdas, calibration)
+    F_csc, F_values = F.matrix(size)
+    del F  # free its buffers before E's are converted
+    E_csc, E_values = E.matrix(size)
+    return BasisMap(schedule, families, mode, n_trunc, gammas, F_csc, E_csc,
+                    layoff, calibration, exact=(F_values, E_values))
 
 
 def calibrate_gamma(schedule: StageSchedule, families, n: int):
@@ -368,7 +487,7 @@ def calibrate_gamma(schedule: StageSchedule, families, n: int):
     the residual map has operator norm exactly gamma_n * frame_constant.
     """
     probe = assemble(schedule, families, n_trunc=schedule.stage(n).nu)
-    return _calibrate(schedule, probe.F_cols, n)
+    return _calibrate(schedule, probe.F_csc, n)
 
 
 # -- independent e -> f expansion (structural route) ---------------------------
@@ -472,7 +591,7 @@ def _shifted_f_in_f(basis: BasisMap, j: int, u: int) -> Vec:
     """f-frame coordinates of the u-th shift of f_j, via the e-frame and the
     structural expansion of each landed index (all strictly below j + u)."""
     out: Vec = {}
-    for i, v in basis.F_cols[j].items():
+    for i, v in basis.f_col(j).items():
         if i + u <= basis.n_trunc:
             vec_add(out, expand_e_structural(basis, i + u), v)
     return vec_clean(out)
@@ -514,7 +633,7 @@ def solve_F(basis: BasisMap, rhs: Vec) -> Vec:
         val = work.pop(j, 0)
         if val == 0:
             continue
-        col = basis.F_cols[j]
+        col = basis.f_col(j)
         xj = val / col[j]
         x[j] = xj
         for i, fv in col.items():
@@ -539,19 +658,24 @@ def roundtrip_max_error(basis: BasisMap, order: str = "FE") -> float:
 
 def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     """Exact columnwise roundtrip; returns (ok, worst_column, worst_value)."""
-    outer, inner = (basis.F_cols, basis.E_cols) if order == "FE" \
-        else (basis.E_cols, basis.F_cols)
-    worst = (True, None, 0)
+    def columns(M, values):
+        ptr, rows = M.indptr.tolist(), M.indices.tolist()
+        vals = (M.data if values is None else values).tolist()
+        return lambda j: zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])
+
+    F = columns(basis.F_csc, basis._F_values)
+    E = columns(basis.E_csc, basis._E_values)
+    outer, inner = (F, E) if order == "FE" else (E, F)
     for m in range(basis.n_trunc + 1):
         acc: Vec = {}
-        for j, c in inner[m].items():
-            vec_add(acc, outer[j], c)
+        for j, c in inner(m):
+            for i, v in outer(j):
+                acc[i] = acc.get(i, 0) + c * v
         acc[m] = acc.get(m, 0) - 1
-        bad = [(abs(v), i) for i, v in acc.items() if v != 0]
+        bad = [abs(v) for v in acc.values() if v != 0]
         if bad:
-            mv, mi = max(bad)
-            return (False, m, mv)
-    return worst
+            return (False, m, max(bad))
+    return (True, None, 0)
 
 
 def export_matrix_market(path, mat: sparse.spmatrix, comment: str = "") -> None:

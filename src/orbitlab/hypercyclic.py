@@ -19,9 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .basis import (BasisMap, cols_to_csc, measure_frame_constant,
-                    poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
-                    vec_clean, vec_norm)
+from .basis import (BasisMap, measure_frame_constant, poly_shift_apply,
+                    shift_e, shift_exits, solve_F, vec_add, vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
 from .operators import conjugated_power, op_norm, sigma_max_block, sup_e_norm
 from .polynet import Poly, b_damped, nearest_member
@@ -44,9 +43,7 @@ def frame_constant(basis: BasisMap, n: int) -> float:
             return rec.frame_constant
     memo = basis._frame_constants
     if n not in memo:
-        memo[n] = measure_frame_constant(basis.F_cols,
-                                         basis.schedule.stage(n).nu,
-                                         basis.schedule.scalar_field)
+        memo[n] = measure_frame_constant(basis.F_csc, basis.schedule.stage(n).nu)
     return memo[n]
 
 
@@ -115,7 +112,11 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
         f = basis.e_to_f(vec_clean(diff))
         per_vec.append(vec_norm(f))
         cols.append(f)
-    M = cols_to_csc(cols, basis.n_trunc + 1, basis.schedule.scalar_field)
+    M = sparse.csc_matrix(
+        (np.array([v for f in cols for v in f.values()], dtype=basis.F_csc.dtype),
+         (np.array([i for f in cols for i in f], dtype=np.intp),
+          np.repeat(np.arange(len(cols)), [len(f) for f in cols]))),
+        shape=(basis.n_trunc + 1, len(cols)))
     return st.b * op_norm(M).value, per_vec
 
 

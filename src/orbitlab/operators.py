@@ -35,10 +35,17 @@ def shift_power_csc(n_dim: int, m: int, dtype=float) -> sparse.csc_matrix:
 
 
 def conjugated_power(basis: BasisMap, m: int) -> sparse.csc_matrix:
-    """f-frame matrix of the m-th operator power: E @ shift^m @ F."""
+    """f-frame matrix of the m-th operator power: E @ shift^m @ F.  The
+    operator itself (m = 1) is built once per basis and shared, so callers
+    must not modify it."""
+    if m == 1 and basis._T is not None:
+        return basis._T
     dtype = complex if basis.schedule.scalar_field == COMPLEX else float
     S = shift_power_csc(basis.n_trunc + 1, m, dtype)
-    return (basis.E_csc @ (S @ basis.F_csc)).tocsc()
+    P = (basis.E_csc @ (S @ basis.F_csc)).tocsc()
+    if m == 1:
+        basis._T = P
+    return P
 
 
 def projection_f(n_trunc: int, lo: int, hi: int, dtype=float) -> sparse.csc_matrix:
@@ -226,8 +233,11 @@ def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResul
 # -- calibration gates -------------------------------------------------------------
 
 def sup_e_norm(basis: BasisMap, hi: int) -> float:
-    """max ||e_u|| over u <= hi, from the assembled f-frame columns."""
-    return max(vec_norm(basis.E_cols[u]) for u in range(min(hi, basis.n_trunc) + 1))
+    """max ||e_u|| over u <= hi, from the assembled f-frame columns (their
+    norms are memoised on the basis)."""
+    norms, top = basis._e_norms, min(hi, basis.n_trunc) + 1
+    norms.extend(vec_norm(basis.e_col(u)) for u in range(len(norms), top))
+    return max(norms[:top])
 
 
 def h_calibrated(basis: BasisMap, n: int) -> tuple[bool, dict]:

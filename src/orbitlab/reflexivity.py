@@ -33,7 +33,7 @@ def build_A(basis: BasisMap) -> sparse.csc_matrix:
     if not zero_constant_profile(basis):
         raise ProfileError(
             "companion operator needs fan polynomials with zero constant term")
-    T = conjugated_power(basis, 1)
+    T = conjugated_power(basis, 1).copy()
     T.data[T.indptr[0]:T.indptr[1]] = 0
     T.eliminate_zeros()
     T.sort_indices()

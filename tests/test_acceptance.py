@@ -56,7 +56,7 @@ def test_1b_layoff_action_float(r1):
     checked = 0
     Tc = T.tocsc()
     for j in range(5, r1.n_trunc):
-        if j not in r1.lambdas or (j + 1) not in r1.lambdas:
+        if not (r1.layoff[j] and r1.layoff[j + 1]):
             continue
         t1, t2 = ol.classify(j, r1.schedule), ol.classify(j + 1, r1.schedule)
         if t1 != t2:
@@ -76,9 +76,7 @@ def test_1b_layoff_action_exact(r1_rational):
     b = r1_rational
     bad = 0
     checked = 0
-    for j in sorted(b.lambdas):
-        if (j + 1) not in b.lambdas:
-            continue
+    for j in np.flatnonzero(b.layoff[:-1] & b.layoff[1:]).tolist():
         if ol.classify(j, b.schedule) != ol.classify(j + 1, b.schedule):
             continue
         got = vec_clean(b.e_to_f(shift_e(b.f_col(j), 1, b.n_trunc)))

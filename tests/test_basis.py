@@ -202,9 +202,11 @@ def test_calibrate_gamma_formula():
 
 def test_calibration_identity_frame():
     # on an identity frame block the measured constant is 1, so gamma = delta
+    from scipy import sparse
+
     from orbitlab.basis import measure_frame_constant
-    cols = [{j: 1.0} for j in range(6)]
-    assert measure_frame_constant(cols, 5, ol.REAL) == pytest.approx(1.0)
+    F = sparse.identity(6, format="csc")
+    assert measure_frame_constant(F, 5) == pytest.approx(1.0)
 
 
 def test_mini_cfg_frame_constant_is_exact():
@@ -214,14 +216,12 @@ def test_mini_cfg_frame_constant_is_exact():
 
     from scipy.sparse.linalg import svds
 
-    from orbitlab.basis import cols_to_csc
-
     cfg = Path(__file__).resolve().parents[1] / "configs" / "mini.cfg"
     b = ol.assemble(*ol.load_config(cfg))
     rec = b.calibration[1]
     st = b.schedule.stage(2)
     assert rec.stage == 2
-    block = cols_to_csc(b.F_cols[: st.nu + 1], st.nu + 1, b.schedule.scalar_field)
+    block = b.F_csc[: st.nu + 1, : st.nu + 1]
     c_ref = float(svds(block, k=1, return_singular_vectors=False, rng=0)[0])
     assert rec.frame_constant == pytest.approx(c_ref, rel=1e-10)
     assert float(b.gamma(2)) * c_ref <= st.delta * (1 + 1e-12)
@@ -233,58 +233,86 @@ def test_build_f_missing_family_member():
         ol.assemble(sched, ((fams[0][0],), fams[1]))  # stage 1 needs 2 members
 
 
-def _reference_csc(cols, n_rows, field):
-    """The per-entry builder: sorted keys, each entry through dtype()."""
-    from scipy import sparse
-
-    dtype = complex if field == ol.COMPLEX else float
-    indptr, indices, data = [0], [], []
-    for col in cols:
-        for i in sorted(col):
-            indices.append(i)
-            data.append(dtype(col[i]))
-        indptr.append(len(indices))
-    return sparse.csc_matrix(
-        (np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.intp),
-         np.asarray(indptr)), shape=(n_rows, len(cols)))
-
-
-def _assert_same_csc(got, ref):
-    assert got.shape == ref.shape
-    assert got.has_sorted_indices
-    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices),
-                 (got.data, ref.data)):
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+def _region_rule_f(b, j):
+    """f_j from the region rules of the basis module docstring."""
+    exact = b.mode == ol.RATIONAL
+    one = Fraction(1) if exact else 1.0
+    tag = geo.classify(j, b.schedule)
+    if isinstance(tag, geo.Seed):
+        return {j: one}
+    if geo.is_layoff(tag):
+        return {j: geo.layoff_weight(j, b.schedule)}
+    st = b.schedule.stage(tag.n)
+    if isinstance(tag, geo.BWorking):
+        return {j: one, j - st.b: -st.b * one}
+    t = tag.coord.t
+    g = Fraction(b.gamma(tag.n)) if exact else b.gamma(tag.n)
+    scale = one / g * (4 * one) ** (1 - tag.coord.abs_r)
+    col = {j: scale}
+    for u, a in enumerate(b.families[tag.n - 1][t - 1].coeffs):
+        if a != 0:
+            col[j - st.c[t - 1] + u] = -scale * a
+    return col
 
 
-@pytest.mark.parametrize("field", [ol.REAL, ol.COMPLEX])
-def test_cols_to_csc_matches_per_entry_builder(field):
-    from orbitlab.basis import cols_to_csc
-
-    cols = [
-        {},
-        {4: 1.5, 0: -2.0, 2: 3.0},             # keys out of order
-        {3: Fraction(1, 3), 1: Fraction(-7, 5)},
-        {},
-        {5: 1, 2: Fraction(2, 3), 0: 0.25},
-    ]
-    if field == ol.COMPLEX:
-        cols.append({5: 1 + 2j, 1: -0.5j})
-    _assert_same_csc(cols_to_csc(cols, 6, field), _reference_csc(cols, 6, field))
-    empty = cols_to_csc([], 3, field)
-    _assert_same_csc(empty, _reference_csc([], 3, field))
-    assert empty.shape == (3, 0)
-
-
-@pytest.mark.parametrize("which", ["mini", "mini_rational"])
-def test_cols_to_csc_matches_per_entry_builder_assembled(which, request):
-    from orbitlab.basis import cols_to_csc
-
+@pytest.mark.parametrize("which", ["mini", "mini_rational", "r1"])
+def test_stored_maps_follow_region_rules(which, request):
     b = request.getfixturevalue(which)
-    # c-working columns put their diagonal first
-    assert any(list(c) != sorted(c) for c in b.F_cols)
-    field = b.schedule.scalar_field
-    for cols in (b.F_cols, b.E_cols):
-        _assert_same_csc(cols_to_csc(cols, b.n_trunc + 1, field),
-                         _reference_csc(cols, b.n_trunc + 1, field))
+    size = b.n_trunc + 1
+    for M in (b.F_csc, b.E_csc):
+        assert M.shape == (size, size)
+        assert M.dtype == np.float64
+        assert M.has_sorted_indices
+    if b.mode == ol.RATIONAL:
+        # exact values beside the float data, one per stored entry
+        for M, exact in ((b.F_csc, b._F_values), (b.E_csc, b._E_values)):
+            assert exact.dtype == object and len(exact) == M.nnz
+            assert all(isinstance(v, Fraction) for v in exact)
+            assert M.data.tolist() == [float(v) for v in exact]
+    else:
+        assert b._F_values is None and b._E_values is None
+    if which == "r1":
+        assert b.f_col(65) == {65: 1.0, 1: -64.0}
+        assert b.e_col(65) == {65: 1.0, 1: 64.0}
+        assert b.f_col(5) == {5: b.weight(5)} and b.weight(5) == 16.0
+    # the dict-column sequences agree with the stored arrays
+    for cols, M, col in ((b.F_cols, b.F_csc, b.f_col), (b.E_cols, b.E_csc, b.e_col)):
+        lengths = np.diff(M.indptr)
+        for j, c in enumerate(cols):
+            assert len(c) == lengths[j]
+            if j % 997 == 0 or len(c) > 1 and j % 13 == 0:
+                assert c == col(j) == cols[j]
+        assert j == b.n_trunc
+    ends = {j for n in range(1, b.schedule.n_stages + 1)
+            for iv in geo.stage_table(b.schedule, n) for j in (iv.lo, iv.hi)}
+    sample = sorted(j for j in ends | set(range(0, size, 997)) if j < size)
+    for j in sample:
+        assert b.f_col(j) == _region_rule_f(b, j), j
+        assert b.layoff[j] == geo.is_layoff(geo.classify(j, b.schedule))
+        # e_j = f_j / f_jj + (the rest of f_j) / (-f_jj), expanded column by column
+        f = b.f_col(j)
+        want = {j: 1 / f[j]}
+        for i in sorted(f):
+            if i != j:
+                vec_add(want, b.e_col(i), -f[i] / f[j])
+        got, want = b.e_col(j), vec_clean(want)
+        if b.mode == ol.RATIONAL:
+            assert got == want, j
+        assert set(got) == set(want)
+        for k, v in got.items():
+            assert v == pytest.approx(want[k], rel=1e-12)
+
+
+def test_assembly_memory_stays_columnar():
+    # R1 (n = 400 001) held 230 MB of dict columns under tracemalloc; its CSC
+    # arrays take about 12 MB
+    import tracemalloc
+
+    sched, fams = reference_schedule()
+    tracemalloc.start()
+    try:
+        ol.assemble(sched, fams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, f"assembly peak {peak / 1e6:.1f} MB"

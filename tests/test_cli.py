@@ -181,3 +181,30 @@ def test_shipped_profiles_load():
                  "mini_reflexive.cfg"):
         sched, fams = ol.load_config(os.path.join(root, name))
         assert ol.validate(sched) == []
+
+
+# sha256 of the mini.cfg build; the calibrated gammas (and so every file)
+# depend on the BLAS summation order, so the build runs single-threaded
+MINI_BUILD_HASHES = {
+    "E_in_F.mtx": "70b198886db537d2d52b2a445d811e1ca0f088a9ddfb997def2654269053f527",
+    "F_in_E.mtx": "c51bdd9231dcb415b1f9c9d51c47e8d867825acd22a4b56706f87b21d4f00995",
+    "T_f.mtx": "307a0411ce6c9bf73b53af8d3e3cd65d07d18bce4bc425b331583a3c50d87cef",
+    "schedule.cfg": "6a76bd723b6ddd32550b8411a5465a419e73a1836ee6a7df40f6211f743239e0",
+}
+
+
+def test_mini_cfg_build_hashes_are_pinned(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS")}
+    subprocess.run(
+        [sys.executable, "-m", "orbitlab.cli", "build", "--config",
+         str(root / "configs" / "mini.cfg"), "--out", str(tmp_path)],
+        check=True, capture_output=True,
+        env={**os.environ, **threads, "PYTHONPATH": str(root / "src")})
+    manifest = json.load(open(tmp_path / "manifest.json"))
+    assert manifest["hashes"] == MINI_BUILD_HASHES

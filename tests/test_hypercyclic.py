@@ -214,14 +214,14 @@ def test_modulus_reduction_chain(r1):
 def test_frame_constant_consistency(r1):
     # the cached calibration record agrees with a fresh measurement
     from orbitlab.basis import measure_frame_constant
-    C = measure_frame_constant(r1.F_cols, r1.schedule.stage(1).nu, ol.REAL)
+    C = measure_frame_constant(r1.F_csc, r1.schedule.stage(1).nu)
     assert hyp.frame_constant(r1, 1) == pytest.approx(C, rel=1e-12)
 
 
 def test_frame_constant_memoised_without_calibration(r1, monkeypatch):
     # a basis assembled with frozen gammas has no calibration records
     frozen = ol.BasisMap(r1.schedule, r1.families, r1.mode, r1.n_trunc,
-                         r1.gammas, r1.F_cols, r1.E_cols, r1.lambdas, ())
+                         r1.gammas, r1.F_csc, r1.E_csc, r1.layoff, ())
     calls = []
     measure = hyp.measure_frame_constant
 
