@@ -7,7 +7,7 @@ from .schedule import (StageParams, StageSchedule, validate, truncation_length,
 from .geometry import (Seed, BLayOff, BWorking, CLayOff, CWorking, TailLayOff,
                        LatticeCoord, classify, layoff_weight, coord_to_index,
                        index_to_coord, is_layoff)
-from .polynet import (Poly, PolyNet, ZERO, ONE, ZETA, generate_net, apply_poly,
+from .polynet import (Poly, PolyNet, ZERO, ONE, ZETA, generate_net,
                       b_damped, ell1_distance, nearest_member,
                       NO_CONSTRAINT, ZERO_CONSTANT_TERM)
 from .basis import (BasisMap, assemble, calibrate_gamma,

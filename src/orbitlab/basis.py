@@ -105,10 +105,9 @@ class CalibRecord:
 
 def _column(M: sparse.csc_matrix, values, j: int) -> tuple[list, list]:
     """Rows (ascending) and values of column j of a stored matrix; `values`
-    is the exact value array in rational mode and None otherwise."""
+    is its scalar array, aligned with M.indices."""
     s, e = M.indptr[j], M.indptr[j + 1]
-    vals = M.data if values is None else values
-    return M.indices[s:e].tolist(), vals[s:e].tolist()
+    return M.indices[s:e].tolist(), values[s:e].tolist()
 
 
 def _combine(M: sparse.csc_matrix, values, x: Vec) -> Vec:
@@ -138,8 +137,7 @@ class _ColumnDicts:
         return dict(zip(*_column(self._M, self._values, range(len(self))[j])))
 
     def __iter__(self):
-        M = self._M
-        vals = M.data if self._values is None else self._values
+        M, vals = self._M, self._values
         for lo in range(0, len(self), self._BLOCK):
             ptr = M.indptr[lo:lo + self._BLOCK + 1]
             rows = M.indices[ptr[0]:ptr[-1]].tolist()
@@ -155,9 +153,10 @@ class BasisMap:
     """Assembled change-of-basis on [0, n_trunc] plus assembly metadata.
 
     F and E are stored as CSC matrices with sorted row indices and float (or
-    complex) data; ``exact`` holds, in rational mode, each one's exact values
-    as an object array aligned with its ``data``.  ``layoff`` marks the
-    lay-off columns, whose weights are F's diagonal entries.
+    complex) data.  Each one's scalars are read from one array aligned with
+    its ``data``: in rational mode the exact values passed as ``exact`` (an
+    object array of Fractions), otherwise ``data`` itself.  ``layoff`` marks
+    the lay-off columns, whose weights are F's diagonal entries.
     """
 
     def __init__(self, schedule, families, mode, n_trunc, gammas, F, E,
@@ -168,12 +167,12 @@ class BasisMap:
         self.n_trunc = n_trunc
         self.gammas = tuple(gammas)
         self._F, self._E = F, E
-        self._F_values, self._E_values = exact
+        self._F_values = F.data if exact[0] is None else exact[0]
+        self._E_values = E.data if exact[1] is None else exact[1]
         self.layoff = layoff
         self.calibration = tuple(calibration)
         self._T = None  # the operator's f-frame matrix, built on first use
         self._expand_memo: dict[int, Vec] = {}
-        self._e0_rows: dict[int, dict] = {}
         self._frame_constants: dict[int, float] = {}
         self._e_norms: list[float] = []  # ||e_u|| for u < len, see sup_e_norm
 
@@ -188,10 +187,8 @@ class BasisMap:
     def weight(self, j: int):
         if not (0 <= j <= self.n_trunc and self.layoff[j]):
             raise ValueError(f"index {j} is not a lay-off index")
-        p = self._F.indptr[j]
-        if self._F_values is not None:
-            return self._F_values[p]
-        return float(self._F.data[p].real)
+        v = self._F_values[self._F.indptr[j]]
+        return v if self._F_values.dtype == object else float(v.real)
 
     def f_col(self, j: int) -> Vec:
         return dict(zip(*_column(self._F, self._F_values, j)))
@@ -233,19 +230,14 @@ class BasisMap:
     def e0_functional(self, n: int) -> dict[int, object]:
         """Row 0 of the f->e map on columns [0, xi_n]: the e_0 coordinate
         functional evaluated on each basis vector f_j."""
-        if n in self._e0_rows:
-            return self._e0_rows[n]
         xi_n = self.schedule.xi(n)
         if xi_n > self.n_trunc:
             raise TruncationError(f"truncation does not cover xi_{n}")
         F = self._F
         first = F.indptr[: xi_n + 1]  # every column is nonempty, rows sorted
         js = np.flatnonzero(F.indices[first] == 0)
-        vals = F.data if self._F_values is None else self._F_values
-        row = {j: v for j, v in zip(js.tolist(), vals[first[js]].tolist())
-               if v != 0}
-        self._e0_rows[n] = row
-        return row
+        vals = self._F_values[first[js]].tolist()
+        return {j: v for j, v in zip(js.tolist(), vals) if v != 0}
 
 
 # -- assembly -------------------------------------------------------------------
@@ -660,7 +652,7 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     """Exact columnwise roundtrip; returns (ok, worst_column, worst_value)."""
     def columns(M, values):
         ptr, rows = M.indptr.tolist(), M.indices.tolist()
-        vals = (M.data if values is None else values).tolist()
+        vals = values.tolist()
         return lambda j: zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])
 
     F = columns(basis.F_csc, basis._F_values)

@@ -19,10 +19,12 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
+from . import geometry as geo
 from .basis import (BasisMap, measure_frame_constant, poly_shift_apply,
                     shift_e, shift_exits, solve_F, vec_add, vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
-from .operators import conjugated_power, op_norm, sigma_max_block, sup_e_norm
+from .operators import (b_calibrated, conjugated_power, op_norm,
+                        sigma_max_block, sup_e_norm)
 from .polynet import Poly, b_damped, nearest_member
 from .report import Entry, check
 from .schedule import RATIONAL
@@ -60,7 +62,7 @@ def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:
         raise TruncationError("fan power would leave the truncation")
     diff = shift_e(alpha, ck, basis.n_trunc)
     vec_add(diff, poly_shift_apply(p, alpha, basis.n_trunc), -1)
-    return vec_norm(basis.e_to_f(vec_clean(diff)))
+    return vec_norm(basis.e_to_f(diff))
 
 
 def fan_residual_norm(basis: BasisMap, n: int, k: int) -> float:
@@ -95,7 +97,7 @@ def b_identity_residual(basis: BasisMap, x_f: dict, n: int) -> float:
     tx = shift_e(alpha, 1, basis.n_trunc)
     diff = {i: v / st.b for i, v in shift_e(tx, st.b, basis.n_trunc).items()}
     vec_add(diff, tx, -1)
-    return vec_norm(basis.e_to_f(vec_clean(diff)))
+    return vec_norm(basis.e_to_f(diff))
 
 
 def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
@@ -109,7 +111,7 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
         tx = shift_e(alpha, 1, basis.n_trunc)
         diff = {i: v / st.b for i, v in shift_e(tx, st.b, basis.n_trunc).items()}
         vec_add(diff, tx, -1)
-        f = basis.e_to_f(vec_clean(diff))
+        f = basis.e_to_f(diff)
         per_vec.append(vec_norm(f))
         cols.append(f)
     M = sparse.csc_matrix(
@@ -124,8 +126,6 @@ def shade_measurements(basis: BasisMap, n: int):
     """(sigma, interior_ratios): norm of the (b+1)-st power restricted to the
     f-span of (xi_n, nu_n], plus the exact per-column ratios on interior
     shade columns (both j and j + b + 1 inside b-lay-offs)."""
-    from . import geometry as geo
-
     st = basis.schedule.stage(n)
     if basis.n_trunc < st.nu + st.b + 1:
         raise TruncationError("truncation must cover nu_n + b_n + 1")
@@ -302,20 +302,20 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     p = solve_poly(ToeplitzSystem(st.xi, 0, tuple(x_vec), tuple(y_vec)))
     solve_vec = poly_shift_apply(p, alpha, st.xi)
     vec_add(solve_vec, target_e, -1)
-    m_solve = vec_norm(basis.e_to_f(vec_clean(solve_vec)))
+    m_solve = vec_norm(basis.e_to_f(solve_vec))
 
     # spill of the plain shift past the truncated one
     full = poly_shift_apply(p, alpha, basis.n_trunc)
     spill = dict(full)
     vec_add(spill, poly_shift_apply(p, alpha, st.xi), -1)
-    m_spill = vec_norm(basis.e_to_f(vec_clean(spill)))
+    m_spill = vec_norm(basis.e_to_f(spill))
 
     # modulus damping through the b-fan
     q = b_damped(p, st.b, degree_cap=st.nu)
     q_vec = {i: v / st.b for i, v in shift_e(full, st.b, basis.n_trunc).items()}
     damp = dict(q_vec)
     vec_add(damp, full, -1)
-    m_damp = vec_norm(basis.e_to_f(vec_clean(damp)))
+    m_damp = vec_norm(basis.e_to_f(damp))
 
     k0, snap_dist, pk, final_e, fan_steps = fan_power_steps(basis, x_f, q, n)
     steps = (
@@ -333,10 +333,10 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
     target_f = {1: 1}
     fin = basis.e_to_f(final_e)
     vec_add(fin, target_f, -1)
-    final = vec_norm(vec_clean(fin))
+    final = vec_norm(fin)
     fin2 = solve_F(basis, final_e)
     vec_add(fin2, target_f, -1)
-    recomputed = vec_norm(vec_clean(fin2))
+    recomputed = vec_norm(fin2)
 
     return Certificate(
         stage=n, power=st.c[k0], k=k0 + 1, target=target_f,
@@ -377,7 +377,7 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
     family = basis.families[n - 1][: st.k]
     ell1 = float(p.ell1)
     j = max(0, math.ceil(math.log2(max(ell1, 1e-300))))
-    x_e = basis.f_to_e(vec_clean(x_f))
+    x_e = basis.f_to_e(x_f)
 
     def power_vec(ck):
         return shift_e(x_e, ck, basis.n_trunc)
@@ -390,7 +390,7 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
     qv = basis.e_to_f(poly_shift_apply(qj, x_e, basis.n_trunc))
     diff = dict(rj_vec)
     vec_add(diff, qv, -1)
-    links.append(ChainLink(j, kj + 1, st.c[kj], vec_norm(vec_clean(diff)),
+    links.append(ChainLink(j, kj + 1, st.c[kj], vec_norm(diff),
                            "base level: fan power vs the scaled polynomial"))
     k_prev = kj
     composed = (2.0 ** j) * links[0].measured
@@ -401,7 +401,7 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
         prev2 = basis.e_to_f(power_vec(st.c[k_prev]))
         diff = dict(cur)
         vec_add(diff, prev2, -2)
-        m = vec_norm(vec_clean(diff))
+        m = vec_norm(diff)
         links.append(ChainLink(level, k_cur + 1, st.c[k_cur], m,
                                "doubling link"))
         composed += (2.0 ** level) * m
@@ -410,7 +410,7 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
     pv = basis.e_to_f(poly_shift_apply(p, x_e, basis.n_trunc))
     diff = dict(final_vec)
     vec_add(diff, pv, -1)
-    final = vec_norm(vec_clean(diff))
+    final = vec_norm(diff)
     return ChainCertificate(j, tuple(links), final, composed)
 
 
@@ -457,8 +457,6 @@ def fan_entries(basis: BasisMap, n: int, rng=None, samples: int = 20) -> list[En
 
 
 def bfan_entries(basis: BasisMap, n: int) -> list[Entry]:
-    from .operators import b_calibrated
-
     st = basis.schedule.stage(n)
     entries = []
     C, per_vec = b_identity_constant(basis, n)

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .basis import BasisMap, shift_e, vec_norm
+from . import geometry as geo
+from .basis import BasisMap, shift_e, vec_add, vec_norm
 from .errors import OrbitLabError
 from .report import Entry, check
 from .schedule import COMPLEX
@@ -23,7 +24,6 @@ from .schedule import COMPLEX
 # Widest component (rows or columns) op_norm solves by dense SVD; a wider
 # one that can hold the norm makes op_norm raise.
 DENSE_COMPONENT_CAP = 1024
-_SVD_STACK_ELEMENTS = 1 << 20  # entries per batched-SVD stack (memory cap)
 NONFINITE_FLAG = "operator matrix has non-finite entries; no norm measured"
 
 
@@ -46,13 +46,6 @@ def conjugated_power(basis: BasisMap, m: int) -> sparse.csc_matrix:
     if m == 1:
         basis._T = P
     return P
-
-
-def projection_f(n_trunc: int, lo: int, hi: int, dtype=float) -> sparse.csc_matrix:
-    """Coordinate projection onto f-span of [lo, hi]."""
-    diag = np.zeros(n_trunc + 1, dtype=dtype)
-    diag[lo:hi + 1] = 1
-    return sparse.diags(diag).tocsc()
 
 
 # -- operator norms --------------------------------------------------------------
@@ -128,9 +121,9 @@ def _split_norm(C: sparse.csc_matrix) -> float:
     L covers every 1x1 component, and a one-row or one-column component is
     a vector whose norm is exact.  A component's Frobenius norm bounds its
     own from above, so only the components above the lower bound go to
-    dense SVD, batched over stacks of components of one shape.  Raises
-    OrbitLabError when such a component is wider than DENSE_COMPONENT_CAP
-    rows or columns.
+    dense SVD, one call per component on its block (rows and columns in
+    ascending order).  Raises OrbitLabError when such a component is wider
+    than DENSE_COMPONENT_CAP rows or columns.
     """
     sq = np.abs(C.data) ** 2
     lower2 = float(np.add.reduceat(sq, C.indptr[:-1]).max())
@@ -167,38 +160,19 @@ def _split_norm(C: sparse.csc_matrix) -> float:
         raise OrbitLabError(
             f"op_norm: a {wide}-wide component of a {n_rows}x{n_cols} matrix "
             f"may hold the norm; dense SVD is capped at {DENSE_COMPONENT_CAP}")
-    # number the candidates by shape, then place each row and column of a
-    # candidate at its rank within the component
-    cand = cand[np.lexsort((n_c[cand], n_r[cand]))]
-    slot = np.full(n_comp, -1)
-    slot[cand] = np.arange(len(cand))
-    local_row = np.empty(S.shape[0], dtype=np.intp)
-    local_col = np.empty(S.shape[1], dtype=np.intp)
-    for comp, local in ((row_comp, local_row), (col_comp, local_col)):
-        idx = np.flatnonzero(slot[comp] >= 0)
-        idx = idx[np.argsort(comp[idx], kind="stable")]
-        local[idx] = np.arange(len(idx)) - np.searchsorted(comp[idx], comp[idx])
-    entries = np.flatnonzero(slot[entry_comp] >= 0)
-    entries = entries[np.argsort(slot[entry_comp[entries]], kind="stable")]
-    block = slot[entry_comp[entries]]
-    r = local_row[S.indices[entries]]
-    c = local_col[np.repeat(np.arange(S.shape[1]), s_col_nnz)[entries]]
-    values = S.data[entries]
-    heights, widths = n_r[cand], n_c[cand]
-    new_shape = 1 + np.flatnonzero((np.diff(heights) != 0)
-                                   | (np.diff(widths) != 0))
-    bounds = [0, *new_shape.tolist(), len(cand)]
+    # each candidate's entries, one component after another, in CSC order;
+    # a block keeps its rows and columns in ascending compressed order
+    s_col_of = np.repeat(np.arange(S.shape[1]), s_col_nnz)
+    mine = np.flatnonzero(np.isin(entry_comp, cand))
+    mine = mine[np.argsort(entry_comp[mine], kind="stable")]
+    ends = np.searchsorted(entry_comp[mine], cand, side="right")
     best = math.sqrt(lower2)
-    for first, stop in zip(bounds[:-1], bounds[1:]):
-        height, width = int(heights[first]), int(widths[first])
-        step = max(1, _SVD_STACK_ELEMENTS // (height * width))
-        for start in range(first, stop, step):
-            end = min(start + step, stop)
-            lo, hi = np.searchsorted(block, [start, end])
-            stack = np.zeros((end - start, height, width), dtype=S.dtype)
-            stack[block[lo:hi] - start, r[lo:hi], c[lo:hi]] = values[lo:hi]
-            best = max(best, float(
-                np.linalg.svd(stack, compute_uv=False)[:, 0].max()))
+    for part in np.split(mine, ends[:-1]):
+        rows, r = np.unique(S.indices[part], return_inverse=True)
+        cols, c = np.unique(s_col_of[part], return_inverse=True)
+        block = np.zeros((len(rows), len(cols)), dtype=S.dtype)
+        block[r, c] = S.data[part]
+        best = max(best, float(np.linalg.svd(block, compute_uv=False)[0]))
     return best
 
 
@@ -206,8 +180,9 @@ def op_norm(M: sparse.spmatrix) -> OpNormResult:
     """Largest singular value of M, exact up to rounding.
 
     M is compressed (empty rows and columns dropped) and measured from the
-    connected components of its row/column graph (see _split_norm): method
-    "dense_svd", converged, no iterations.  A component wider than
+    connected components of its row/column graph, with one dense SVD per
+    component that can hold the norm (see _split_norm): method "dense_svd",
+    converged, no iterations.  A component wider than
     DENSE_COMPONENT_CAP rows or columns that may hold the norm raises
     OrbitLabError rather than being estimated.  An all-zero M gives 0 with
     method "empty"; a matrix with an inf or nan entry has no norm to
@@ -272,8 +247,6 @@ def scale_calibrated(basis: BasisMap, n: int, k: int) -> tuple[bool, dict]:
     """Whether the lay-off gaps above nu_n are long enough that a c_k-shift
     within one gap keeps the weight ratio 2^(c_k / sqrt(s)) below 2; the gap
     lengths must dominate c_k^2 for the fan-power aggregates to bind."""
-    from . import geometry as geo
-
     st = basis.schedule.stage(n)
     ck = st.c[k - 1]
     s_min = None
@@ -299,8 +272,6 @@ def stage_gates(basis: BasisMap, n: int) -> dict:
     log2 form since b^xi overflows).  spill: the first c-gap must exceed the
     working length so that low powers land on heavy-weight gap beginnings.
     """
-    from . import geometry as geo
-
     st = basis.schedule.stage(n)
     log2_delta = math.log2(st.delta)
     info: dict = {}
@@ -481,8 +452,6 @@ def full_norm_entry(basis: BasisMap) -> tuple[Entry, OpNormResult]:
 def orbit_distances(basis: BasisMap, x_f: dict, targets: Sequence[dict],
                     steps: int) -> list[list[float]]:
     """Row m holds ||T^m x - target_i|| in the ambient norm, m = 0..steps."""
-    from .basis import vec_add, vec_clean
-
     x_e = basis.f_to_e(x_f)
     rows = []
     for m in range(steps + 1):
@@ -491,7 +460,7 @@ def orbit_distances(basis: BasisMap, x_f: dict, targets: Sequence[dict],
         for t in targets:
             diff = dict(xf)
             vec_add(diff, t, -1)
-            row.append(vec_norm(vec_clean(diff)))
+            row.append(vec_norm(diff))
         rows.append(row)
         x_e = shift_e(x_e, 1, basis.n_trunc)
     return rows

@@ -252,16 +252,3 @@ def b_damped(p: Poly, b: int, degree_cap: Optional[int] = None) -> Poly:
 
 def _is_exact(p: Poly) -> bool:
     return all(isinstance(a, (int, Fraction)) for a in p.coeffs)
-
-
-def apply_poly(p: Poly, apply_M, x):
-    """Evaluate p(M) x by Horner, where apply_M maps a vector to M @ vector."""
-    result = None
-    for a in reversed(p.coeffs):
-        if result is None:
-            result = a * x
-        else:
-            result = apply_M(result) + a * x
-    if result is None:
-        return 0 * x
-    return result

@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .basis import BasisMap, shift_e, vec_add, vec_clean, vec_norm
+from .basis import BasisMap, shift_e, vec_add, vec_norm
 from .errors import ProfileError
+from .hypercyclic import certify_hypercyclic_step
 from .operators import conjugated_power, op_norm, shift_power_csc
 from .report import Entry, check
 from .schedule import COMPLEX
@@ -87,11 +88,8 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
     f_0 component, Ax = Tx exactly; otherwise run the fan-power certificate
     toward e_1 and record that Ax stays inside the span of f_1, f_2, ...
     """
-    from .hypercyclic import certify_hypercyclic_step
-
     if A is None:
         A = build_A(basis)
-    x_f = vec_clean(x_f)
     head = x_f.get(0, 0)
     xd = np.zeros(basis.n_trunc + 1, dtype=A.dtype)
     for j, v in x_f.items():
@@ -112,7 +110,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
     for j in (1, 2, 5):
         diff = dict(point)
         diff[j] = diff.get(j, 0) - 1
-        sample_dists[j] = vec_norm(vec_clean(diff))
+        sample_dists[j] = vec_norm(diff)
     return MembershipCertificate(
         "power-certificate", float(abs(head)), certificate=cert,
         image_f0_component=float(abs(ax[0])),
@@ -145,7 +143,7 @@ def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
     entries.append(check(
         "companion.witness",
         "T A e_0 = 0 and A T e_0 = e_2, both exact",
-        max(ta_norm, vec_norm(vec_clean(at_err))), 0.0, asserted=True))
+        max(ta_norm, vec_norm(at_err)), 0.0, asserted=True))
     nT = op_norm(T)
     nA = op_norm(A)
     entries.append(check(

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import PreconditionError
 from .polynet import Poly, ZETA, b_damped
 from .report import Entry, check
-from .basis import shift_e, vec_add, vec_clean, vec_norm, poly_shift_apply
+from .basis import shift_e, vec_add, vec_norm, poly_shift_apply
+from .operators import sup_e_norm
 
 X_CONTAINS_Y = "x-contains-y"
 Y_CONTAINS_X = "y-contains-x"
@@ -86,8 +87,6 @@ def large_coord_index(basis, x_f: dict, n: int, base: float = 4.0
                       ) -> Optional[LargeCoordIndex]:
     """Smallest j in [0, xi_n] whose e-coordinate of x / ||x|| clears the
     ladder C^-(xi-j+1); None when no coordinate qualifies."""
-    from .operators import sup_e_norm
-
     st = basis.schedule.stage(n)
     nx = vec_norm(x_f)
     if nx == 0:
@@ -157,23 +156,23 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
     # steering error on the full heads (small-coordinate tails of both sides)
     t1_vec = poly_shift_apply(p, au, xi)
     vec_add(t1_vec, av, -1)
-    t1 = vec_norm(basis.e_to_f(vec_clean(t1_vec)))
+    t1 = vec_norm(basis.e_to_f(t1_vec))
 
     p_shift = ZETA * p
     target = shift_e(av, 1, basis.n_trunc)
     t2_vec = poly_shift_apply(p_shift, au, basis.n_trunc)
     vec_add(t2_vec, target, -1)
-    t2 = vec_norm(basis.e_to_f(vec_clean(t2_vec)))
+    t2 = vec_norm(basis.e_to_f(t2_vec))
 
     q = b_damped(p_shift, st.b, degree_cap=st.nu)
     t3_vec = poly_shift_apply(q, au, basis.n_trunc)
     vec_add(t3_vec, target, -1)
-    t3 = vec_norm(basis.e_to_f(vec_clean(t3_vec)))
+    t3 = vec_norm(basis.e_to_f(t3_vec))
 
     k0, snap_dist, _, lead_e, fan_steps = fan_power_steps(basis, lead, q, n)
     fin_vec = basis.e_to_f(lead_e)
     vec_add(fin_vec, basis.e_to_f(target), -1)
-    final = vec_norm(vec_clean(fin_vec))
+    final = vec_norm(fin_vec)
 
     steps = (
         PipelineStep("steer", t1, max(t1, 1e-300), "head steering residual"),

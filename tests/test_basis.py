@@ -269,8 +269,8 @@ def test_stored_maps_follow_region_rules(which, request):
             assert exact.dtype == object and len(exact) == M.nnz
             assert all(isinstance(v, Fraction) for v in exact)
             assert M.data.tolist() == [float(v) for v in exact]
-    else:
-        assert b._F_values is None and b._E_values is None
+    else:  # the float data are the scalars
+        assert b._F_values is b.F_csc.data and b._E_values is b.E_csc.data
     if which == "r1":
         assert b.f_col(65) == {65: 1.0, 1: -64.0}
         assert b.e_col(65) == {65: 1.0, 1: 64.0}

@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import orbitlab as ol
+from orbitlab.basis import poly_shift_apply
 from orbitlab.errors import NetSizeError
-from orbitlab.polynet import (ONE, ZETA, Poly, apply_poly, b_damped,
+from orbitlab.polynet import (ONE, ZETA, Poly, b_damped,
                               ell1_distance, generate_net, nearest_member)
 
 
@@ -73,17 +73,11 @@ def test_net_cap_error_names_cap():
 
 
 def test_apply_poly_examples():
-    shift = lambda v: np.concatenate(([0.0], v[:-1]))
-    x = np.zeros(8)
-    x[3] = 1.0
-    assert np.array_equal(apply_poly(ONE, shift, x), x)
-    y = apply_poly(ZETA, shift, x)
-    assert y[4] == 1.0 and np.count_nonzero(y) == 1
+    # p(T) e_3 in e-frame coordinates, T the shift truncated at 7
+    assert poly_shift_apply(ONE, {3: 1.0}, 7) == {3: 1.0}
+    assert poly_shift_apply(ZETA, {3: 1.0}, 7) == {4: 1.0}
     # truncated shift with xi = 2 kills zeta^2 e_1
-    t2 = lambda v: np.concatenate(([0.0], v[:2]))
-    x3 = np.zeros(3)
-    x3[1] = 1.0
-    assert np.count_nonzero(apply_poly(Poly((0, 0, 1)), t2, x3)) == 0
+    assert poly_shift_apply(Poly((0, 0, 1)), {1: 1.0}, 2) == {}
 
 
 def test_b_damped_examples():
