@@ -41,14 +41,6 @@ from .schedule import COMPLEX, RATIONAL, StageSchedule
 Vec = dict[int, object]  # sparse coordinate vector {index: scalar}
 
 
-def _dyadic_floor(x: float, bits: int = 40) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    m, e = math.frexp(x)
-    mant = math.floor(m * (1 << bits))
-    return Fraction(mant, 1) * Fraction(2) ** (e - bits)
-
-
 def vec_add(acc: Vec, other: Vec, factor=1) -> None:
     for i, v in other.items():
         acc[i] = acc.get(i, 0) + factor * v
@@ -357,7 +349,7 @@ def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRe
     cap = 2.0 ** (-n - 1)
     g = min(g_cal, cap)
     if schedule.weight_mode == RATIONAL:
-        g = _dyadic_floor(g)
+        g = geo.dyadic(g, rounding=math.floor)
     return CalibRecord(n, C, st.delta, g_cal, cap, g)
 
 
@@ -380,8 +372,9 @@ def assemble(schedule: StageSchedule, families,
         raise ScheduleError(["rational weight mode supports the real field only"])
     if n_trunc is None:
         n_trunc = schedule.xi_end
-    if n_trunc > schedule.xi_end:
-        raise TruncationError(f"n_trunc {n_trunc} beyond xi_end {schedule.xi_end}")
+    if not 0 <= n_trunc <= schedule.xi_end:
+        raise TruncationError(
+            f"n_trunc {n_trunc} outside [0, xi_end {schedule.xi_end}]")
     if len(families) != schedule.n_stages:
         raise ScheduleError(["one fan family per stage required"])
 
@@ -595,7 +588,7 @@ def printed_closed_form_terms(basis: BasisMap, coord: geo.LatticeCoord):
 
     Returns (terms, residual_poly, extra_terms): extra_terms are the members
     absent from the unrolled recursion.  The comparison is expression-level;
-    the report records whether the printed form matches.
+    no suite reports it, the tests compare it with the unrolled recursion.
     """
     printed, q_above = _descent_terms(basis, coord, extra=1)
     unrolled, _ = _descent_terms(basis, coord)

@@ -117,6 +117,9 @@ def parse_vector_spec(spec: str, b) -> dict:
                 coords[int(idx)] = v if v.imag else v.real
     except ValueError as exc:
         raise ConfigError(f"cannot parse vector spec {spec!r}: {exc}") from exc
+    for i in coords:
+        if not 0 <= i <= b.n_trunc:
+            raise ConfigError(f"index {i} in {spec!r} outside [0, {b.n_trunc}]")
     if frame == "f":
         return coords
     if frame == "e":
@@ -127,6 +130,8 @@ def parse_vector_spec(spec: str, b) -> dict:
 def cmd_orbit(args) -> int:
     cfg = os.path.join(args.build, "schedule.cfg")
     try:
+        if args.steps < 0:
+            raise ConfigError(f"--steps {args.steps} is negative")
         b = _assemble_from_config(cfg)
         x = parse_vector_spec(args.x, b)
         targets = [parse_vector_spec(t, b) for t in args.targets.split(";")]

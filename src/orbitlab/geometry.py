@@ -227,12 +227,13 @@ def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
     return [2.0 ** ((top - j) / root) for j in js]
 
 
-def dyadic(x: float, bits: int = 40) -> Fraction:
-    """Nearest fraction m / 2^e with a `bits`-bit mantissa (40 significant bits)."""
+def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
+    """Fraction m / 2^e with a `bits`-bit mantissa (40 significant bits): the
+    nearest one by default, or the one `rounding` (e.g. math.floor) picks."""
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    mant = round(m * (1 << bits))
+    mant = rounding(m * (1 << bits))
     return Fraction(mant, 1) * Fraction(2) ** (e - bits)
 
 

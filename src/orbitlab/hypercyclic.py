@@ -23,7 +23,7 @@ from . import geometry as geo
 from .basis import (BasisMap, measure_frame_constant, poly_shift_apply,
                     shift_e, shift_exits, solve_F, vec_add, vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
-from .operators import (b_calibrated, conjugated_power, op_norm,
+from .operators import (b_calibrated, conjugated_power, op_norm, poly_image,
                         sigma_max_block, sup_e_norm)
 from .polynet import Poly, b_damped, nearest_member
 from .report import Entry, check
@@ -67,19 +67,14 @@ def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:
 
 def fan_residual_norm(basis: BasisMap, n: int, k: int) -> float:
     """Measured operator norm of x -> T^{c_k} x - p_k(T) x on span f_[0, nu_n]:
-    op_norm of E (S^{c_k} - p_k(S)) F[:, 0..nu_n], the middle factor built
-    by shifting the row indices of F's columns."""
+    op_norm of E (S^{c_k} - p_k(S)) F[:, 0..nu_n]."""
     st = basis.schedule.stage(n)
-    F = basis.F_csc[:, : st.nu + 1].tocoo()
+    F = basis.F_csc[:, : st.nu + 1]
     terms = [(st.c[k - 1], 1)] + [(u, -a) for u, a in enumerate(
         basis.families[n - 1][k - 1].coeffs) if a != 0]
-    if F.row.max() + max(u for u, _ in terms) > basis.n_trunc:
+    if F.indices.max() + max(u for u, _ in terms) > basis.n_trunc:
         raise TruncationError("fan power would leave the truncation")
-    D = sparse.csc_matrix(
-        (np.concatenate([F.data * F.dtype.type(a) for _, a in terms]),
-         (np.concatenate([F.row + u for u, _ in terms]),
-          np.tile(F.col, len(terms)))), shape=(basis.n_trunc + 1, st.nu + 1))
-    return op_norm(basis.E_csc @ D).value
+    return op_norm(poly_image(basis, terms, F)).value
 
 
 def fan_residual_bound(basis: BasisMap, n: int) -> float:
@@ -104,21 +99,11 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
     """Measured C with ||(T^b/b - I) T x|| <= C/b ||x|| on span e_[0, xi_n]:
     b times the operator norm of the residual map, plus per-basis values."""
     st = basis.schedule.stage(n)
-    cols = []
-    per_vec = []
-    for j in range(st.xi + 1):
-        alpha = {j: 1}
-        tx = shift_e(alpha, 1, basis.n_trunc)
-        diff = {i: v / st.b for i, v in shift_e(tx, st.b, basis.n_trunc).items()}
-        vec_add(diff, tx, -1)
-        f = basis.e_to_f(diff)
-        per_vec.append(vec_norm(f))
-        cols.append(f)
-    M = sparse.csc_matrix(
-        (np.array([v for f in cols for v in f.values()], dtype=basis.F_csc.dtype),
-         (np.array([i for f in cols for i in f], dtype=np.intp),
-          np.repeat(np.arange(len(cols)), [len(f) for f in cols]))),
-        shape=(basis.n_trunc + 1, len(cols)))
+    X = sparse.eye(basis.n_trunc + 1, st.xi + 1, format="csc",
+                   dtype=basis.F_csc.dtype)
+    M = poly_image(basis, ((st.b + 1, 1 / st.b), (1, -1)), X)
+    per_vec = [vec_norm(dict(enumerate(col)))
+               for col in np.split(M.data, M.indptr[1:-1])]
     return st.b * op_norm(M).value, per_vec
 
 

@@ -166,22 +166,6 @@ def coord_tail_probability(phi: dict, x0_f: dict, sampler: GaussianSampler,
                      emp - radius <= bound, m0, sig, sampler.field, sampler.seed)
 
 
-def dump_samples_csv(X: np.ndarray, path) -> None:
-    """Raw sample dump, one draw per row (re/im columns for complex draws)."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if np.iscomplexobj(X):
-            w.writerow(["re", "im"])
-            for x in X:
-                w.writerow([repr(float(x.real)), repr(float(x.imag))])
-        else:
-            w.writerow(["value"])
-            for x in X:
-                w.writerow([repr(float(x))])
-
-
 def borel_cantelli_sum(c0_abs: float, M: float, n_stages: int, field: str
                        ) -> tuple[float, float]:
     """(partial sum over n = 1..n_stages of the analytic bounds, geometric

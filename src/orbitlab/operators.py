@@ -1,9 +1,10 @@
 """Truncated operators, norm estimation, and block-norm verifiers.
 
-The forward shift is exact in the e-frame, so powers of the operator are
-computed by conjugation: P_m = E @ shift^m @ F.  Columns whose forward orbit
-would leave the truncation are silently truncated (the last-column-zero
-convention); verifiers restrict to index ranges where that cannot happen.
+The forward shift is exact in the e-frame, so an operator polynomial is
+computed by conjugation, E p(shift) F: the shift moves row indices of F.
+Columns whose forward orbit would leave the truncation are silently
+truncated (the last-column-zero convention); verifiers restrict to index
+ranges where that cannot happen.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import geometry as geo
 from .basis import BasisMap, shift_e, vec_add, vec_norm
 from .errors import OrbitLabError
 from .report import Entry, check
-from .schedule import COMPLEX
 
 # Widest component (rows or columns) op_norm solves by dense SVD; a wider
 # one that can hold the norm makes op_norm raise.
@@ -34,15 +34,33 @@ def shift_power_csc(n_dim: int, m: int, dtype=float) -> sparse.csc_matrix:
     return sparse.eye(n_dim, n_dim, k=-m, format="csc", dtype=dtype)
 
 
+def poly_image(basis: BasisMap, terms, X: sparse.spmatrix) -> sparse.csc_matrix:
+    """f-frame matrix E (sum_u a_u S^u) X for a block X of e-frame columns
+    and terms (u, a_u): each term shifts X's row indices up by u, and rows
+    past the truncation drop.  The product has sorted indices."""
+    X = X.tocoo()
+    n = basis.n_trunc + 1
+    rows, cols, vals = [], [], []
+    for u, a in terms:
+        keep = X.row + u < n
+        rows.append(X.row[keep] + u)
+        cols.append(X.col[keep])
+        vals.append(X.data[keep] * X.dtype.type(a))
+    D = sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, X.shape[1]))
+    P = basis.E_csc @ D
+    P.sort_indices()
+    return P
+
+
 def conjugated_power(basis: BasisMap, m: int) -> sparse.csc_matrix:
-    """f-frame matrix of the m-th operator power: E @ shift^m @ F.  The
-    operator itself (m = 1) is built once per basis and shared, so callers
-    must not modify it."""
+    """f-frame matrix of the m-th operator power, E S^m F.  The operator
+    itself (m = 1) is built once per basis and shared, so callers must not
+    modify it."""
     if m == 1 and basis._T is not None:
         return basis._T
-    dtype = complex if basis.schedule.scalar_field == COMPLEX else float
-    S = shift_power_csc(basis.n_trunc + 1, m, dtype)
-    P = (basis.E_csc @ (S @ basis.F_csc)).tocsc()
+    P = poly_image(basis, ((m, 1),), basis.F_csc)
     if m == 1:
         basis._T = P
     return P

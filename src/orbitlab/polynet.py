@@ -222,18 +222,6 @@ def nearest_member(family: Sequence[Poly], q: Poly) -> tuple[int, float]:
     return best_i, best_d
 
 
-def net_to_csv(net: PolyNet, path) -> None:
-    """One polynomial per row: index, l1 norm, then coefficients a_0..a_d."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "ell1"] + [f"a{i}" for i in range(net.degree + 1)])
-        for i, p in enumerate(net.members):
-            coeffs = list(p.coeffs) + [0] * (net.degree + 1 - len(p.coeffs))
-            w.writerow([i, repr(float(p.ell1))] + [repr(c) for c in coeffs])
-
-
 def b_damped(p: Poly, b: int, degree_cap: Optional[int] = None) -> Poly:
     """zeta^b / b * p: coefficients shifted up by b and scaled by 1/b.
 

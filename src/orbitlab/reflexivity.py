@@ -18,7 +18,7 @@ from scipy import sparse
 from .basis import BasisMap, shift_e, vec_add, vec_norm
 from .errors import ProfileError
 from .hypercyclic import certify_hypercyclic_step
-from .operators import conjugated_power, op_norm, shift_power_csc
+from .operators import conjugated_power, op_norm, poly_image, shift_power_csc
 from .report import Entry, check
 from .schedule import COMPLEX
 
@@ -29,16 +29,16 @@ def zero_constant_profile(basis: BasisMap) -> bool:
 
 
 def build_A(basis: BasisMap) -> sparse.csc_matrix:
-    """f-frame matrix of A: refuse unless every fan polynomial kills the
-    constant term (otherwise A is unbounded along the fan base columns)."""
+    """f-frame matrix of A, the shift of F with its e_0 row removed: refuse
+    unless every fan polynomial kills the constant term (otherwise A is
+    unbounded along the fan base columns)."""
     if not zero_constant_profile(basis):
         raise ProfileError(
             "companion operator needs fan polynomials with zero constant term")
-    T = conjugated_power(basis, 1).copy()
-    T.data[T.indptr[0]:T.indptr[1]] = 0
-    T.eliminate_zeros()
-    T.sort_indices()
-    return T
+    F = basis.F_csc.copy()
+    F.data[F.indices == 0] = 0
+    F.eliminate_zeros()
+    return poly_image(basis, ((1, 1),), F)
 
 
 def build_A_independent(basis: BasisMap) -> sparse.csc_matrix:

@@ -169,10 +169,27 @@ def test_orbit_certified_minimum(built, tmp_path):
     assert dists[c2] == min(dists[xi + 1:])
 
 
-def test_orbit_bad_spec(built, capsys):
-    rc = main(["orbit", "--build", built, "--x", "g:0=1", "--targets", "e:1=1",
-               "--steps", "1"])
+@pytest.mark.parametrize("x,targets,steps", [
+    ("g:0=1", "e:1=1", "1"),
+    ("f:-2=1", "e:1=1", "1"),
+    ("f:40000=1", "e:1=1", "1"),
+    ("f:0=1", "e:-1=1", "1"),
+    ("f:0=1", "e:31601=1", "1"),
+    ("f:0=1", "e:1=1", "-3"),
+], ids=["unknown-frame", "negative-f-index", "f-index-past-trunc",
+        "negative-e-index", "e-index-past-trunc", "negative-steps"])
+def test_orbit_bad_spec(built, capsys, x, targets, steps):
+    rc = main(["orbit", "--build", built, "--x", x, "--targets", targets,
+               "--steps", steps])
     assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_build_negative_trunc(mini_cfg, tmp_path, capsys):
+    rc = main(["build", "--config", mini_cfg, "--out", str(tmp_path / "b"),
+               "--trunc", "-5"])
+    assert rc == 2
+    assert "n_trunc -5" in capsys.readouterr().err
 
 
 def test_shipped_profiles_load():
@@ -188,7 +205,7 @@ def test_shipped_profiles_load():
 MINI_BUILD_HASHES = {
     "E_in_F.mtx": "70b198886db537d2d52b2a445d811e1ca0f088a9ddfb997def2654269053f527",
     "F_in_E.mtx": "c51bdd9231dcb415b1f9c9d51c47e8d867825acd22a4b56706f87b21d4f00995",
-    "T_f.mtx": "307a0411ce6c9bf73b53af8d3e3cd65d07d18bce4bc425b331583a3c50d87cef",
+    "T_f.mtx": "0ddcd5db7b522df6ff193fdc203ef2d0afef3787f2f21c685014cc54a76f5cc7",
     "schedule.cfg": "6a76bd723b6ddd32550b8411a5465a419e73a1836ee6a7df40f6211f743239e0",
 }
 

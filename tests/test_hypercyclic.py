@@ -86,6 +86,35 @@ def test_b_identity_constant(r1):
     assert C == pytest.approx(4.0, rel=1e-3)
 
 
+@pytest.mark.parametrize("name", ["r1", "mini_rational"])
+def test_b_identity_constant_matches_dict_route(name, request):
+    # column j of the residual map built one dict column at a time:
+    # e_to_f of e_(j+1+b) / b - e_(j+1)
+    from scipy import sparse
+    from orbitlab.basis import vec_norm
+    b = request.getfixturevalue(name)
+    st = b.schedule.stage(1)
+    cols = [b.e_to_f({j + 1 + st.b: 1 / st.b, j + 1: -1})
+            for j in range(st.xi + 1)]
+    M = sparse.csc_matrix(
+        (np.array([v for f in cols for v in f.values()], dtype=b.F_csc.dtype),
+         (np.array([i for f in cols for i in f], dtype=np.intp),
+          np.repeat(np.arange(len(cols)), [len(f) for f in cols]))),
+        shape=(b.n_trunc + 1, len(cols)))
+    C, per_vec = hyp.b_identity_constant(b, 1)
+    assert C.hex() == (st.b * ol.op_norm(M).value).hex()
+    assert [v.hex() for v in per_vec] == [vec_norm(f).hex() for f in cols]
+
+
+def test_fan_residual_norm_refuses_short_truncation():
+    # c_2 = 52 pushes f_16 to row 68, past a truncation at 60
+    from orbitlab.profiles import mini_schedule
+    b = ol.assemble(*mini_schedule(), n_trunc=60)
+    assert hyp.fan_residual_norm(b, 1, 1) > 0
+    with pytest.raises(TruncationError):
+        hyp.fan_residual_norm(b, 1, 2)
+
+
 def test_shade_interior_exact_ratio(r1):
     sigma, ratios = hyp.shade_measurements(r1, 1)
     interior = [v for _, v, nnz in ratios if nnz == 1]

@@ -178,16 +178,3 @@ def test_porosity_entries_battery(r1):
     assert by_id["porosity.pairing.stage1"].status == "pass"
     assert by_id["porosity.witness.stage2"].status == "pass"
     assert by_id["porosity.witness.stage2"].measured == 0.0
-
-
-def test_sample_dump_csv(tmp_path):
-    import csv
-    for field in (ol.REAL, ol.COMPLEX):
-        sched, fams = statistical_schedule(3, field)
-        phi = neg.e0_functional_structural(sched, fams, 2)
-        sampler = neg.GaussianSampler(lambda j: 1.0 / (1 + j), field, SEED)
-        X = neg.sample_head_coordinate(phi, {}, sampler, 1000)
-        path = tmp_path / f"samples_{field}.csv"
-        neg.dump_samples_csv(X, path)
-        rows = list(csv.reader(open(path)))
-        assert len(rows) == 1001

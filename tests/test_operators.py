@@ -252,6 +252,20 @@ def test_shift_power_kills_last_coordinate():
     assert np.count_nonzero(T2 @ (T2 @ x)) == 0
 
 
+@pytest.mark.parametrize("name", ["mini", "r1"])
+def test_conjugated_power_matches_shift_product(name, request):
+    # the row-shift builder against the N x N shift product; m = n_trunc
+    # pushes every row but e_0 past the truncation
+    b = request.getfixturevalue(name)
+    st = b.schedule.stage(1)
+    for m in (1, st.b + 1, st.c[0], b.n_trunc):
+        P = ops.conjugated_power(b, m)
+        ref = b.E_csc @ ops.shift_power_csc(b.n_trunc + 1, m) @ b.F_csc
+        assert P.shape == ref.shape
+        assert (P != ref).nnz == 0
+        assert P.has_sorted_indices
+
+
 def test_layoff_action_interior_columns(r1):
     # T f_j = (w_j / w_{j+1}) f_{j+1} on interior lay-off columns, exactly
     T = ops.conjugated_power(r1, 1)

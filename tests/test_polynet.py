@@ -131,13 +131,3 @@ def test_poly_sub_trims_and_matches_ell1_distance():
         assert ell1_distance(q, p) == (q - p).ell1
     exact = cases[1][0] - cases[1][1]
     assert all(isinstance(a, Fraction) for a in exact.coeffs)
-
-
-def test_net_csv_dump(tmp_path):
-    import csv
-    net = generate_net(degree=1, radius=1, resolution=1)
-    path = tmp_path / "net.csv"
-    ol.polynet.net_to_csv(net, path)
-    rows = list(csv.reader(open(path)))
-    assert rows[0] == ["index", "ell1", "a0", "a1"]
-    assert len(rows) == 1 + len(net)

@@ -50,6 +50,20 @@ def test_column_identity_exact(r1_companion):
         assert np.array_equal(getattr(A, a), getattr(ref, a))
 
 
+def test_forced_constant_profile_breaks_column_identity(mini, monkeypatch):
+    # mini's (1, zeta) profile puts e_0 into f_18 and f_15800; forced through
+    # build_A, A drops that part where T keeps it, and the row says so
+    monkeypatch.setattr(refl, "zero_constant_profile", lambda basis: True)
+    A = refl.build_A(mini)
+    T = ops.conjugated_power(mini, 1)
+    diff = (A - T).tocsc()
+    assert np.flatnonzero(np.diff(diff.indptr)).tolist() == [0, 18, 15800]
+    by_id = {e.claim_id: e
+             for e in refl.reflexivity_entries(mini, 1, np.random.default_rng(1))}
+    assert by_id["companion.columns"].status == "fail"
+    assert by_id["companion.conjugation"].status == "pass"
+
+
 def test_independent_conjugation_route(r1_companion):
     A = refl.build_A(r1_companion)
     B = refl.build_A_independent(r1_companion)
