@@ -280,8 +280,9 @@ class _Columns:
         nnz = self.indptr[self.n_cols]
         values = self.data[:nnz].copy()
         exact = values.dtype == object
-        data = np.fromiter(map(float, values), dtype=float, count=nnz) \
-            if exact else values
+        # int / int is correctly rounded: the same float as float(v)
+        data = np.fromiter((v.numerator / v.denominator for v in values),
+                           dtype=float, count=nnz) if exact else values
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
@@ -324,7 +325,8 @@ def _fan_rule(tag, st, families, gammas, mode):
     if g is None:
         raise ScheduleError([f"gamma of stage {tag.n} not set"])
     if mode == RATIONAL:
-        scale = Fraction(1, 1) / Fraction(g) * Fraction(4) ** (1 - coord.abs_r)
+        g, k = Fraction(g), 2 * (coord.abs_r - 1)  # 4^(1-|r|) = 2^-k
+        scale = Fraction(g.denominator << max(-k, 0), g.numerator << max(k, 0))
     else:
         scale = (1.0 / g) * 4.0 ** (1 - coord.abs_r)
     return st.c[t - 1], p, scale
@@ -642,24 +644,56 @@ def roundtrip_max_error(basis: BasisMap, order: str = "FE") -> float:
 
 
 def roundtrip_exact(basis: BasisMap, order: str = "FE"):
-    """Exact columnwise roundtrip; returns (ok, worst_column, worst_value)."""
+    """Exact columnwise roundtrip F E = I (order "FE") or E F = I ("EF") of a
+    rational-mode basis; returns (ok, worst_column, worst_value).
+
+    Integer arithmetic only.  Each stored value is read once as its
+    numerator and denominator.  Column m of the product sums c * v over the
+    inner column's entries c and the outer column's entries v; each row's sum
+    is kept as an unreduced pair (num, den): equal denominators add their
+    numerators, others cross-multiply.  A Fraction's denominator is positive,
+    so every den is a product of positive integers and num / den is the
+    exact sum: row i != m matches the identity iff num == 0, and row m iff
+    num == den.  Only the first failing column is converted to Fractions,
+    and worst_value is the largest |residual| of that column.
+
+    A float basis raises ValueError: its roundtrip holds only up to rounding,
+    which roundtrip_max_error measures.
+    """
+    if basis.mode != RATIONAL:
+        raise ValueError(f"roundtrip_exact needs a rational-mode basis, not "
+                         f"{basis.mode!r}; use roundtrip_max_error")
+
     def columns(M, values):
-        ptr, rows = M.indptr.tolist(), M.indices.tolist()
-        vals = values.tolist()
-        return lambda j: zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])
+        # a Fraction keeps its lowest-terms int pair in these two slots; the
+        # public properties would cost one Python call per entry
+        return (M.indptr.tolist(), M.indices.tolist(),
+                [v._numerator for v in values], [v._denominator for v in values])
 
     F = columns(basis.F_csc, basis._F_values)
     E = columns(basis.E_csc, basis._E_values)
-    outer, inner = (F, E) if order == "FE" else (E, F)
+    (optr, orows, onum, oden), (iptr, irows, inum, iden) = \
+        (F, E) if order == "FE" else (E, F)
     for m in range(basis.n_trunc + 1):
-        acc: Vec = {}
-        for j, c in inner(m):
-            for i, v in outer(j):
-                acc[i] = acc.get(i, 0) + c * v
-        acc[m] = acc.get(m, 0) - 1
-        bad = [abs(v) for v in acc.values() if v != 0]
-        if bad:
-            return (False, m, max(bad))
+        nums: dict[int, int] = {}
+        dens: dict[int, int] = {}
+        for p in range(iptr[m], iptr[m + 1]):
+            j, cn, cd = irows[p], inum[p], iden[p]
+            for q in range(optr[j], optr[j + 1]):
+                i, n, d = orows[q], cn * onum[q], cd * oden[q]
+                ad = dens.get(i)
+                if ad is None:
+                    nums[i], dens[i] = n, d
+                elif ad == d:
+                    nums[i] += n
+                else:
+                    nums[i], dens[i] = nums[i] * d + n * ad, ad * d
+        diagonal = nums.pop(m, 0)
+        if diagonal == dens.get(m) and not any(nums.values()):
+            continue
+        resid = [Fraction(n, dens[i]) for i, n in nums.items()]
+        resid.append(Fraction(diagonal, dens.get(m, 1)) - 1)
+        return (False, m, max(abs(v) for v in resid if v != 0))
     return (True, None, 0)
 
 

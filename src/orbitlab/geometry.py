@@ -227,21 +227,26 @@ def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
     return [2.0 ** ((top - j) / root) for j in js]
 
 
+def _shifted(mant: int, s: int) -> Fraction:
+    """mant * 2^s as a Fraction, by an integer shift."""
+    return Fraction(mant << s) if s >= 0 else Fraction(mant, 1 << -s)
+
+
 def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
     """Fraction m / 2^e with a `bits`-bit mantissa (40 significant bits): the
     nearest one by default, or the one `rounding` (e.g. math.floor) picks."""
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    mant = rounding(m * (1 << bits))
-    return Fraction(mant, 1) * Fraction(2) ** (e - bits)
+    return _shifted(rounding(m * (1 << bits)), e - bits)
 
 
 def pow2_dyadic(e: float, bits: int = 40) -> Fraction:
-    """2^e as an exact dyadic with `bits` significant bits, any exponent size."""
+    """2^e as an exact dyadic with `bits` significant bits, any exponent size:
+    the dyadic of 2^frac(e), shifted by floor(e)."""
     ip = math.floor(e)
-    frac = e - ip
-    return dyadic(2.0 ** frac, bits) * Fraction(2) ** ip
+    m, k = math.frexp(2.0 ** (e - ip))
+    return _shifted(round(m * (1 << bits)), k - bits + ip)
 
 
 def layoff_weight(j: int, schedule: StageSchedule, tag: RegionTag | None = None):

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -58,8 +59,60 @@ def test_roundtrip_float_r1(r1):
 
 
 def test_roundtrip_exact_rational_mini(mini_rational):
-    assert ol.roundtrip_exact(mini_rational, "FE")[0]
-    assert ol.roundtrip_exact(mini_rational, "EF")[0]
+    assert ol.roundtrip_exact(mini_rational, "FE") == (True, None, 0)
+    assert ol.roundtrip_exact(mini_rational, "EF") == (True, None, 0)
+
+
+def _fraction_roundtrip(basis, order, start=0):
+    """Oracle: the product columns start, start + 1, ... summed as Fractions
+    in dicts; (ok, first failing column, its largest |residual|)."""
+    def columns(M, values):
+        ptr, rows = M.indptr.tolist(), M.indices.tolist()
+        vals = values.tolist()
+        return lambda j: zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])
+
+    F = columns(basis.F_csc, basis._F_values)
+    E = columns(basis.E_csc, basis._E_values)
+    outer, inner = (F, E) if order == "FE" else (E, F)
+    for m in range(start, basis.n_trunc + 1):
+        acc = {}
+        for j, c in inner(m):
+            for i, v in outer(j):
+                acc[i] = acc.get(i, 0) + c * v
+        acc[m] = acc.get(m, 0) - 1
+        bad = [abs(v) for v in acc.values() if v != 0]
+        if bad:
+            return (False, m, max(bad))
+    return (True, None, 0)
+
+
+@pytest.mark.parametrize("which", ["E", "F"])
+def test_roundtrip_exact_catches_one_perturbed_entry(mini_rational, which):
+    # perturb the top off-diagonal entry of the last widest column by 2^-80,
+    # on a copy (the fixture is shared).  Product columns below the perturbed
+    # column m do not read it (both maps are upper triangular), and FE and EF
+    # column m each hold it times a nonzero diagonal entry, so both orders
+    # fail first at m
+    b = copy.copy(mini_rational)
+    M = b.E_csc if which == "E" else b.F_csc
+    sizes = np.diff(M.indptr)
+    m = int(np.flatnonzero(sizes == sizes.max())[-1])
+    assert m > b.schedule.stage(1).xi and sizes[m] >= (3 if which == "E" else 2)
+    values = getattr(b, f"_{which}_values").copy()
+    values[M.indptr[m]] += Fraction(1, 2 ** 80)
+    setattr(b, f"_{which}_values", values)
+    for order in ("FE", "EF"):
+        got = ol.roundtrip_exact(b, order)
+        assert got[:2] == (False, m), order
+        assert got == _fraction_roundtrip(b, order, start=m - 100), order
+        assert got[2] > 0
+    shared = getattr(mini_rational, f"_{which}_values")
+    assert shared[M.indptr[m]] == values[M.indptr[m]] - Fraction(1, 2 ** 80)
+
+
+def test_roundtrip_exact_rejects_float_basis(mini):
+    with pytest.raises(ValueError, match="roundtrip_max_error"):
+        ol.roundtrip_exact(mini, "FE")
 
 
 def test_trivial_truncation_is_identity():
