@@ -18,8 +18,11 @@ as the plain coefficient shift sum(a_u e_{m+u}).
 Storage is columnar: F and E are kept only as CSC arrays (column pointers,
 sorted row indices, values), filled one stage-table interval at a time.  In
 rational mode the CSC data are the float roundings, and the exact values sit
-beside them as one numpy object array of Fractions aligned with ``data``;
-the index arrays are shared, so there is one layout for both modes.
+beside them as two numpy object arrays of Python ints, ``num`` and ``den``,
+aligned with ``data``: each pair in lowest terms with ``den > 0``.  The index
+arrays are shared, so there is one layout for both modes.  Fractions are
+built only where a single scalar or column is read (``f_col``, ``e_col``,
+``weight``, ``e0_functional``, frame conversion and ``F_cols``/``E_cols``).
 """
 
 from __future__ import annotations
@@ -95,20 +98,29 @@ class CalibRecord:
     gamma: object                  # value actually used
 
 
-def _column(M: sparse.csc_matrix, values, j: int) -> tuple[list, list]:
-    """Rows (ascending) and values of column j of a stored matrix; `values`
-    is its scalar array, aligned with M.indices."""
+def _scalars(M: sparse.csc_matrix, exact, at) -> list:
+    """The scalars stored at positions `at` (a slice or an index array) of a
+    stored matrix: its data, or in rational mode (`exact` = its (num, den)
+    pair arrays) one Fraction per entry."""
+    if exact is None:
+        return M.data[at].tolist()
+    num, den = exact
+    return list(map(Fraction, num[at].tolist(), den[at].tolist()))
+
+
+def _column(M: sparse.csc_matrix, exact, j: int) -> tuple[list, list]:
+    """Rows (ascending) and scalars of column j of a stored matrix."""
     s, e = M.indptr[j], M.indptr[j + 1]
-    return M.indices[s:e].tolist(), values[s:e].tolist()
+    return M.indices[s:e].tolist(), _scalars(M, exact, slice(s, e))
 
 
-def _combine(M: sparse.csc_matrix, values, x: Vec) -> Vec:
+def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
     """sum_j x_j * (column j of M), accumulated column by column in the
     order of x."""
     out: Vec = {}
     for j, c in x.items():
         if c != 0:
-            for i, v in zip(*_column(M, values, j)):
+            for i, v in zip(*_column(M, exact, j)):
                 out[i] = out.get(i, 0) + c * v
     return vec_clean(out)
 
@@ -119,21 +131,21 @@ class _ColumnDicts:
 
     _BLOCK = 4096
 
-    def __init__(self, M: sparse.csc_matrix, values):
-        self._M, self._values = M, values
+    def __init__(self, M: sparse.csc_matrix, exact):
+        self._M, self._exact = M, exact
 
     def __len__(self) -> int:
         return self._M.shape[1]
 
     def __getitem__(self, j: int) -> Vec:
-        return dict(zip(*_column(self._M, self._values, range(len(self))[j])))
+        return dict(zip(*_column(self._M, self._exact, range(len(self))[j])))
 
     def __iter__(self):
-        M, vals = self._M, self._values
+        M = self._M
         for lo in range(0, len(self), self._BLOCK):
             ptr = M.indptr[lo:lo + self._BLOCK + 1]
             rows = M.indices[ptr[0]:ptr[-1]].tolist()
-            data = vals[ptr[0]:ptr[-1]].tolist()
+            data = _scalars(M, self._exact, slice(ptr[0], ptr[-1]))
             ptr = (ptr - ptr[0]).tolist()
             for s, e in zip(ptr, ptr[1:]):
                 # most columns hold one entry, which a dict literal builds fast
@@ -145,9 +157,9 @@ class BasisMap:
     """Assembled change-of-basis on [0, n_trunc] plus assembly metadata.
 
     F and E are stored as CSC matrices with sorted row indices and float (or
-    complex) data.  Each one's scalars are read from one array aligned with
-    its ``data``: in rational mode the exact values passed as ``exact`` (an
-    object array of Fractions), otherwise ``data`` itself.  ``layoff`` marks
+    complex) data.  In rational mode ``exact`` holds each one's exact values
+    as a (num, den) pair of object arrays aligned with its ``data`` (see the
+    module docstring); otherwise the data are the scalars.  ``layoff`` marks
     the lay-off columns, whose weights are F's diagonal entries.
     """
 
@@ -159,8 +171,7 @@ class BasisMap:
         self.n_trunc = n_trunc
         self.gammas = tuple(gammas)
         self._F, self._E = F, E
-        self._F_values = F.data if exact[0] is None else exact[0]
-        self._E_values = E.data if exact[1] is None else exact[1]
+        self._F_exact, self._E_exact = exact
         self.layoff = layoff
         self.calibration = tuple(calibration)
         self._T = None  # the operator's f-frame matrix, built on first use
@@ -179,30 +190,33 @@ class BasisMap:
     def weight(self, j: int):
         if not (0 <= j <= self.n_trunc and self.layoff[j]):
             raise ValueError(f"index {j} is not a lay-off index")
-        v = self._F_values[self._F.indptr[j]]
-        return v if self._F_values.dtype == object else float(v.real)
+        p = self._F.indptr[j]
+        if self._F_exact is None:
+            return float(self._F.data[p].real)
+        num, den = self._F_exact
+        return Fraction(num[p], den[p])
 
     def f_col(self, j: int) -> Vec:
-        return dict(zip(*_column(self._F, self._F_values, j)))
+        return dict(zip(*_column(self._F, self._F_exact, j)))
 
     def e_col(self, m: int) -> Vec:
-        return dict(zip(*_column(self._E, self._E_values, m)))
+        return dict(zip(*_column(self._E, self._E_exact, m)))
 
     @property
     def F_cols(self) -> _ColumnDicts:
-        return _ColumnDicts(self._F, self._F_values)
+        return _ColumnDicts(self._F, self._F_exact)
 
     @property
     def E_cols(self) -> _ColumnDicts:
-        return _ColumnDicts(self._E, self._E_values)
+        return _ColumnDicts(self._E, self._E_exact)
 
     # -- frame conversion --------------------------------------------------
 
     def f_to_e(self, x: Vec) -> Vec:
-        return _combine(self._F, self._F_values, x)
+        return _combine(self._F, self._F_exact, x)
 
     def e_to_f(self, a: Vec) -> Vec:
-        return _combine(self._E, self._E_values, a)
+        return _combine(self._E, self._E_exact, a)
 
     def project_f(self, x: Vec, lo: int, hi: int) -> Vec:
         return {j: c for j, c in x.items() if lo <= j <= hi and c != 0}
@@ -228,7 +242,7 @@ class BasisMap:
         F = self._F
         first = F.indptr[: xi_n + 1]  # every column is nonempty, rows sorted
         js = np.flatnonzero(F.indices[first] == 0)
-        vals = self._F_values[first[js]].tolist()
+        vals = _scalars(F, self._F_exact, first[js])
         return {j: v for j, v in zip(js.tolist(), vals) if v != 0}
 
 
@@ -236,14 +250,20 @@ class BasisMap:
 
 class _Columns:
     """CSC arrays of a matrix filled one block of consecutive columns at a
-    time; the row and value arrays grow geometrically."""
+    time; the row and value arrays grow geometrically.
+
+    Values travel as a tuple of arrays aligned with the rows: (data,) of
+    floats or complex numbers, or in rational mode (num, den), two object
+    arrays of Python ints with every pair in lowest terms and den > 0.
+    """
 
     def __init__(self, n_cols: int, dtype):
         self.indptr = np.zeros(n_cols + 1, dtype=np.int64)
         self.n_cols = 0
         cap = n_cols + n_cols // 8  # room for the multi-entry working columns
         self.indices = np.empty(cap, dtype=np.int64)
-        self.data = np.empty(cap, dtype=dtype)
+        self.values = tuple(np.empty(cap, dtype=dtype)
+                            for _ in range(2 if dtype == object else 1))
 
     def append(self, counts, rows, vals) -> None:
         """Append len(counts) columns holding `counts` entries each, given
@@ -252,13 +272,12 @@ class _Columns:
         end = start + len(rows)
         if end > len(self.indices):
             cap = max(end, len(self.indices) * 3 // 2)
-            for name in ("indices", "data"):
-                old = getattr(self, name)
-                new = np.empty(cap, dtype=old.dtype)
-                new[:start] = old[:start]
-                setattr(self, name, new)
+            self.indices, *values = (_grown(a, start, cap)
+                                     for a in (self.indices, *self.values))
+            self.values = tuple(values)
         self.indices[start:end] = rows
-        self.data[start:end] = vals
+        for a, v in zip(self.values, vals):
+            a[start:end] = v
         ptr = self.indptr[self.n_cols + 1:self.n_cols + 1 + len(counts)]
         np.cumsum(counts, out=ptr)
         ptr += start
@@ -266,46 +285,70 @@ class _Columns:
 
     def gather(self, src: np.ndarray, factor):
         """The entries of the columns src, column after column, as
-        (position of the column in src, row, value * factor)."""
+        (position of the column in src, row, value * factor); factor is a
+        value tuple of scalars, and an exact pair multiplies num and den."""
         starts = self.indptr[src]
         counts = self.indptr[src + 1] - starts
         owner = np.repeat(np.arange(len(src)), counts)
         pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts,
                                                 counts)
-        return owner, self.indices[pos], self.data[pos] * factor
+        return owner, self.indices[pos], tuple(a[pos] * f
+                                               for a, f in zip(self.values, factor))
 
     def matrix(self, n_rows: int):
         """(CSC matrix of the columns so far with float or complex data, its
-        exact values as an object array in rational mode, else None)."""
+        exact (num, den) arrays in rational mode, else None)."""
         nnz = self.indptr[self.n_cols]
-        values = self.data[:nnz].copy()
-        exact = values.dtype == object
-        # int / int is correctly rounded: the same float as float(v)
-        data = np.fromiter((v.numerator / v.denominator for v in values),
-                           dtype=float, count=nnz) if exact else values
+        values = tuple(a[:nnz].copy() for a in self.values)
+        exact = len(values) == 2
+        # int / int is correctly rounded: the same float as float(Fraction)
+        data = np.true_divide(*values).astype(float) if exact else values[0]
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
 
 
+def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
+    """A copy of a with capacity cap, holding its first `used` entries."""
+    new = np.empty(cap, dtype=a.dtype)
+    new[:used] = a[:used]
+    return new
+
+
 def _sum_in_order(owner, rows, vals, n_rows: int):
-    """Entries sharing (owner, row) summed left to right in the given order,
-    as vec_add accumulates them; exact zeros are dropped and the result is
-    ordered by (owner, row)."""
+    """Entries sharing (owner, row) summed, with exact zeros dropped and the
+    result ordered by (owner, row).  Float values are summed left to right in
+    the given order, as vec_add accumulates them; exact pairs are summed by
+    cross-multiplying and reduced once, with one gcd per sum."""
     key = owner * n_rows + rows
     order = np.argsort(key, kind="stable")
-    key, vals = key[order], vals[order]
+    key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
     sizes = np.diff(np.append(starts, len(key)))
-    acc = vals[starts]
-    for p in range(1, sizes.max(initial=1)):
-        more = sizes > p
-        acc[more] = acc[more] + vals[starts[more] + p]
-    keep = acc != 0
+    if len(vals) == 1:
+        data = vals[0][order]
+        acc = data[starts]
+        for p in range(1, sizes.max(initial=1)):
+            more = sizes > p
+            acc[more] = acc[more] + data[starts[more] + p]
+        keep = acc != 0
+        acc = (acc[keep],)
+    else:
+        num, den = (v[order] for v in vals)
+        an, ad = num[starts], den[starts]
+        for p in range(1, sizes.max(initial=1)):
+            more = sizes > p
+            at = starts[more] + p
+            an[more] = an[more] * den[at] + num[at] * ad[more]
+            ad[more] = ad[more] * den[at]
+        keep = an != 0
+        an, ad = an[keep], ad[keep]
+        g = np.gcd(an, ad)
+        acc = (an // g, ad // g)
     key = key[starts[keep]]
-    return key // n_rows, key % n_rows, acc[keep]
+    return key // n_rows, key % n_rows, acc
 
 
 def _fan_rule(tag, st, families, gammas, mode):
@@ -389,9 +432,22 @@ def assemble(schedule: StageSchedule, families,
     gammas: list = [st.gamma for st in schedule.stages]
     calibration: list[CalibRecord] = []
 
+    def scalar(x) -> tuple:
+        """x as a value tuple of scalars (see _Columns)."""
+        if exact:
+            x = Fraction(x)
+            return x.numerator, x.denominator
+        return (x,)
+
+    def values(xs) -> tuple:
+        """The list xs as a value tuple of arrays (see _Columns)."""
+        if exact:
+            return tuple(np.array(v, dtype=object) for v in zip(*map(scalar, xs)))
+        return (np.array(xs, dtype=dtype),)
+
     def add_diagonal(j_lo, f_vals, e_vals):
-        ones = np.ones(len(f_vals), dtype=np.int64)
-        rows = np.arange(j_lo, j_lo + len(f_vals))
+        ones = np.ones(len(f_vals[0]), dtype=np.int64)
+        rows = np.arange(j_lo, j_lo + len(ones))
         F.append(ones, rows, f_vals)
         E.append(ones, rows, e_vals)
 
@@ -399,30 +455,39 @@ def assemble(schedule: StageSchedule, families,
         layoff[j_lo:j_hi + 1] = True
         for lo in range(j_lo, j_hi + 1, _LAYOFF_BLOCK):
             hi = min(lo + _LAYOFF_BLOCK - 1, j_hi)
-            lam = np.array(geo.interval_weights(iv, schedule, lo, hi),
-                           dtype=object if exact else float)
-            add_diagonal(lo, lam, one / lam)
+            if exact:  # positive weights: a reciprocal is the swapped pair
+                num, den = (np.array(v, dtype=object)
+                            for v in geo.interval_weight_pairs(iv, schedule, lo, hi))
+                add_diagonal(lo, (num, den), (den, num))
+            else:
+                lam = np.array(geo.interval_weights(iv, schedule, lo, hi), dtype=float)
+                add_diagonal(lo, (lam,), (one / lam,))
 
     def add_working(j_lo, j_hi, shift, p, scale):
         terms = [(u - shift, a) for u, a in enumerate(p.coeffs) if a != 0]
         f_rows = np.array([d for d, _ in terms] + [0])
-        f_vals = np.array([0 - scale * a for _, a in terms] + [scale], dtype=dtype)
+        f_vals = values([0 - scale * a for _, a in terms] + [scale])
+        factors = [scalar(a) for _, a in terms]
+        inverse = scalar(one / scale)
         # the E sources j - shift + u (u <= deg p) of a block at most
         # shift - deg p wide all precede it
         for lo in range(j_lo, j_hi + 1, shift - p.degree):
             js = np.arange(lo, min(lo + shift - p.degree, j_hi + 1))
             F.append(np.full(len(js), len(f_rows)), (js[:, None] + f_rows).ravel(),
-                     np.tile(f_vals, len(js)))
+                     tuple(np.tile(v, len(js)) for v in f_vals))
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
-                parts = [E.gather(js + d, a) for d, a in terms] or [E.gather(js[:0], 1)]
+                parts = ([E.gather(js + d, f) for (d, _), f in zip(terms, factors)]
+                         or [E.gather(js[:0], scalar(1))])
+                owner, rows, vals = zip(*parts)
                 owner, rows, vals = _sum_in_order(
-                    *(np.concatenate(x) for x in zip(*parts)), size)
+                    np.concatenate(owner), np.concatenate(rows),
+                    tuple(map(np.concatenate, zip(*vals))), size)
             ends = np.searchsorted(owner, np.arange(len(js)), side="right")
             E.append(np.diff(ends, prepend=0) + 1, np.insert(rows, ends, js),
-                     np.insert(vals, ends, one / scale))
+                     tuple(np.insert(v, ends, x) for v, x in zip(vals, inverse)))
 
-    seeds = min(schedule.xi(1), n_trunc) + 1
-    add_diagonal(0, np.full(seeds, one, dtype=dtype), np.full(seeds, one, dtype=dtype))
+    seeds = values([one] * (min(schedule.xi(1), n_trunc) + 1))
+    add_diagonal(0, seeds, seeds)
 
     for n in range(1, schedule.n_stages + 1):
         st = schedule.stage(n)
@@ -459,11 +524,11 @@ def assemble(schedule: StageSchedule, families,
         raise TruncationError(
             f"assembly stopped at {F.n_cols - 1}, requested {n_trunc}"
         )
-    F_csc, F_values = F.matrix(size)
+    F_csc, F_exact = F.matrix(size)
     del F  # free its buffers before E's are converted
-    E_csc, E_values = E.matrix(size)
+    E_csc, E_exact = E.matrix(size)
     return BasisMap(schedule, families, mode, n_trunc, gammas, F_csc, E_csc,
-                    layoff, calibration, exact=(F_values, E_values))
+                    layoff, calibration, exact=(F_exact, E_exact))
 
 
 def calibrate_gamma(schedule: StageSchedule, families, n: int):
@@ -647,15 +712,15 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     """Exact columnwise roundtrip F E = I (order "FE") or E F = I ("EF") of a
     rational-mode basis; returns (ok, worst_column, worst_value).
 
-    Integer arithmetic only.  Each stored value is read once as its
-    numerator and denominator.  Column m of the product sums c * v over the
-    inner column's entries c and the outer column's entries v; each row's sum
-    is kept as an unreduced pair (num, den): equal denominators add their
-    numerators, others cross-multiply.  A Fraction's denominator is positive,
-    so every den is a product of positive integers and num / den is the
-    exact sum: row i != m matches the identity iff num == 0, and row m iff
-    num == den.  Only the first failing column is converted to Fractions,
-    and worst_value is the largest |residual| of that column.
+    Integer arithmetic only, on the stored (num, den) pairs.  Column m of
+    the product sums c * v over the inner column's entries c and the outer
+    column's entries v; each row's sum is kept as an unreduced pair
+    (num, den): equal denominators add their numerators, others
+    cross-multiply.  Every stored den is positive, so every den of a sum is
+    a product of positive integers and num / den is the exact sum: row
+    i != m matches the identity iff num == 0, and row m iff num == den.
+    Only the first failing column is converted to Fractions, and worst_value
+    is the largest |residual| of that column.
 
     A float basis raises ValueError: its roundtrip holds only up to rounding,
     which roundtrip_max_error measures.
@@ -664,14 +729,12 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
         raise ValueError(f"roundtrip_exact needs a rational-mode basis, not "
                          f"{basis.mode!r}; use roundtrip_max_error")
 
-    def columns(M, values):
-        # a Fraction keeps its lowest-terms int pair in these two slots; the
-        # public properties would cost one Python call per entry
-        return (M.indptr.tolist(), M.indices.tolist(),
-                [v._numerator for v in values], [v._denominator for v in values])
+    def columns(M, exact):
+        num, den = exact
+        return M.indptr.tolist(), M.indices.tolist(), num.tolist(), den.tolist()
 
-    F = columns(basis.F_csc, basis._F_values)
-    E = columns(basis.E_csc, basis._E_values)
+    F = columns(basis.F_csc, basis._F_exact)
+    E = columns(basis.E_csc, basis._E_exact)
     (optr, orows, onum, oden), (iptr, irows, inum, iden) = \
         (F, E) if order == "FE" else (E, F)
     for m in range(basis.n_trunc + 1):

@@ -12,10 +12,11 @@ Every index j of a truncation [0, xi_{N+1}] belongs to exactly one region:
 On a lay-off interval written as [r+1, r+s] the weight of index j is
 2^((s/2 + r + 1 - j)/sqrt(s)); b-side lay-offs use sqrt(b) and b/2 in place
 of the actual interval length, which keeps the iterated-power ratios of the
-shade estimate independent of the gap position.  ``interval_weights`` is the
-one home of that formula: it weighs a run of indices of one stage-table
-interval, and ``layoff_weight`` looks up the interval of a single index and
-calls it.
+shade estimate independent of the gap position.  ``_exponent_line`` is the
+one home of that formula: ``interval_weights`` weighs a run of indices of
+one stage-table interval (``interval_weight_pairs`` gives the exact weights as
+integer pairs), and ``layoff_weight`` looks up the interval of a single index
+and calls it.
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def region_interval(tag: RegionTag, schedule: StageSchedule) -> tuple[int, int]:
 
 # -- lay-off weights -----------------------------------------------------------
 
-def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
-                     j_hi: int) -> list:
-    """Weights of the indices j_lo..j_hi of the lay-off interval iv, as floats
-    or 40-bit dyadics per weight mode; weight(j) = 2^e with
+def _exponent_line(iv: _Interval, schedule: StageSchedule, j_lo: int,
+                   j_hi: int) -> tuple[float, float]:
+    """(top, root) of the lay-off interval iv, checked to hold j_lo..j_hi:
+    the weight of index j is 2^((top - j) / root), with
 
         e = (s/2 + lo - j) / sqrt(s)            s = hi - lo + 1
         e = (b/2 + r*b + xi + 1 - j) / sqrt(b)  b-side gap [r*b + xi + 1, ...]
@@ -215,21 +216,38 @@ def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
         raise ValueError(f"indices [{j_lo}, {j_hi}] outside [{iv.lo}, {iv.hi}]")
     if isinstance(tag, BLayOff):
         st = schedule.stage(tag.n)
-        top = 0.5 * st.b + tag.r * st.b + st.xi + 1
-        root = math.sqrt(st.b)
-    else:
-        s = iv.hi - iv.lo + 1
-        top = 0.5 * s + iv.lo
-        root = math.sqrt(s)
+        return 0.5 * st.b + tag.r * st.b + st.xi + 1, math.sqrt(st.b)
+    s = iv.hi - iv.lo + 1
+    return 0.5 * s + iv.lo, math.sqrt(s)
+
+
+def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
+                     j_hi: int) -> list:
+    """Weights of the indices j_lo..j_hi of the lay-off interval iv, as floats
+    or 40-bit dyadic Fractions per weight mode (see _exponent_line)."""
+    top, root = _exponent_line(iv, schedule, j_lo, j_hi)
     js = range(j_lo, j_hi + 1)
     if schedule.weight_mode == RATIONAL:
         return [pow2_dyadic((top - j) / root) for j in js]
     return [2.0 ** ((top - j) / root) for j in js]
 
 
-def _shifted(mant: int, s: int) -> Fraction:
-    """mant * 2^s as a Fraction, by an integer shift."""
-    return Fraction(mant << s) if s >= 0 else Fraction(mant, 1 << -s)
+def interval_weight_pairs(iv: _Interval, schedule: StageSchedule, j_lo: int,
+                          j_hi: int) -> tuple[list[int], list[int]]:
+    """The 40-bit dyadic weights of interval_weights as (numerators,
+    denominators), each pair coprime, built without a Fraction."""
+    top, root = _exponent_line(iv, schedule, j_lo, j_hi)
+    pairs = [pow2_dyadic_pair((top - j) / root) for j in range(j_lo, j_hi + 1)]
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
+def _shifted(mant: int, s: int) -> tuple[int, int]:
+    """mant * 2^s as a coprime (numerator, denominator) pair: for s < 0 the
+    mantissa's trailing zero bits cancel against the denominator."""
+    if s >= 0:
+        return mant << s, 1
+    tz = min((mant & -mant).bit_length() - 1, -s)
+    return mant >> tz, 1 << (-s - tz)
 
 
 def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
@@ -238,15 +256,20 @@ def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    return _shifted(rounding(m * (1 << bits)), e - bits)
+    return Fraction(*_shifted(rounding(m * (1 << bits)), e - bits))
+
+
+def pow2_dyadic_pair(e: float, bits: int = 40) -> tuple[int, int]:
+    """The coprime (numerator, denominator) of pow2_dyadic(e, bits)."""
+    ip = math.floor(e)
+    m, k = math.frexp(2.0 ** (e - ip))
+    return _shifted(round(m * (1 << bits)), k - bits + ip)
 
 
 def pow2_dyadic(e: float, bits: int = 40) -> Fraction:
     """2^e as an exact dyadic with `bits` significant bits, any exponent size:
     the dyadic of 2^frac(e), shifted by floor(e)."""
-    ip = math.floor(e)
-    m, k = math.frexp(2.0 ** (e - ip))
-    return _shifted(round(m * (1 << bits)), k - bits + ip)
+    return Fraction(*pow2_dyadic_pair(e, bits))
 
 
 def layoff_weight(j: int, schedule: StageSchedule, tag: RegionTag | None = None):

@@ -149,7 +149,7 @@ def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
     entries.append(check(
         "companion.norm",
         "companion norm at most the operator norm (it kills one column)",
-        nA.value, nT.value + 1e-9, asserted=True,
+        nA.value, nT.value, asserted=True,
         details={"norm_T": nT.value, "norm_A": nA.value}))
     m1 = orbit_membership(basis, {3: 1.0}, n, A)
     entries.append(check(

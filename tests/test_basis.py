@@ -65,19 +65,15 @@ def test_roundtrip_exact_rational_mini(mini_rational):
 
 def _fraction_roundtrip(basis, order, start=0):
     """Oracle: the product columns start, start + 1, ... summed as Fractions
-    in dicts; (ok, first failing column, its largest |residual|)."""
-    def columns(M, values):
-        ptr, rows = M.indptr.tolist(), M.indices.tolist()
-        vals = values.tolist()
-        return lambda j: zip(rows[ptr[j]:ptr[j + 1]], vals[ptr[j]:ptr[j + 1]])
-
-    F = columns(basis.F_csc, basis._F_values)
-    E = columns(basis.E_csc, basis._E_values)
+    in dicts, with every column read through f_col / e_col (not the integer
+    pairs roundtrip_exact reads); (ok, first failing column, its largest
+    |residual|)."""
+    F, E = basis.f_col, basis.e_col
     outer, inner = (F, E) if order == "FE" else (E, F)
     for m in range(start, basis.n_trunc + 1):
         acc = {}
-        for j, c in inner(m):
-            for i, v in outer(j):
+        for j, c in inner(m).items():
+            for i, v in outer(j).items():
                 acc[i] = acc.get(i, 0) + c * v
         acc[m] = acc.get(m, 0) - 1
         bad = [abs(v) for v in acc.values() if v != 0]
@@ -98,16 +94,20 @@ def test_roundtrip_exact_catches_one_perturbed_entry(mini_rational, which):
     sizes = np.diff(M.indptr)
     m = int(np.flatnonzero(sizes == sizes.max())[-1])
     assert m > b.schedule.stage(1).xi and sizes[m] >= (3 if which == "E" else 2)
-    values = getattr(b, f"_{which}_values").copy()
-    values[M.indptr[m]] += Fraction(1, 2 ** 80)
-    setattr(b, f"_{which}_values", values)
+    p = M.indptr[m]
+    num, den = (a.copy() for a in getattr(b, f"_{which}_exact"))
+    n, d = num[p] * 2 ** 80 + den[p], den[p] * 2 ** 80  # num/den + 2^-80
+    g = math.gcd(n, d)
+    num[p], den[p] = n // g, d // g
+    setattr(b, f"_{which}_exact", (num, den))
     for order in ("FE", "EF"):
         got = ol.roundtrip_exact(b, order)
         assert got[:2] == (False, m), order
         assert got == _fraction_roundtrip(b, order, start=m - 100), order
         assert got[2] > 0
-    shared = getattr(mini_rational, f"_{which}_values")
-    assert shared[M.indptr[m]] == values[M.indptr[m]] - Fraction(1, 2 ** 80)
+    shared_num, shared_den = getattr(mini_rational, f"_{which}_exact")
+    assert (Fraction(shared_num[p], shared_den[p])
+            == Fraction(num[p], den[p]) - Fraction(1, 2 ** 80))
 
 
 def test_roundtrip_exact_rejects_float_basis(mini):
@@ -317,13 +317,18 @@ def test_stored_maps_follow_region_rules(which, request):
         assert M.dtype == np.float64
         assert M.has_sorted_indices
     if b.mode == ol.RATIONAL:
-        # exact values beside the float data, one per stored entry
-        for M, exact in ((b.F_csc, b._F_values), (b.E_csc, b._E_values)):
-            assert exact.dtype == object and len(exact) == M.nnz
-            assert all(isinstance(v, Fraction) for v in exact)
-            assert M.data.tolist() == [float(v) for v in exact]
+        # exact (num, den) pairs beside the float data, one per stored entry,
+        # in lowest terms with a positive denominator
+        for M, (num, den) in ((b.F_csc, b._F_exact), (b.E_csc, b._E_exact)):
+            assert num.dtype == den.dtype == object
+            assert len(num) == len(den) == M.nnz
+            assert all(type(x) is int and type(y) is int and y > 0
+                       and math.gcd(x, y) == 1 for x, y in zip(num, den))
+            # the float data are num / den, bit for bit
+            assert M.data.tobytes() == np.array(
+                [x / y for x, y in zip(num, den)], dtype=float).tobytes()
     else:  # the float data are the scalars
-        assert b._F_values is b.F_csc.data and b._E_values is b.E_csc.data
+        assert b._F_exact is None and b._E_exact is None
     if which == "r1":
         assert b.f_col(65) == {65: 1.0, 1: -64.0}
         assert b.e_col(65) == {65: 1.0, 1: 64.0}
@@ -354,6 +359,94 @@ def test_stored_maps_follow_region_rules(which, request):
         assert set(got) == set(want)
         for k, v in got.items():
             assert v == pytest.approx(want[k], rel=1e-12)
+
+
+def test_layoff_pairs_are_the_dyadic_weights(mini_rational):
+    # every lay-off column stores the pair of its 40-bit dyadic weight in F
+    # and the swapped pair in E
+    b = mini_rational
+    for n in range(1, b.schedule.n_stages + 1):
+        for iv in geo.stage_table(b.schedule, n):
+            if not geo.is_layoff(iv.tag) or iv.lo > b.n_trunc:
+                continue
+            hi = min(iv.hi, b.n_trunc)
+            want = [(w.numerator, w.denominator)
+                    for w in geo.interval_weights(iv, b.schedule, iv.lo, hi)]
+            assert list(zip(*geo.interval_weight_pairs(iv, b.schedule, iv.lo, hi))) == want
+            for (M, (num, den)), swap in (((b.F_csc, b._F_exact), False),
+                                          ((b.E_csc, b._E_exact), True)):
+                p = M.indptr[iv.lo:hi + 1]
+                got = list(zip(num[p].tolist(), den[p].tolist()))
+                assert got == ([w[::-1] for w in want] if swap else want), iv
+
+
+def test_e_col_equals_solve_F_rational_mini(mini_rational):
+    # the assembled inverse against the back-substitution oracle, exactly
+    b = mini_rational
+    for m in range(b.n_trunc + 1):
+        assert b.e_col(m) == solve_F(b, {m: Fraction(1)}), m
+
+
+def test_e_col_equals_solve_F_rational_r1_sampled(r1_rational):
+    b = r1_rational
+    sizes = np.diff(b.E_csc.indptr)
+    sample = set(range(0, b.n_trunc + 1, 97)) | set(np.flatnonzero(sizes > 2).tolist())
+    for m in sorted(sample):
+        assert b.e_col(m) == solve_F(b, {m: Fraction(1)}), m
+
+
+def test_sum_in_order_on_repeated_keys():
+    # the shipped schedules never put two gathered entries on one (owner,
+    # row), so the summing loops are checked here on repeated keys, with
+    # sums that cancel to zero and denominators that differ
+    from orbitlab.basis import _sum_in_order
+
+    rng = np.random.default_rng(7)
+    n = 400
+    owner = rng.integers(0, 5, n)
+    rows = rng.integers(0, 8, n)
+    fr = [Fraction(int(a), 2 ** int(k) * int(c)) for a, k, c in
+          zip(rng.integers(-6, 7, n), rng.integers(0, 50, n), rng.choice([1, 3, 5], n))]
+    fr[:2] = Fraction(3, 2 ** 40), Fraction(-3, 2 ** 40)
+    owner[:2], rows[:2] = 5, 0  # a key of its own, summing to zero
+    want = {}
+    for o, r, v in zip(owner.tolist(), rows.tolist(), fr):
+        want[o, r] = want.get((o, r), 0) + v
+    want = {k: v for k, v in sorted(want.items()) if v != 0}
+
+    pairs = tuple(np.array(x, dtype=object)
+                  for x in zip(*((v.numerator, v.denominator) for v in fr)))
+    o, r, (num, den) = _sum_in_order(owner, rows, pairs, 8)
+    assert (5, 0) not in want and len(want) > 30
+    assert list(zip(o.tolist(), r.tolist())) == list(want)
+    assert [Fraction(x, y) for x, y in zip(num, den)] == list(want.values())
+    assert all(y > 0 and math.gcd(x, y) == 1 for x, y in zip(num, den))
+
+    data = np.array([float(v) for v in fr])
+    got = {}
+    for k, v in zip(zip(owner.tolist(), rows.tolist()), data.tolist()):
+        got[k] = got.get(k, 0) + v  # left to right, as vec_add
+    got = {k: v for k, v in sorted(got.items()) if v != 0}
+    o, r, (acc,) = _sum_in_order(owner, rows, (data,), 8)
+    assert list(zip(o.tolist(), r.tolist())) == list(got)
+    assert acc.tolist() == list(got.values())
+
+
+def test_rational_basis_memory_stays_pairs():
+    # exact values held as Fraction objects, one per stored entry, kept
+    # 36.3 MB of the rational mini basis alive; the (num, den) int arrays
+    # take about 23.7 MB
+    import tracemalloc
+
+    sched, fams = mini_schedule(weight_mode=ol.RATIONAL)
+    tracemalloc.start()
+    try:
+        b = ol.assemble(sched, fams)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert b.n_trunc > 0
+    assert retained < 28e6, f"retained rational basis {retained / 1e6:.1f} MB"
 
 
 def test_assembly_memory_stays_columnar():
