@@ -31,6 +31,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -64,6 +65,31 @@ def vec_norm(v: Vec) -> float:
     if m > 1e150 or m < 1e-150:
         return m * math.sqrt(sum((float(abs(x)) / m) ** 2 for x in v.values()))
     return math.sqrt(sum(float(abs(x)) ** 2 for x in v.values()))
+
+
+def column_norms(M: sparse.csc_matrix, lo: int, hi: int) -> np.ndarray:
+    """vec_norm of each column lo..hi-1 of a CSC matrix, its entries taken in
+    stored order, bit for bit: abs as the C library's hypot (Python's abs of
+    a float or a complex), the same rescaling by the column max, squares by
+    Python's ``** 2`` (the C library's pow, which can differ from x * x in
+    the last bit), and a left-to-right sum down each column, one entry
+    position at a time over the columns that long."""
+    ptr = M.indptr[lo:hi + 1]
+    a = M.data[ptr[0]:ptr[-1]]
+    a = np.hypot(a.real, a.imag)
+    lens, starts = np.diff(ptr), ptr[:-1] - ptr[0]
+    m = np.zeros(len(lens))
+    full = lens > 0
+    if full.any():
+        m[full] = np.maximum.reduceat(a, starts[full])
+    scale = np.where((m > 1e150) | ((m > 0) & (m < 1e-150)), m, 1.0)
+    x = a / np.repeat(scale, lens)
+    sq = np.fromiter(map(math.pow, x.tolist(), repeat(2.0)), float, len(x))
+    acc = np.zeros(len(lens))
+    for k in range(lens.max(initial=0)):
+        live = lens > k
+        acc[live] += sq[starts[live] + k]
+    return scale * np.sqrt(acc)
 
 
 def shift_e(v: Vec, m: int, n_trunc: int) -> Vec:
@@ -398,7 +424,7 @@ def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRe
     return CalibRecord(n, C, st.delta, g_cal, cap, g)
 
 
-_LAYOFF_BLOCK = 1 << 16  # lay-off weights converted per block (bounds the float lists)
+_LAYOFF_BLOCK = 1 << 16  # lay-off weights computed per block (bounds the transient lists)
 
 
 def assemble(schedule: StageSchedule, families,
@@ -456,11 +482,10 @@ def assemble(schedule: StageSchedule, families,
         for lo in range(j_lo, j_hi + 1, _LAYOFF_BLOCK):
             hi = min(lo + _LAYOFF_BLOCK - 1, j_hi)
             if exact:  # positive weights: a reciprocal is the swapped pair
-                num, den = (np.array(v, dtype=object)
-                            for v in geo.interval_weight_pairs(iv, schedule, lo, hi))
+                num, den = geo.interval_weight_pairs(iv, schedule, lo, hi)
                 add_diagonal(lo, (num, den), (den, num))
             else:
-                lam = np.array(geo.interval_weights(iv, schedule, lo, hi), dtype=float)
+                lam = geo.interval_weights(iv, schedule, lo, hi)
                 add_diagonal(lo, (lam,), (one / lam,))
 
     def add_working(j_lo, j_hi, shift, p, scale):

@@ -12,11 +12,11 @@ Every index j of a truncation [0, xi_{N+1}] belongs to exactly one region:
 On a lay-off interval written as [r+1, r+s] the weight of index j is
 2^((s/2 + r + 1 - j)/sqrt(s)); b-side lay-offs use sqrt(b) and b/2 in place
 of the actual interval length, which keeps the iterated-power ratios of the
-shade estimate independent of the gap position.  ``_exponent_line`` is the
-one home of that formula: ``interval_weights`` weighs a run of indices of
-one stage-table interval (``interval_weight_pairs`` gives the exact weights as
-integer pairs), and ``layoff_weight`` looks up the interval of a single index
-and calls it.
+shade estimate independent of the gap position.  ``_exponents`` is the
+one home of that formula, as one array over a run of indices of one
+stage-table interval.  ``interval_weights`` raises 2 to it entrywise
+(``interval_weight_pairs`` gives the exact weights as integer pairs from
+``pow2_dyadic_pairs``), and ``layoff_weight`` is the one-index case.
 """
 
 from __future__ import annotations
@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Union
+
+import numpy as np
 
 from .errors import ScheduleError, TruncationError
 from .schedule import RATIONAL, StageSchedule
@@ -201,14 +203,16 @@ def region_interval(tag: RegionTag, schedule: StageSchedule) -> tuple[int, int]:
 
 # -- lay-off weights -----------------------------------------------------------
 
-def _exponent_line(iv: _Interval, schedule: StageSchedule, j_lo: int,
-                   j_hi: int) -> tuple[float, float]:
-    """(top, root) of the lay-off interval iv, checked to hold j_lo..j_hi:
-    the weight of index j is 2^((top - j) / root), with
+def _exponents(iv: _Interval, schedule: StageSchedule, j_lo: int,
+               j_hi: int) -> np.ndarray:
+    """Exponents e_j, j = j_lo..j_hi, of the lay-off interval iv (checked to
+    hold them): the weight of index j is 2^e_j, with e_j = (top - j) / root,
 
         e = (s/2 + lo - j) / sqrt(s)            s = hi - lo + 1
         e = (b/2 + r*b + xi + 1 - j) / sqrt(b)  b-side gap [r*b + xi + 1, ...]
-    """
+
+    Each entry is bit for bit the scalar (top - j) / root: int -> float is
+    exact below 2^53, and - and / are correctly rounded."""
     tag = iv.tag
     if not is_layoff(tag):
         raise ValueError(f"interval [{iv.lo}, {iv.hi}] is not a lay-off ({tag})")
@@ -216,71 +220,78 @@ def _exponent_line(iv: _Interval, schedule: StageSchedule, j_lo: int,
         raise ValueError(f"indices [{j_lo}, {j_hi}] outside [{iv.lo}, {iv.hi}]")
     if isinstance(tag, BLayOff):
         st = schedule.stage(tag.n)
-        return 0.5 * st.b + tag.r * st.b + st.xi + 1, math.sqrt(st.b)
-    s = iv.hi - iv.lo + 1
-    return 0.5 * s + iv.lo, math.sqrt(s)
+        top, root = 0.5 * st.b + tag.r * st.b + st.xi + 1, math.sqrt(st.b)
+    else:
+        s = iv.hi - iv.lo + 1
+        top, root = 0.5 * s + iv.lo, math.sqrt(s)
+    return (top - np.arange(j_lo, j_hi + 1)) / root
+
+
+def _pow2(e: np.ndarray) -> np.ndarray:
+    """2.0 ** e entrywise, bit for bit: Python's float power and math.pow both
+    call the C library's pow.  (np.power and np.exp2 may dispatch to other
+    SIMD code and round differently.)"""
+    return np.fromiter(map(math.pow, repeat(2.0), e.tolist()), float, len(e))
+
+
+def _shifted(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mant * 2^s entrywise (int64 arrays, mant != 0) as coprime (numerator,
+    denominator) object arrays of Python ints: for s < 0 the mantissa's
+    trailing zero bits cancel against the denominator."""
+    tz = np.minimum(np.frexp(mant & -mant)[1] - 1, np.maximum(-s, 0))
+    num = (mant >> tz).astype(object) << np.maximum(s, 0).astype(object)
+    return num, np.left_shift(1, (np.maximum(-s, 0) - tz).astype(object))
+
+
+def pow2_dyadic_pairs(e: np.ndarray,
+                      bits: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    """2^e entrywise as exact dyadics with `bits` <= 62 significant bits, any
+    exponent size, as coprime (numerator, denominator) object arrays: the
+    nearest dyadic (ties to even) of 2^frac(e), shifted by floor(e)."""
+    ip = np.floor(e)
+    m, k = np.frexp(_pow2(e - ip))
+    mant = np.rint(m * (1 << bits)).astype(np.int64)
+    return _shifted(mant, k + ip.astype(np.int64) - bits)
 
 
 def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
-                     j_hi: int) -> list:
-    """Weights of the indices j_lo..j_hi of the lay-off interval iv, as floats
-    or 40-bit dyadic Fractions per weight mode (see _exponent_line)."""
-    top, root = _exponent_line(iv, schedule, j_lo, j_hi)
-    js = range(j_lo, j_hi + 1)
+                     j_hi: int) -> np.ndarray:
+    """Weights 2^e_j of the indices j_lo..j_hi of the lay-off interval iv (see
+    _exponents): a float array, or in rational mode an object array of the
+    40-bit dyadic Fractions of interval_weight_pairs."""
     if schedule.weight_mode == RATIONAL:
-        return [pow2_dyadic((top - j) / root) for j in js]
-    return [2.0 ** ((top - j) / root) for j in js]
+        num, den = interval_weight_pairs(iv, schedule, j_lo, j_hi)
+        return np.frompyfunc(Fraction, 2, 1)(num, den)
+    return _pow2(_exponents(iv, schedule, j_lo, j_hi))
 
 
 def interval_weight_pairs(iv: _Interval, schedule: StageSchedule, j_lo: int,
-                          j_hi: int) -> tuple[list[int], list[int]]:
-    """The 40-bit dyadic weights of interval_weights as (numerators,
-    denominators), each pair coprime, built without a Fraction."""
-    top, root = _exponent_line(iv, schedule, j_lo, j_hi)
-    pairs = [pow2_dyadic_pair((top - j) / root) for j in range(j_lo, j_hi + 1)]
-    return [p for p, _ in pairs], [q for _, q in pairs]
-
-
-def _shifted(mant: int, s: int) -> tuple[int, int]:
-    """mant * 2^s as a coprime (numerator, denominator) pair: for s < 0 the
-    mantissa's trailing zero bits cancel against the denominator."""
-    if s >= 0:
-        return mant << s, 1
-    tz = min((mant & -mant).bit_length() - 1, -s)
-    return mant >> tz, 1 << (-s - tz)
+                          j_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 40-bit dyadic weights of the indices j_lo..j_hi of iv as coprime
+    (numerators, denominators) object arrays, built without a Fraction."""
+    return pow2_dyadic_pairs(_exponents(iv, schedule, j_lo, j_hi))
 
 
 def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
-    """Fraction m / 2^e with a `bits`-bit mantissa (40 significant bits): the
-    nearest one by default, or the one `rounding` (e.g. math.floor) picks."""
+    """Fraction m / 2^e with a `bits`-bit mantissa (bits <= 62): the nearest
+    one by default, or the one `rounding` (e.g. math.floor) picks."""
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    return Fraction(*_shifted(rounding(m * (1 << bits)), e - bits))
-
-
-def pow2_dyadic_pair(e: float, bits: int = 40) -> tuple[int, int]:
-    """The coprime (numerator, denominator) of pow2_dyadic(e, bits)."""
-    ip = math.floor(e)
-    m, k = math.frexp(2.0 ** (e - ip))
-    return _shifted(round(m * (1 << bits)), k - bits + ip)
-
-
-def pow2_dyadic(e: float, bits: int = 40) -> Fraction:
-    """2^e as an exact dyadic with `bits` significant bits, any exponent size:
-    the dyadic of 2^frac(e), shifted by floor(e)."""
-    return Fraction(*pow2_dyadic_pair(e, bits))
+    num, den = _shifted(np.array([rounding(m * (1 << bits))]), np.array([e - bits]))
+    return Fraction(num[0], den[0])
 
 
 def layoff_weight(j: int, schedule: StageSchedule, tag: RegionTag | None = None):
-    """Weight of a lay-off index, as float or 40-bit dyadic per weight mode:
-    interval_weights on the stage-table interval holding j.  A caller that
-    walks a whole interval should call interval_weights once instead."""
+    """Weight of a lay-off index, as a float or a 40-bit dyadic Fraction per
+    weight mode: interval_weights on the stage-table interval holding j.  A
+    caller that walks a whole interval should call interval_weights once
+    instead."""
     if tag is None:
         tag = classify(j, schedule)
     if not is_layoff(tag):
         raise ValueError(f"index {j} is not in a lay-off region ({tag})")
-    return interval_weights(locate(j, schedule), schedule, j, j)[0]
+    return interval_weights(locate(j, schedule), schedule, j, j).item()
 
 
 # -- lattice coordinate arithmetic ----------------------------------------------

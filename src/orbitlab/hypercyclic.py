@@ -20,8 +20,9 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry as geo
-from .basis import (BasisMap, measure_frame_constant, poly_shift_apply,
-                    shift_e, shift_exits, solve_F, vec_add, vec_clean, vec_norm)
+from .basis import (BasisMap, column_norms, measure_frame_constant,
+                    poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
+                    vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
 from .operators import (b_calibrated, conjugated_power, op_norm, poly_image,
                         sigma_max_block, sup_e_norm)
@@ -102,9 +103,7 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
     X = sparse.eye(basis.n_trunc + 1, st.xi + 1, format="csc",
                    dtype=basis.F_csc.dtype)
     M = poly_image(basis, ((st.b + 1, 1 / st.b), (1, -1)), X)
-    per_vec = [vec_norm(dict(enumerate(col)))
-               for col in np.split(M.data, M.indptr[1:-1])]
-    return st.b * op_norm(M).value, per_vec
+    return st.b * op_norm(M).value, column_norms(M, 0, M.shape[1]).tolist()
 
 
 def shade_measurements(basis: BasisMap, n: int):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry as geo
-from .basis import BasisMap, shift_e, vec_add, vec_norm
+from .basis import BasisMap, column_norms, shift_e, vec_add, vec_norm
 from .errors import OrbitLabError
 from .report import Entry, check
 
@@ -227,9 +227,10 @@ def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResul
 
 def sup_e_norm(basis: BasisMap, hi: int) -> float:
     """max ||e_u|| over u <= hi, from the assembled f-frame columns (their
-    norms are memoised on the basis)."""
+    norms are memoised on the basis, up to the largest hi asked for)."""
     norms, top = basis._e_norms, min(hi, basis.n_trunc) + 1
-    norms.extend(vec_norm(basis.e_col(u)) for u in range(len(norms), top))
+    if top > len(norms):
+        norms.extend(column_norms(basis.E_csc, len(norms), top).tolist())
     return max(norms[:top])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import orbitlab as ol
 from orbitlab import geometry as geo
-from orbitlab.basis import (expand_e_structural, printed_closed_form_terms,
+from orbitlab.basis import (column_norms, expand_e_structural, printed_closed_form_terms,
                             solve_F, vec_add, vec_clean, vec_norm)
 
 from orbitlab.profiles import mini_schedule, reference_schedule
@@ -462,3 +462,35 @@ def test_assembly_memory_stays_columnar():
     finally:
         tracemalloc.stop()
     assert peak < 50e6, f"assembly peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("which", ["mini", "mini_rational"])
+def test_column_norms_match_vec_norm(which, request):
+    # every E column of mini, float and rational, bit for bit
+    b = request.getfixturevalue(which)
+    want = [vec_norm(b.e_col(u)).hex() for u in range(b.n_trunc + 1)]
+    assert [x.hex() for x in column_norms(b.E_csc, 0, b.n_trunc + 1).tolist()] == want
+    assert [x.hex() for x in column_norms(b.E_csc, 77, 900).tolist()] == want[77:900]
+    assert len(column_norms(b.E_csc, 5, 5)) == 0
+
+
+def test_column_norms_rescaled_complex_and_empty_columns(rng):
+    # seeded columns of mixed lengths (some empty), real and complex, with
+    # maxima far outside [1e-150, 1e150] and all-zero columns
+    from scipy import sparse
+
+    lens = rng.integers(0, 40, 300)
+    lens[:3] = 0
+    scales = 10.0 ** rng.choice([-300, -200, -150, 0, 150, 200, 300], len(lens))
+    for field in (float, complex):
+        vals = rng.standard_normal(lens.sum())
+        if field is complex:
+            vals = vals + 1j * rng.standard_normal(lens.sum())
+        vals *= np.repeat(scales, lens)
+        vals[np.repeat(np.arange(len(lens)) == 7, lens)] = 0
+        indptr = np.concatenate([[0], np.cumsum(lens)])
+        indices = np.concatenate([np.arange(k) for k in lens])
+        M = sparse.csc_matrix((vals, indices, indptr), shape=(40, len(lens)))
+        want = [vec_norm(dict(enumerate(vals[indptr[u]:indptr[u + 1]].tolist()))).hex()
+                for u in range(len(lens))]
+        assert [x.hex() for x in column_norms(M, 0, len(lens)).tolist()] == want

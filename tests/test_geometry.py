@@ -67,6 +67,7 @@ def test_generic_layoff_weight_formula():
 def test_b_layoff_weight_reference_values(r1s):
     # [5, 64]: exponent at j=5 is (32 + 4 + 1 - 5)/8 = 4
     assert ol.layoff_weight(5, r1s) == pytest.approx(16.0)
+    assert type(ol.layoff_weight(5, r1s)) is float
     # ratio within a lay-off is the constant 2^(1/sqrt(b))
     r = ol.layoff_weight(70, r1s) / ol.layoff_weight(71, r1s)
     assert r == pytest.approx(2.0 ** (1 / 8), rel=1e-12)
@@ -98,7 +99,8 @@ def test_rational_weights_close_and_positive():
     for j in js:
         lam_q = ol.layoff_weight(j, sched)
         lam_f = ol.layoff_weight(j, fl)
-        assert isinstance(lam_q, Fraction)
+        assert type(lam_q) is Fraction
+        assert type(lam_f) is float
         assert abs(float(lam_q) - lam_f) <= 2.0 ** -38 * lam_f
 
 
@@ -170,9 +172,9 @@ def test_coord_validation(r1s):
         ol.index_to_coord(5, r1s)  # a lay-off index
 
 
-def _reference_weights(iv, sched):
-    """Weights of a whole lay-off interval by the per-index formula, with the
-    interval bounds found by scanning the stage table (region_interval)."""
+def _reference_exponents(iv, sched):
+    """Exponents of a whole lay-off interval by the per-index formula, with
+    the interval bounds found by scanning the stage table (region_interval)."""
     tag = iv.tag
     st = sched.stage(tag.n)
     lo, hi = geo.region_interval(tag, sched)
@@ -180,12 +182,17 @@ def _reference_weights(iv, sched):
     out = []
     for j in range(iv.lo, iv.hi + 1):
         if isinstance(tag, geo.BLayOff):
-            e = (0.5 * st.b + tag.r * st.b + st.xi + 1 - j) / math.sqrt(st.b)
+            out.append((0.5 * st.b + tag.r * st.b + st.xi + 1 - j) / math.sqrt(st.b))
         else:
-            e = (0.5 * s + lo - j) / math.sqrt(s)
-        out.append(geo.pow2_dyadic(e) if sched.weight_mode == ol.RATIONAL
-                   else 2.0 ** e)
+            out.append((0.5 * s + lo - j) / math.sqrt(s))
     return out
+
+
+def _reference_weights(iv, sched):
+    """Weights of a whole lay-off interval by the per-index formula: the
+    scalar 2.0 ** e, or in rational mode its Fraction-power dyadic."""
+    pow2 = _fraction_power_pow2 if sched.weight_mode == ol.RATIONAL else (lambda e: 2.0 ** e)
+    return [pow2(e) for e in _reference_exponents(iv, sched)]
 
 
 def _layoff_intervals(sched):
@@ -209,13 +216,16 @@ def test_interval_weights_bit_identical_mini(minis):
             assert _same_float(w, ol.layoff_weight(j, minis)), (iv, j)
 
 
-def test_interval_weights_bit_identical_r1_sampled(r1s):
+def test_interval_weights_bit_identical_r1(r1s):
+    # every lay-off index of R1, against the scalar 2.0 ** e
     ivs = _layoff_intervals(r1s)
     kinds = {type(iv.tag) for iv in ivs}
     assert {geo.BLayOff, geo.CLayOff, geo.TailLayOff} <= kinds
     for iv in ivs:
         ref = _reference_weights(iv, r1s)
         full = geo.interval_weights(iv, r1s, iv.lo, iv.hi)
+        assert full.dtype == np.float64
+        assert full.tobytes() == np.array(ref).tobytes(), iv
         mid = (iv.lo + iv.hi) // 2
         samples = {iv.lo, iv.lo + 1, mid, iv.hi - 1, iv.hi}
         for j in samples:
@@ -230,7 +240,7 @@ def test_interval_weights_bit_identical_r1_sampled(r1s):
 def test_interval_weights_rational_mini_exact():
     sched, _ = mini_schedule(weight_mode=ol.RATIONAL)
     for iv in _layoff_intervals(sched):
-        got = geo.interval_weights(iv, sched, iv.lo, iv.hi)
+        got = geo.interval_weights(iv, sched, iv.lo, iv.hi).tolist()
         assert all(isinstance(w, Fraction) for w in got)
         assert got == _reference_weights(iv, sched), iv
         assert got == [ol.layoff_weight(j, sched)
@@ -247,7 +257,7 @@ def test_interval_weights_rejects_working_and_outside(r1s):
         geo.interval_weights(lay, r1s, lay.lo, lay.hi + 1)
     with pytest.raises(ValueError):
         geo.interval_weights(lay, r1s, lay.lo - 1, lay.hi)
-    assert geo.interval_weights(lay, r1s, lay.lo, lay.lo - 1) == []
+    assert len(geo.interval_weights(lay, r1s, lay.lo, lay.lo - 1)) == 0
 
 
 def _fraction_power_dyadic(x, bits=40, rounding=round):
@@ -260,7 +270,8 @@ def _fraction_power_dyadic(x, bits=40, rounding=round):
 
 
 def _fraction_power_pow2(e, bits=40):
-    """geometry.pow2_dyadic as a product of Fraction powers."""
+    """geometry.pow2_dyadic_pairs of one exponent as a product of Fraction
+    powers."""
     ip = math.floor(e)
     frac = e - ip
     return _fraction_power_dyadic(2.0 ** frac, bits) * Fraction(2) ** ip
@@ -269,7 +280,7 @@ def _fraction_power_pow2(e, bits=40):
 def test_dyadics_match_fraction_power_formula():
     # the integer-shift dyadics against the Fraction-power formula, on a
     # seeded grid: both signs, subnormals and the float range's ends for
-    # dyadic, and exponents far past +-1074 for pow2_dyadic
+    # dyadic, and exponents far past +-1074 for pow2_dyadic_pairs
     rng = np.random.default_rng(20261018)
     xs = [0.0, 1.0, -1.0, 0.5, -0.75, 5e-324, -5e-324, 1e-310, -1e-310,
           sys.float_info.max, -sys.float_info.max, sys.float_info.min]
@@ -281,9 +292,44 @@ def test_dyadics_match_fraction_power_formula():
             assert got == _fraction_power_dyadic(x, bits, math.floor), (x, bits)
             assert got <= x
     es = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1074.0, -1074.0, 1075.25, -1075.25,
-          -1e-17, 1 - 1e-16]
+          -1e-17, 1 - 1e-16, 3000.0, -3000.0]
     es += rng.uniform(-3000, 3000, 400).tolist() + rng.uniform(-2, 2, 100).tolist()
-    for e in es:
-        got = geo.pow2_dyadic(e)
-        assert isinstance(got, Fraction)
-        assert got == _fraction_power_pow2(e), e
+    nums, dens = geo.pow2_dyadic_pairs(np.array(es))
+    assert nums.dtype == dens.dtype == object
+    for e, p, q in zip(es, nums, dens):
+        assert type(p) is int and type(q) is int and q > 0
+        assert math.gcd(p, q) == 1, e
+        assert Fraction(p, q) == _fraction_power_pow2(e), e
+    # the one-element case and a run starting anywhere give the same pairs
+    for k in (0, 7, 413):
+        assert [x.tolist() for x in geo.pow2_dyadic_pairs(np.array(es[k:k + 1]))] == \
+            [[nums[k]], [dens[k]]]
+        assert [x.tolist() for x in geo.pow2_dyadic_pairs(np.array(es[k:]))] == \
+            [nums[k:].tolist(), dens[k:].tolist()]
+
+
+def _is_dyadic_pair_of(e, p, q, bits=40):
+    """(p, q) is the coprime pair of 2^e's 40-bit dyadic, checked by exact
+    cross-multiplication against the scalar 2.0 ** frac(e) rounded to
+    `bits` bits: q a power of two, p odd unless q = 1."""
+    ip = math.floor(e)
+    m, k = math.frexp(2.0 ** (e - ip))
+    mant, s = round(m * (1 << bits)), k - bits + ip
+    return (p << max(-s, 0) == (mant * q) << max(s, 0) and q & (q - 1) == 0
+            and (q == 1 or p & 1 == 1))
+
+
+def test_interval_weight_pairs_exact_r1():
+    # every lay-off index of rational R1: the pairs are the dyadics of the
+    # scalar weights, and the Fraction weights are built from them
+    sched, _ = reference_schedule(weight_mode=ol.RATIONAL)
+    ivs = _layoff_intervals(sched)
+    assert sum(iv.hi - iv.lo + 1 for iv in ivs) == 397_898
+    for iv in ivs:
+        num, den = geo.interval_weight_pairs(iv, sched, iv.lo, iv.hi)
+        es = _reference_exponents(iv, sched)
+        assert all(map(_is_dyadic_pair_of, es, num.tolist(), den.tolist())), iv
+        for j in (iv.lo, iv.hi):
+            k = j - iv.lo
+            assert ol.layoff_weight(j, sched) == _fraction_power_pow2(es[k])
+            assert ol.layoff_weight(j, sched) == Fraction(num[k], den[k])

@@ -498,3 +498,23 @@ def test_boundedness_flags_nonfinite_doubled_mini(mini, monkeypatch):
     row = next(e for e in rep.entries if e.claim_id == "opnorm.gap_monotone")
     assert math.isnan(row.measured) and row.status == INFO  # b = 7: ungated
     assert row.details["flag"] == ops.NONFINITE_FLAG
+
+
+def test_sup_e_norm_memo_stops_at_hi(r1):
+    # the memoised column norms extend only up to the largest hi asked for,
+    # and agree with vec_norm of each e column
+    import copy
+
+    from orbitlab.basis import vec_norm
+
+    b = copy.copy(r1)
+    b._e_norms = []
+    nu = b.schedule.stage(1).nu
+    want = max(vec_norm(b.e_col(u)) for u in range(nu + 1))
+    assert ops.sup_e_norm(b, nu) == want
+    assert type(ops.sup_e_norm(b, nu)) is float
+    assert len(b._e_norms) == nu + 1
+    assert ops.sup_e_norm(b, 10) == max(vec_norm(b.e_col(u)) for u in range(11))
+    assert len(b._e_norms) == nu + 1
+    ops.sup_e_norm(b, nu + 500)
+    assert len(b._e_norms) == nu + 501
