@@ -201,6 +201,7 @@ class BasisMap:
         self.layoff = layoff
         self.calibration = tuple(calibration)
         self._T = None  # the operator's f-frame matrix, built on first use
+        self._lone_diagonals = None  # see operators.power_norms
         self._expand_memo: dict[int, Vec] = {}
         self._frame_constants: dict[int, float] = {}
         self._e_norms: list[float] = []  # ||e_u|| for u < len, see sup_e_norm

@@ -24,8 +24,8 @@ from .basis import (BasisMap, column_norms, measure_frame_constant,
                     poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
                     vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
-from .operators import (b_calibrated, conjugated_power, op_norm, poly_image,
-                        sigma_max_block, sup_e_norm)
+from .operators import (b_calibrated, op_norm, poly_image, power_norms,
+                        sup_e_norm)
 from .polynet import Poly, b_damped, nearest_member
 from .report import Entry, check
 from .schedule import RATIONAL
@@ -109,26 +109,28 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
 def shade_measurements(basis: BasisMap, n: int):
     """(sigma, interior_ratios): norm of the (b+1)-st power restricted to the
     f-span of (xi_n, nu_n], plus the exact per-column ratios on interior
-    shade columns (both j and j + b + 1 inside b-lay-offs)."""
+    shade columns (both j and j + b + 1 inside b-lay-offs): for each such j,
+    the power's (j + b + 1, j) entry (0.0 where none is stored) and the
+    number of entries in its column j."""
     st = basis.schedule.stage(n)
     if basis.n_trunc < st.nu + st.b + 1:
         raise TruncationError("truncation must cover nu_n + b_n + 1")
-    P = conjugated_power(basis, st.b + 1)
-    sigma = sigma_max_block(P, slice(0, basis.n_trunc + 1),
-                            slice(st.xi + 1, st.nu + 1))
-    # interior columns: j and j + b + 1 in b-lay-offs, all inside (xi_n, nu_n]
     shift = st.b + 1
+    sigma, = power_norms(basis, shift, [(slice(0, basis.n_trunc + 1),
+                                         slice(st.xi + 1, st.nu + 1))])
+    # interior columns: j and j + b + 1 in b-lay-offs, all inside (xi_n, nu_n]
     gap = np.zeros(st.nu + shift + 1, dtype=bool)
     for iv in geo.stage_table(basis.schedule, n):
         if isinstance(iv.tag, geo.BLayOff):
             gap[iv.lo:iv.hi + 1] = True
-    ratios = []
-    for j in np.flatnonzero(gap[:-shift] & gap[shift:]).tolist():
-        lo, hi = P.indptr[j], P.indptr[j + 1]
-        at = np.flatnonzero(P.indices[lo:hi] == j + shift)
-        ratios.append((j, P.data[lo + at[0]] if len(at) else 0.0,
-                       int(hi - lo)))
-    return sigma, ratios
+    js = np.flatnonzero(gap[:-shift] & gap[shift:])
+    P = poly_image(basis, ((shift, 1),), basis.F_csc[:, js])
+    nnz = np.diff(P.indptr)
+    col = np.repeat(np.arange(len(js)), nnz)
+    hit = P.indices == js[col] + shift
+    vals = np.zeros(len(js), dtype=P.dtype)
+    vals[col[hit]] = P.data[hit]
+    return sigma, list(zip(js.tolist(), vals, nnz.tolist()))
 
 
 # -- the certificate pipeline ------------------------------------------------------

@@ -5,6 +5,20 @@ computed by conjugation, E p(shift) F: the shift moves row indices of F.
 Columns whose forward orbit would leave the truncation are silently
 truncated (the last-column-zero convention); verifiers restrict to index
 ranges where that cannot happen.
+
+Block norms of a power E S^m F never form the power (`power_norms`).  Off
+a thin set of working columns the basis is made of lay-offs, f_j = w_j e_j,
+so the power is a weighted shift there.  A pair column is a column j where
+F's row and column j, and E's row and column j + m, each hold one stored
+entry (then on the diagonal) with a zero imaginary part.  Its image is the
+single entry E[j+m, j+m] F[j, j] in row j + m, alone in its row and column
+of the power.  That is one rounded product, which is exactly what the
+sparse product stores for a one-term sum, and a real value stays real (a
+zero imaginary part) in a complex product, so the pair entries are bit for
+bit those of the formed power; a product that rounds to 0 is not stored,
+as there.  Only the other columns go through `poly_image`, once per power,
+and each block's pairs enter `op_norm`'s drop-and-split stage as two
+numbers: their largest magnitude and their count.
 """
 
 from __future__ import annotations
@@ -126,10 +140,13 @@ def _component_labels(S: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
             label = jumped
 
 
-def _split_norm(C: sparse.csc_matrix) -> float:
+def _split_norm(C: sparse.csc_matrix, loose2: float, n_loose: int) -> float:
     """Largest singular value of a compressed finite matrix from its
     connected components (block-diagonal up to permutation, so the largest
     over the blocks).  C is op_norm's private copy and is changed in place.
+    The matrix may have n_loose further entries, each alone in its row and
+    its column, that C does not hold: loose2 is the largest of their
+    squared magnitudes.
 
     The largest column norm L bounds the answer from below.  Every entry
     with |a|^2 <= u^2 L^2 / nnz (u the unit roundoff) is dropped first: the
@@ -143,10 +160,12 @@ def _split_norm(C: sparse.csc_matrix) -> float:
     ascending order).  Raises OrbitLabError when such a component is wider
     than DENSE_COMPONENT_CAP rows or columns.
     """
+    if C.nnz == 0:
+        return math.sqrt(loose2)
     sq = np.abs(C.data) ** 2
-    lower2 = float(np.add.reduceat(sq, C.indptr[:-1]).max())
+    lower2 = max(float(np.add.reduceat(sq, C.indptr[:-1]).max()), loose2)
     u = np.finfo(float).eps / 2
-    C.data[sq <= u * u * lower2 / C.nnz] = 0
+    C.data[sq <= u * u * lower2 / (C.nnz + n_loose)] = 0
     C.eliminate_zeros()
     n_rows, n_cols = C.shape
     col_nnz = np.diff(C.indptr)
@@ -176,7 +195,8 @@ def _split_norm(C: sparse.csc_matrix) -> float:
     wide = max(n_r[cand].max(), n_c[cand].max())
     if wide > DENSE_COMPONENT_CAP:
         raise OrbitLabError(
-            f"op_norm: a {wide}-wide component of a {n_rows}x{n_cols} matrix "
+            f"op_norm: a {wide}-wide component of a "
+            f"{n_rows + n_loose}x{n_cols + n_loose} matrix "
             f"may hold the norm; dense SVD is capped at {DENSE_COMPONENT_CAP}")
     # each candidate's entries, one component after another, in CSC order;
     # a block keeps its rows and columns in ascending compressed order
@@ -202,25 +222,97 @@ def op_norm(M: sparse.spmatrix) -> OpNormResult:
     component that can hold the norm (see _split_norm): method "dense_svd",
     converged, no iterations.  A component wider than
     DENSE_COMPONENT_CAP rows or columns that may hold the norm raises
-    OrbitLabError rather than being estimated.  An all-zero M gives 0 with
-    method "empty"; a matrix with an inf or nan entry has no norm to
-    measure: the result is nan with method "nonfinite" and no iterations.
+    OrbitLabError rather than being estimated.  An M with no nonzero entry
+    gives 0 with method "empty"; a matrix with an inf or nan entry has no
+    norm to measure: the result is nan with method "nonfinite" and no
+    iterations.
     """
-    C = _compress(M)
-    if C.nnz == 0:
-        return OpNormResult(0.0, "empty", True, 0)
-    if not np.isfinite(C.data).all():
+    return _norm(_compress(M))
+
+
+def _norm(C: sparse.csc_matrix, top: float = 0.0, n_loose: int = 0
+          ) -> OpNormResult:
+    """op_norm of a matrix held as the compressed C and n_loose further
+    entries, each alone in its row and its column, top the largest of their
+    magnitudes."""
+    if not (np.isfinite(C.data).all() and math.isfinite(top)):
         return OpNormResult(math.nan, "nonfinite", False, 0)
-    scale = float(np.max(np.abs(C.data)))
+    scale = max(float(np.abs(C.data).max(initial=0.0)), top)
+    if scale == 0.0:
+        return OpNormResult(0.0, "empty", True, 0)
     if 1e-100 <= scale <= 1e100:
         scale = 1.0
     else:  # keep the squared entries inside the float range
         C.data *= 1 / scale
-    return OpNormResult(_split_norm(C) * scale, "dense_svd", True, 0)
+        top *= 1 / scale
+    return OpNormResult(_split_norm(C, top * top, n_loose) * scale,
+                        "dense_svd", True, 0)
 
 
 def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResult:
     return op_norm(M.tocsc()[rows, cols])
+
+
+def _lone_diagonal(M: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(mask, diag) of a triangular basis matrix: the indices j where M's
+    row j and column j each hold one stored entry with a zero imaginary
+    part, and that entry M[j, j] as a real number (0 elsewhere)."""
+    n = M.shape[1]
+    one = (np.diff(M.indptr) == 1) & (np.bincount(M.indices, minlength=n) == 1)
+    j = np.flatnonzero(one)
+    at = M.indptr[j]
+    assert np.array_equal(M.indices[at], j), \
+        "a single-entry basis column holds its diagonal entry"
+    real = M.data[at].imag == 0
+    one[j[~real]] = False
+    diag = np.zeros(n)
+    diag[j[real]] = M.data[at[real]].real
+    return one, diag
+
+
+def power_norms(basis: BasisMap, m: int,
+                blocks: Sequence[tuple[slice, slice]]) -> list[OpNormResult]:
+    """op_norm(conjugated_power(basis, m)[rows, cols]) for each (rows, cols)
+    block of unit-step slices, bit for bit, without forming the power.
+
+    The pair columns among the blocks' columns (see the module docstring)
+    take their entries from the diagonals of F and E and enter op_norm as
+    numbers, per block the largest magnitude and the count of those in it.
+    One poly_image of the blocks' other columns serves every block.
+    """
+    n = basis.n_trunc + 1
+    if basis._lone_diagonals is None:
+        basis._lone_diagonals = (_lone_diagonal(basis.F_csc),
+                                 _lone_diagonal(basis.E_csc))
+    (f_one, f_diag), (e_one, e_diag) = basis._lone_diagonals
+    spans = []
+    for rows, cols in blocks:
+        (r0, r1, _), (c0, c1, _) = rows.indices(n), cols.indices(n)
+        spans.append((r0, max(r0, r1), c0, max(c0, c1)))
+    rest = np.zeros(n, dtype=bool)  # the blocks' columns that are not pairs
+    for _, _, c0, c1 in spans:
+        rest[c0:c1] = True
+    k = max(n - m, 0)  # columns whose diagonal stays inside the truncation
+    pair = f_one[:k] & e_one[m:] & rest[:k]
+    rest[:k] &= ~pair
+    cols = np.flatnonzero(rest)
+    R = poly_image(basis, ((m, 1),),
+                   basis.F_csc[:, cols] if len(cols) < n else basis.F_csc)
+    # the pair entry of column j, 0 where none is stored (the sparse
+    # product stores no zero sums)
+    v = np.zeros(k)
+    np.multiply(e_diag[m:], f_diag[:k], out=v, where=pair)
+    mag = np.abs(v)
+
+    out = []
+    for r0, r1, c0, c1 in spans:
+        a, b = np.searchsorted(cols, (c0, c1))
+        # the block's pairs: columns j in [c0, c1) with row j + m in [r0, r1)
+        run = slice(max(c0, r0 - m), max(min(c1, r1 - m, k), 0))
+        out.append(_norm(_compress(R[r0:r1, a:b]),
+                         float(mag[run].max(initial=0.0)),
+                         np.count_nonzero(v[run])))
+    return out
 
 
 # -- calibration gates -------------------------------------------------------------
@@ -345,25 +437,25 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     gate_info = {k: v for k, v in gates.items()
                  if k not in ("band", "low", "spill")}
 
-    T = conjugated_power(basis, 1)
-    lo_blk = sigma_max_block(T, slice(0, nu + 1), slice(nu + 1, hi + 1))
+    head, above = slice(0, nu + 1), slice(nu + 1, hi + 1)
+    low_nu, band_nu, spill_nu = (head, above), (above, above), (above, head)
+    lo_blk, band_blk, lo_xi, band_xi, spill1 = power_norms(basis, 1, [
+        low_nu, band_nu, (slice(0, xi + 1), slice(xi + 1, hi + 1)),
+        (slice(xi + 1, hi + 1), slice(xi + 1, hi + 1)), spill_nu])
     entries.append(check(
         f"shift.low.nu.stage{n}",
         f"norm of rows [0,{nu}] of the shifted image of span f_({nu},{hi}]",
         lo_blk.value, delta, asserted=gates["low"],
         details={"method": lo_blk.method, **gate_info}))
-    band_blk = sigma_max_block(T, slice(nu + 1, hi + 1), slice(nu + 1, hi + 1))
     entries.append(check(
         f"shift.band.nu.stage{n}",
         f"norm of the shifted image of span f_({nu},{hi}] within itself",
         band_blk.value, 1 + delta, asserted=gates["band"],
         details={"method": band_blk.method, **gate_info}))
-    lo_xi = sigma_max_block(T, slice(0, xi + 1), slice(xi + 1, hi + 1))
     entries.append(check(
         f"shift.low.xi.stage{n}",
         f"same low block cut at xi={xi} (informational: b-fan chains cross it)",
         lo_xi.value, delta, asserted=False))
-    band_xi = sigma_max_block(T, slice(xi + 1, hi + 1), slice(xi + 1, hi + 1))
     entries.append(check(
         f"shift.band.xi.stage{n}",
         f"same band cut at xi={xi} (informational)",
@@ -375,14 +467,12 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
         s_ok, s_info = scale_calibrated(basis, n, ki)
         gate = h_ok and s_ok and gates["band"]
         info = {**h_info, **s_info}
-        P = conjugated_power(basis, ck)
-        band = sigma_max_block(P, slice(nu + 1, hi + 1), slice(nu + 1, hi + 1))
+        band, low = power_norms(basis, ck, [band_nu, low_nu])
         entries.append(check(
             f"fanpow.band.stage{n}.k{ki}",
             f"power c_{ki}={ck}: image of span f_({nu},{hi}] within itself vs 4",
             band.value, 4.0, asserted=gate,
             details={"method": band.method, **info}))
-        low = sigma_max_block(P, slice(0, nu + 1), slice(nu + 1, hi + 1))
         entries.append(check(
             f"fanpow.low.stage{n}.k{ki}",
             f"power c_{ki}={ck}: rows [0,{nu}] of the image of span f_({nu},{hi}]",
@@ -393,16 +483,10 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     for m in _default_subsample(nu // 2):
         if m >= max(nu // 2, 1) + 1:
             continue
-        P = T if m == 1 else conjugated_power(basis, m)
-        spill = sigma_max_block(P, slice(nu + 1, hi + 1), slice(0, nu + 1))
+        spill, band, low = (spill1, band_blk, lo_blk) if m == 1 else \
+            power_norms(basis, m, [spill_nu, band_nu, low_nu])
         spill_max = max(spill_max, spill.value)
-        if m == 1:  # the nu-cut band and low blocks of T, measured above
-            band_growth[m], low_growth[m] = band_blk.value, lo_blk.value
-            continue
-        band_growth[m] = sigma_max_block(
-            P, slice(nu + 1, hi + 1), slice(nu + 1, hi + 1)).value
-        low_growth[m] = sigma_max_block(
-            P, slice(0, nu + 1), slice(nu + 1, hi + 1)).value
+        band_growth[m], low_growth[m] = band.value, low.value
     entries.append(check(
         f"powm.spill.stage{n}",
         f"powers m<nu/2 of span f_[0,{nu}] escaping above {nu} (max over sample)",
@@ -440,9 +524,8 @@ def tail_bound_entry(basis: BasisMap, n: int, k: int) -> Entry:
         return check(f"tailpow.stage{n}.k{k}",
                      f"power c_{k}={ck}: empty admissible tail", 0.0, 100.0,
                      asserted=False, details={"admissible_columns": 0})
-    P = conjugated_power(basis, ck)
-    res = sigma_max_block(P, slice(0, basis.n_trunc + 1),
-                          slice(st.nu + 1, jmax + 1))
+    res, = power_norms(basis, ck, [(slice(0, basis.n_trunc + 1),
+                                    slice(st.nu + 1, jmax + 1))])
     h_ok, h_info = h_calibrated(basis, n)
     s_ok, s_info = scale_calibrated(basis, n, k)
     det = {"admissible_columns": jmax - st.nu, "method": res.method,
@@ -454,8 +537,7 @@ def tail_bound_entry(basis: BasisMap, n: int, k: int) -> Entry:
 
 
 def full_norm_entry(basis: BasisMap) -> tuple[Entry, OpNormResult]:
-    T = conjugated_power(basis, 1)
-    res = op_norm(T)
+    res, = power_norms(basis, 1, [(slice(None), slice(None))])
     e = check(
         "opnorm.full",
         "measured operator norm of the full truncated operator (finite required)",

@@ -134,6 +134,31 @@ def test_shade_bcal_bound(r1b):
             assert v == pytest.approx(2.0 ** (1 / math.sqrt(512)), rel=1e-9)
 
 
+@pytest.mark.parametrize("name, n", [("mini", 1), ("mini", 2),
+                                     ("mini_rational", 2), ("r1b", 1)])
+def test_shade_ratios_match_column_loop(name, n, request):
+    # the column-by-column read of the formed power, kept as the reference
+    from orbitlab import geometry as geo
+    from orbitlab.operators import conjugated_power
+
+    b = request.getfixturevalue(name)
+    st = b.schedule.stage(n)
+    shift = st.b + 1
+    P = conjugated_power(b, shift)
+    gap = np.zeros(st.nu + shift + 1, dtype=bool)
+    for iv in geo.stage_table(b.schedule, n):
+        if isinstance(iv.tag, geo.BLayOff):
+            gap[iv.lo:iv.hi + 1] = True
+    want = []
+    for j in np.flatnonzero(gap[:-shift] & gap[shift:]).tolist():
+        lo, hi = P.indptr[j], P.indptr[j + 1]
+        at = np.flatnonzero(P.indices[lo:hi] == j + shift)
+        want.append((j, P.data[lo + at[0]] if len(at) else 0.0, int(hi - lo)))
+    _, got = hyp.shade_measurements(b, n)
+    assert [(j, float(v).hex(), k) for j, v, k in got] == [
+        (j, float(v).hex(), k) for j, v, k in want]
+
+
 def test_shade_kills_outside_support(r1):
     # the estimate applies to the projection onto (xi, nu]: a vector
     # supported elsewhere projects to zero, so its shade image vanishes

@@ -518,3 +518,227 @@ def test_sup_e_norm_memo_stops_at_hi(r1):
     assert len(b._e_norms) == nu + 1
     ops.sup_e_norm(b, nu + 500)
     assert len(b._e_norms) == nu + 501
+
+
+# -- block norms of operator powers ------------------------------------------------
+
+def _reference_norm(basis, m, rows, cols):
+    return ops.op_norm(ops.conjugated_power(basis, m)[rows, cols])
+
+
+def _assert_same(got, want):
+    assert (got.method, got.converged, got.iterations) == (
+        want.method, want.converged, want.iterations)
+    assert got.value.hex() == want.value.hex()
+
+
+def _recorded_blocks(basis, monkeypatch):
+    """Every (m, blocks, results) that the block-norm verifiers ask
+    power_norms for on `basis`."""
+    from orbitlab import hypercyclic as hyp
+
+    calls = []
+    power_norms = ops.power_norms
+
+    def recording(b, m, blocks):
+        out = power_norms(b, m, blocks)
+        calls.append((m, list(blocks), out))
+        return out
+
+    monkeypatch.setattr(ops, "power_norms", recording)
+    monkeypatch.setattr(hyp, "power_norms", recording)
+    ops.full_norm_entry(basis)
+    for n in range(1, basis.schedule.n_stages + 1):
+        st = basis.schedule.stage(n)
+        ops.block_estimates(basis, n)
+        for k in range(1, st.k + 1):
+            ops.tail_bound_entry(basis, n, k)
+        if basis.n_trunc >= st.nu + st.b + 1:
+            hyp.shade_measurements(basis, n)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def mini_complex():
+    return ol.assemble(*ol.profiles.mini_schedule(field=ol.COMPLEX))
+
+
+@pytest.fixture(scope="module")
+def r1_complex():
+    return ol.assemble(*ol.profiles.reference_schedule(field=ol.COMPLEX))
+
+
+@pytest.mark.parametrize("name", ["r1", "mini", "mini_rational", "mini_complex",
+                                  "r1_complex", "r1_companion"])
+def test_power_norms_match_formed_power(name, request, monkeypatch):
+    # every block the verifiers measure, hex-equal to op_norm of the block
+    # sliced out of the formed power
+    b = request.getfixturevalue(name)
+    calls = _recorded_blocks(b, monkeypatch)
+    values = []
+    for m, blocks, results in calls:
+        P = ops.conjugated_power(b, m)
+        for (rows, cols), got in zip(blocks, results):
+            _assert_same(got, ops.op_norm(P[rows, cols]))
+            values.append(got.value)
+    if name.startswith("mini"):  # stage 1's chains take the rescale branch
+        assert max(values) > 1e100
+
+
+def test_power_norms_edge_blocks(mini):
+    n = mini.n_trunc + 1
+    full = slice(0, n)
+    blocks = [(full, slice(40, 40)),             # empty column range
+              (full, slice(50, 20)),             # reversed, empty too
+              (slice(n - 30, n + 50), full),     # rows past the truncation
+              (slice(n + 2, n + 9), full),       # rows all past it
+              (slice(5, 9000), slice(3, 20000))]
+    for m in (1, 7, mini.n_trunc, n + 3):
+        got = ops.power_norms(mini, m, blocks)
+        for (rows, cols), res in zip(blocks, got):
+            _assert_same(res, _reference_norm(mini, m, rows, cols))
+    assert ops.power_norms(mini, n + 3, [(full, full)]) == [
+        ops.OpNormResult(0.0, "empty", True, 0)]
+
+
+def _lone_pairs(b, m):
+    """Columns j where F's row and column j and E's row and column j + m
+    each hold one stored entry."""
+    n = b.n_trunc + 1
+
+    def lone(M):
+        return (np.diff(M.indptr) == 1) & (np.bincount(M.indices, minlength=n) == 1)
+
+    k = max(n - m, 0)
+    return np.flatnonzero(lone(b.F_csc)[:k] & lone(b.E_csc)[m:])
+
+
+def _spy_poly_image(monkeypatch):
+    calls = []
+    poly_image = ops.poly_image
+
+    def spy(basis, terms, X):
+        calls.append((terms, X))
+        return poly_image(basis, terms, X)
+
+    monkeypatch.setattr(ops, "poly_image", spy)
+    return calls
+
+
+def test_block_estimates_multiply_only_non_pair_columns(r1, monkeypatch):
+    # the formed power is never built: each product covers at most the
+    # columns that are not lone pairs at that power
+    calls = _spy_poly_image(monkeypatch)
+    ops.block_estimates(r1, 1)
+    assert calls
+    for terms, X in calls:
+        (m, _), = terms
+        assert X.shape[1] <= r1.n_trunc + 1 - len(_lone_pairs(r1, m))
+
+
+@pytest.mark.parametrize("m, cols", [(1, [0, 1, 2, 3, 4]),
+                                     (4096, [8453, 61701, 73989])])
+def test_single_entry_columns_sharing_a_row_stay_in_the_product(
+        r1, monkeypatch, m, cols):
+    # these columns hold one entry in F and E at j + m, but the power has
+    # another entry in their row j + m: they go through the product, and
+    # the blocks holding both are measured exactly
+    F, E = r1.F_csc, r1.E_csc
+    P = ops.conjugated_power(r1, m).tocsr()
+    for j in cols:
+        assert F.indptr[j + 1] - F.indptr[j] == 1
+        assert E.indptr[j + m + 1] - E.indptr[j + m] == 1
+        assert P.indptr[j + m + 1] - P.indptr[j + m] > 1
+    assert not set(cols) & set(_lone_pairs(r1, m).tolist())
+    calls = _spy_poly_image(monkeypatch)
+    full = slice(0, r1.n_trunc + 1)
+    blocks = [(full, full), (full, slice(0, 80_000)), (slice(0, 80_000), full)]
+    got = ops.power_norms(r1, m, blocks)
+    (_, X), = calls  # every column but the lone pairs
+    assert X.shape[1] == r1.n_trunc + 1 - len(_lone_pairs(r1, m))
+    for (rows, c), res in zip(blocks, got):
+        _assert_same(res, _reference_norm(r1, m, rows, c))
+
+
+def test_block_norms_raise_no_floating_point_warnings(mini):
+    import warnings
+
+    from orbitlab import hypercyclic as hyp
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n in (1, 2):
+            ops.block_estimates(mini, n)
+            hyp.shade_measurements(mini, n)
+        ops.tail_bound_entry(mini, 1, 1)
+        ops.full_norm_entry(mini)
+
+
+def _diagonal_basis(f_diag, e_diag):
+    """A basis whose F and E are diagonal: every column is a lone pair."""
+    from orbitlab.basis import BasisMap
+
+    n = len(f_diag)
+
+    def diag(d):
+        return sparse.csc_matrix((np.asarray(d, dtype=float), np.arange(n),
+                                  np.arange(n + 1)), shape=(n, n))
+
+    return BasisMap(None, (), "float", n - 1, (), diag(f_diag), diag(e_diag),
+                    np.ones(n, dtype=bool), ())
+
+
+@pytest.mark.parametrize("f_diag, method", [
+    ([0.0, 0.0, 0.0, 0.0], "empty"),      # the products are explicit zeros
+    ([1.0, 0.0, 3.0, 1.0], "dense_svd"),
+    ([1.0, np.inf, 3.0, 1.0], "nonfinite"),
+    ([1.0, 2.0, np.nan, 1.0], "nonfinite"),
+    ([1e200, 3e199, 1.0, 1.0], "dense_svd"),  # the rescale branch
+    ([1e-300, 1e-310, 3e-301, 1.0], "dense_svd"),
+])
+def test_power_norms_of_pairs_only(f_diag, method):
+    b = _diagonal_basis(f_diag, [1.0, 0.5, 2.0, 1.0])
+    n = b.n_trunc + 1
+    blocks = [(slice(0, n), slice(0, n)), (slice(1, 3), slice(0, 2)),
+              (slice(2, 4), slice(0, 2))]
+    for m in (0, 1, 2):
+        for (rows, cols), res in zip(blocks, ops.power_norms(b, m, blocks)):
+            _assert_same(res, _reference_norm(b, m, rows, cols))
+    assert ops.power_norms(b, 1, blocks[:1])[0].method == method
+
+
+def test_op_norm_of_explicit_zeros_is_empty():
+    M = sparse.csc_matrix(([0.0, 0.0], [0, 1], [0, 1, 2]), shape=(2, 2))
+    assert M.nnz == 2
+    assert ops.op_norm(M) == ops.OpNormResult(0.0, "empty", True, 0)
+    assert ops.op_norm(sparse.csc_matrix((3, 4))) == ops.OpNormResult(
+        0.0, "empty", True, 0)
+
+
+def test_power_norms_count_loose_pairs_in_the_drop_threshold():
+    # E = I and F = a bidiagonal chain wider than the cap beside many lone
+    # unit columns, three of them explicit zeros that the product does not
+    # store.  The chain's links sit above u^2 L^2 / nnz only when nnz counts
+    # the stored lone entries, so both routes keep them and raise on the
+    # same matrix shape.
+    from orbitlab.basis import BasisMap
+
+    n_pairs, width = 100_000, ops.DENSE_COMPONENT_CAP + 100
+    pairs = np.ones(n_pairs)
+    pairs[[10, 500, 7000]] = 0.0
+    lone = sparse.csc_matrix((pairs, np.arange(n_pairs), np.arange(n_pairs + 1)))
+    main = 1 + np.random.default_rng(8).random(width)
+    main[width // 2] = 5.0
+    chain = sparse.diags([main, np.full(width - 1, 3e-18)], [0, 1])
+    F = sparse.block_diag([lone, chain], format="csc")
+    n = F.shape[0]
+    assert F.nnz == n_pairs + 2 * width - 1
+    b = BasisMap(None, (), "float", n - 1, (), F,
+                 sparse.identity(n, format="csc"), np.ones(n, dtype=bool), ())
+    full = (slice(0, n), slice(0, n))
+    with pytest.raises(ol.errors.OrbitLabError) as want:
+        _reference_norm(b, 0, *full)
+    with pytest.raises(ol.errors.OrbitLabError) as got:
+        ops.power_norms(b, 0, [full])
+    assert str(got.value) == str(want.value)
+    assert f"{n - 3}x{n - 3} matrix" in str(got.value)
