@@ -13,6 +13,7 @@ import numpy as np
 
 import orbitlab as ol
 from orbitlab import negligibility as neg
+from orbitlab.basis import vec_norm
 
 sched, fams = ol.profiles.reference_schedule()
 b = ol.assemble(sched, fams)
@@ -20,7 +21,7 @@ rng = np.random.default_rng(11)
 
 k, M = 2, 2.0
 phi = neg.e0_functional_structural(b.schedule, b.families, k, b.gammas)
-norm = neg.functional_norm(phi)
+norm = vec_norm(phi)
 val, expected = neg.functional_gamma_identity(b.schedule, b.families, 1,
                                               b.gammas)
 print(f"head functional at stage {k}: support {sorted(phi)}")

@@ -10,15 +10,14 @@ from .geometry import (Seed, BLayOff, BWorking, CLayOff, CWorking, TailLayOff,
 from .polynet import (Poly, PolyNet, ZERO, ONE, ZETA, generate_net,
                       b_damped, ell1_distance, nearest_member,
                       NO_CONSTRAINT, ZERO_CONSTANT_TERM)
-from .basis import (BasisMap, assemble, calibrate_gamma,
-                    lattice_descent, expand_e_structural, solve_F,
-                    roundtrip_max_error, roundtrip_exact,
-                    export_matrix_market, read_matrix_market)
+from .basis import (BasisMap, assemble, lattice_descent, expand_e_structural,
+                    solve_F, roundtrip_max_error, roundtrip_exact,
+                    export_matrix_market)
 from .operators import (conjugated_power, op_norm, OpNormResult,
                         block_estimates, tail_bound_entry, orbit_distances)
 from .hypercyclic import (Certificate, certify_hypercyclic_step, fan_residual,
-                          fan_residual_bound, b_identity_residual,
-                          shade_measurements, modulus_reduction_chain)
+                          fan_residual_bound, shade_measurements,
+                          modulus_reduction_chain)
 from .unicell import (ToeplitzSystem, solve_poly, large_coord_index,
                       compare_orbits, LargeCoordIndex, ComparisonResult,
                       X_CONTAINS_Y, Y_CONTAINS_X)

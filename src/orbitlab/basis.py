@@ -421,7 +421,7 @@ def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRe
     cap = 2.0 ** (-n - 1)
     g = min(g_cal, cap)
     if schedule.weight_mode == RATIONAL:
-        g = geo.dyadic(g, rounding=math.floor)
+        g = geo.dyadic(g)
     return CalibRecord(n, C, st.delta, g_cal, cap, g)
 
 
@@ -555,17 +555,6 @@ def assemble(schedule: StageSchedule, families,
     E_csc, E_exact = E.matrix(size)
     return BasisMap(schedule, families, mode, n_trunc, gammas, F_csc, E_csc,
                     layoff, calibration, exact=(F_exact, E_exact))
-
-
-def calibrate_gamma(schedule: StageSchedule, families, n: int):
-    """Measured frame constant and resulting gamma for stage n.
-
-    Builds stages < n (and the b-part of stage n) at truncation nu_n; returns
-    the CalibRecord.  Guarantees the fan-residual bound by construction:
-    the residual map has operator norm exactly gamma_n * frame_constant.
-    """
-    probe = assemble(schedule, families, n_trunc=schedule.stage(n).nu)
-    return _calibrate(schedule, probe.F_csc, n)
 
 
 # -- independent e -> f expansion (structural route) ---------------------------
@@ -786,13 +775,7 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     return (True, None, 0)
 
 
-def export_matrix_market(path, mat: sparse.spmatrix, comment: str = "") -> None:
+def export_matrix_market(path, mat: sparse.spmatrix) -> None:
     from scipy.io import mmwrite
 
-    mmwrite(path, mat.tocoo(), comment=comment)
-
-
-def read_matrix_market(path) -> sparse.csc_matrix:
-    from scipy.io import mmread
-
-    return sparse.csc_matrix(mmread(path))
+    mmwrite(path, mat.tocoo())

@@ -35,6 +35,7 @@ from .errors import ScheduleError, TruncationError
 from .schedule import RATIONAL, StageSchedule
 
 MAX_LATTICE_POINTS = 1_000_000
+DYADIC_BITS = 40  # significant bits of every rational-mode dyadic
 
 
 # -- region tags --------------------------------------------------------------
@@ -243,15 +244,14 @@ def _shifted(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num, np.left_shift(1, (np.maximum(-s, 0) - tz).astype(object))
 
 
-def pow2_dyadic_pairs(e: np.ndarray,
-                      bits: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """2^e entrywise as exact dyadics with `bits` <= 62 significant bits, any
+def pow2_dyadic_pairs(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2^e entrywise as exact dyadics with DYADIC_BITS significant bits, any
     exponent size, as coprime (numerator, denominator) object arrays: the
     nearest dyadic (ties to even) of 2^frac(e), shifted by floor(e)."""
     ip = np.floor(e)
     m, k = np.frexp(_pow2(e - ip))
-    mant = np.rint(m * (1 << bits)).astype(np.int64)
-    return _shifted(mant, k + ip.astype(np.int64) - bits)
+    mant = np.rint(m * (1 << DYADIC_BITS)).astype(np.int64)
+    return _shifted(mant, k + ip.astype(np.int64) - DYADIC_BITS)
 
 
 def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
@@ -272,23 +272,23 @@ def interval_weight_pairs(iv: _Interval, schedule: StageSchedule, j_lo: int,
     return pow2_dyadic_pairs(_exponents(iv, schedule, j_lo, j_hi))
 
 
-def dyadic(x: float, bits: int = 40, rounding=round) -> Fraction:
-    """Fraction m / 2^e with a `bits`-bit mantissa (bits <= 62): the nearest
-    one by default, or the one `rounding` (e.g. math.floor) picks."""
+def dyadic(x: float) -> Fraction:
+    """x rounded down to a Fraction m / 2^e with a DYADIC_BITS-bit mantissa:
+    the largest such dyadic that is at most x."""
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    num, den = _shifted(np.array([rounding(m * (1 << bits))]), np.array([e - bits]))
+    num, den = _shifted(np.array([math.floor(m * (1 << DYADIC_BITS))]),
+                        np.array([e - DYADIC_BITS]))
     return Fraction(num[0], den[0])
 
 
-def layoff_weight(j: int, schedule: StageSchedule, tag: RegionTag | None = None):
+def layoff_weight(j: int, schedule: StageSchedule):
     """Weight of a lay-off index, as a float or a 40-bit dyadic Fraction per
     weight mode: interval_weights on the stage-table interval holding j.  A
     caller that walks a whole interval should call interval_weights once
     instead."""
-    if tag is None:
-        tag = classify(j, schedule)
+    tag = classify(j, schedule)
     if not is_layoff(tag):
         raise ValueError(f"index {j} is not in a lay-off region ({tag})")
     return interval_weights(locate(j, schedule), schedule, j, j).item()

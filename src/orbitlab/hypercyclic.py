@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -84,21 +83,10 @@ def fan_residual_bound(basis: BasisMap, n: int) -> float:
     return float(basis.gamma(n)) * frame_constant(basis, n)
 
 
-def b_identity_residual(basis: BasisMap, x_f: dict, n: int) -> float:
-    """||(T^b / b - I) T x|| for x supported in [0, xi_n]."""
-    st = basis.schedule.stage(n)
-    if support_max(x_f) > st.xi:
-        raise SupportError(f"vector must be supported in [0, {st.xi}]")
-    alpha = basis.f_to_e(x_f)
-    tx = shift_e(alpha, 1, basis.n_trunc)
-    diff = {i: v / st.b for i, v in shift_e(tx, st.b, basis.n_trunc).items()}
-    vec_add(diff, tx, -1)
-    return vec_norm(basis.e_to_f(diff))
-
-
 def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
     """Measured C with ||(T^b/b - I) T x|| <= C/b ||x|| on span e_[0, xi_n]:
-    b times the operator norm of the residual map, plus per-basis values."""
+    b times the operator norm of the residual map, plus the residual
+    ||(T^b/b - I) T e_j|| of each head basis vector, j = 0..xi_n."""
     st = basis.schedule.stage(n)
     X = sparse.eye(basis.n_trunc + 1, st.xi + 1, format="csc",
                    dtype=basis.F_csc.dtype)
@@ -161,8 +149,15 @@ class Certificate:
     recomputed_final: float
     details: dict = field(default_factory=dict)
 
-    def verify(self, tol: float = 1e-9) -> list[str]:
+    @property
+    def tolerance(self) -> float:
+        """Relative tolerance of the bookkeeping checks: 0 in exact (rational)
+        arithmetic, 1e-9 in floats."""
+        return 0.0 if self.details["mode"] == RATIONAL else 1e-9
+
+    def verify(self) -> list[str]:
         """Recheck the internal bookkeeping; returns a list of problems."""
+        tol = self.tolerance
         bad = []
         if abs(self.final_residual - self.recomputed_final) > tol * max(
                 1.0, abs(self.final_residual)):
@@ -257,18 +252,15 @@ def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
     return k0, snap_dist, pk, shift_e(x_e, ck, basis.n_trunc), steps
 
 
-def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int,
-                             threshold: Optional[float] = None) -> Certificate:
+def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
     """Certificate that some fan power of the operator carries x near e_1.
 
-    Requires the head e_0-coordinate of x to clear the stage threshold
-    (default 2^-n); vectors below it are refused, since the solve step has
-    nothing to steer with.
+    Requires the head e_0-coordinate of x to clear the stage threshold 2^-n;
+    vectors below it are refused, since the solve step has nothing to steer
+    with.
     """
-    sched = basis.schedule
-    st = sched.stage(n)
-    if threshold is None:
-        threshold = 2.0 ** (-n)
+    st = basis.schedule.stage(n)
+    threshold = 2.0 ** (-n)
     x_f = vec_clean(x_f)
     if not x_f:
         raise PreconditionError("zero vector refused")
@@ -402,7 +394,10 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
 
 # -- report rows -----------------------------------------------------------------
 
-def fan_entries(basis: BasisMap, n: int, rng=None, samples: int = 20) -> list[Entry]:
+FAN_SAMPLES = 20  # random supported vectors of the fan.sampled rows
+
+
+def fan_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
     st = basis.schedule.stage(n)
     entries = []
     per_k = [fan_residual_norm(basis, n, k) for k in range(1, st.k + 1)]
@@ -414,31 +409,32 @@ def fan_entries(basis: BasisMap, n: int, rng=None, samples: int = 20) -> list[En
         details={"gamma": repr(basis.gamma(n)),
                  "frame_constant": frame_constant(basis, n),
                  "per_k": per_k}))
-    if rng is not None:
-        # the measured route subtracts head chains; float can carry that
-        # cancellation only while the chain entries stay exactly representable
-        chain_scale = sup_e_norm(basis, min(st.nu, basis.n_trunc))
-        if basis.mode == RATIONAL or chain_scale <= 2.0 ** 50:
-            worst = 0.0
-            for _ in range(samples):
-                x = {j: float(v)
-                     for j, v in enumerate(rng.standard_normal(st.nu + 1))}
-                nx = vec_norm(x)
-                for k in range(1, st.k + 1):
-                    worst = max(worst, fan_residual(basis, x, n, k) / nx)
-            entries.append(check(
-                f"fan.sampled.stage{n}",
-                f"largest sampled fan residual over {samples} random supported "
-                "vectors (ratio to the vector norm)",
-                worst, st.delta, asserted=True))
-        else:
-            entries.append(check(
-                f"fan.sampled.stage{n}",
-                "sampling skipped: head-chain entries exceed exact float "
-                "range, the cancellation needs exact weights (the operator "
-                "bound above still binds)",
-                None, st.delta, asserted=False,
-                details={"chain_scale": chain_scale}))
+    # the measured route subtracts head chains; float can carry that
+    # cancellation only while the chain entries stay exactly representable,
+    # and rational mode samples the same draws as exact Fractions
+    chain_scale = sup_e_norm(basis, min(st.nu, basis.n_trunc))
+    exact = basis.mode == RATIONAL
+    if exact or chain_scale <= 2.0 ** 50:
+        worst = 0.0
+        for _ in range(FAN_SAMPLES):
+            draw = rng.standard_normal(st.nu + 1).tolist()
+            x = dict(enumerate(map(Fraction, draw) if exact else draw))
+            nx = vec_norm(x)
+            for k in range(1, st.k + 1):
+                worst = max(worst, fan_residual(basis, x, n, k) / nx)
+        entries.append(check(
+            f"fan.sampled.stage{n}",
+            f"largest sampled fan residual over {FAN_SAMPLES} random supported "
+            "vectors (ratio to the vector norm)",
+            worst, st.delta, asserted=True))
+    else:
+        entries.append(check(
+            f"fan.sampled.stage{n}",
+            "sampling skipped: head-chain entries exceed exact float "
+            "range, the cancellation needs exact weights (the operator "
+            "bound above still binds)",
+            None, st.delta, asserted=False,
+            details={"chain_scale": chain_scale}))
     return entries
 
 

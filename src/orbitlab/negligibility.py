@@ -21,12 +21,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .basis import vec_norm
 from .errors import PreconditionError, ProfileError
 from .polynet import ONE
 from .report import Entry, check
 from .schedule import COMPLEX, StageSchedule
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+TRIALS = 100_000          # draws per statistics row
+POROSITY_PAIRS = 100      # (vector, radius) pairs of the porosity.witness row
+WITNESS_SAMPLES = 32      # sampled points of each punched ball
 
 
 # -- the sparse head functional --------------------------------------------------
@@ -49,10 +53,6 @@ def e0_functional_structural(schedule: StageSchedule, families, n: int,
             if a0 != 0:
                 out[st.c[t - 1]] = -float(a0) / float(g)
     return out
-
-
-def functional_norm(phi: dict) -> float:
-    return math.sqrt(sum(abs(v) ** 2 for v in phi.values()))
 
 
 def apply_functional(phi: dict, x_f: dict):
@@ -201,15 +201,14 @@ class WitnessRecord:
 
 
 def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
-                     rng: np.random.Generator, n_samples: int = 32
-                     ) -> WitnessRecord:
+                     rng: np.random.Generator) -> WitnessRecord:
     """Displace x by delta along the functional's maximizing direction and
     check that the half-radius ball around the displacement clears the
     small-coordinate level.  Deterministic once the stage selection
     inequality holds; the sampled points are a belt-and-braces check."""
     if delta <= 0:
         raise PreconditionError("displacement radius must be positive")
-    norm = functional_norm(phi)
+    norm = vec_norm(phi)
     level = 2.0 ** (-k) * M
     x_val = abs(apply_functional(phi, x_f))
     if x_val > level:
@@ -229,7 +228,7 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
     y_val = abs(apply_functional(phi, y))
     dims = supp + [max(supp) + 1, max(supp) + 2]
     values = []
-    for _ in range(n_samples):
+    for _ in range(WITNESS_SAMPLES):
         w = rng.standard_normal(len(dims))
         w /= np.linalg.norm(w)
         radius = 0.999 * (delta / 2) * rng.uniform() ** (1.0 / len(dims))
@@ -244,48 +243,47 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
 
 # -- report rows ----------------------------------------------------------------------
 
-def statistics_entries(schedule: StageSchedule, families, seed: int,
-                       trials: int = 100_000, n_range=range(1, 7),
-                       Ms=(1.0, 4.0), coeff=None) -> list[Entry]:
-    """Anti-concentration grid and moment checks for one schedule (its field)."""
-    if coeff is None:
-        coeff = lambda j: 1.0 / (1.0 + j)
+def _coeff(j: int) -> float:
+    """c_j = 1 / (1 + j), the coefficients of the sampled series."""
+    return 1.0 / (1.0 + j)
+
+
+def statistics_entries(schedule: StageSchedule, families, seed: int
+                       ) -> list[Entry]:
+    """Anti-concentration grid (stages 1..6, M in {1, 4}) and moment checks
+    for one schedule (its field), TRIALS draws each."""
     field = schedule.scalar_field
     entries: list[Entry] = []
-    worst_slack, worst_id = -float("inf"), ""
-    for n in n_range:
+    for n in range(1, 7):
         if n > schedule.n_stages:
             break
         phi = e0_functional_structural(schedule, families, n)
-        for M in Ms:
-            sampler = GaussianSampler(coeff, field, seed + 17 * n)
-            st = coord_tail_probability(phi, {}, sampler, n, M, trials)
-            slack = (st.empirical - st.conf_radius) - st.analytic_bound
-            if slack > worst_slack:
-                worst_slack, worst_id = slack, f"n={n},M={M}"
+        for M in (1.0, 4.0):
+            sampler = GaussianSampler(_coeff, field, seed + 17 * n)
+            st = coord_tail_probability(phi, {}, sampler, n, M, TRIALS)
             entries.append(check(
                 f"gauss.tail.{field}.n{n}.M{int(M)}",
                 f"empirical small-head probability minus 99% radius vs the "
                 f"analytic bound ({field} field)",
                 st.empirical - st.conf_radius, st.analytic_bound, asserted=True,
                 details={"empirical": st.empirical, "hits": st.hits,
-                         "sigma": st.sigma_closed, "trials": trials}))
+                         "sigma": st.sigma_closed, "trials": TRIALS}))
     n_mom = min(3, schedule.n_stages)
     phi = e0_functional_structural(schedule, families, n_mom)
-    sampler = GaussianSampler(coeff, field, seed + 1)
+    sampler = GaussianSampler(_coeff, field, seed + 1)
     x0 = {0: 0.25, 1: -0.5}
-    X = sample_head_coordinate(phi, x0, sampler, trials)
+    X = sample_head_coordinate(phi, x0, sampler, TRIALS)
     m0, sig = head_moments(phi, x0, sampler)
     if field == COMPLEX:
         emp_mean = complex(np.mean(X))
         emp_var = float(np.mean(np.abs(X - m0) ** 2) / 2)
-        se_mean = sig / math.sqrt(trials)
-        se_var = sig ** 2 / math.sqrt(trials)
+        se_mean = sig / math.sqrt(TRIALS)
+        se_var = sig ** 2 / math.sqrt(TRIALS)
     else:
         emp_mean = float(np.mean(X))
         emp_var = float(np.var(X))
-        se_mean = sig / math.sqrt(trials)
-        se_var = sig ** 2 * math.sqrt(2.0 / trials)
+        se_mean = sig / math.sqrt(TRIALS)
+        se_var = sig ** 2 * math.sqrt(2.0 / TRIALS)
     entries.append(check(
         f"gauss.mean.{field}", "sampled head-coordinate mean vs closed form "
         "(3 standard errors)",
@@ -297,9 +295,9 @@ def statistics_entries(schedule: StageSchedule, families, seed: int,
     entries.append(check(
         f"gauss.sigma_floor.{field}",
         "closed-form standard deviation never below |c_0| (exact)",
-        abs(coeff(0)), sig + 1e-15, asserted=True))
+        abs(_coeff(0)), sig + 1e-15, asserted=True))
     if schedule.n_stages >= 2:
-        partial, tail = borel_cantelli_sum(abs(coeff(0)), 1.0,
+        partial, tail = borel_cantelli_sum(abs(_coeff(0)), 1.0,
                                            schedule.n_stages, field)
         entries.append(check(
             f"gauss.series.{field}",
@@ -311,10 +309,10 @@ def statistics_entries(schedule: StageSchedule, families, seed: int,
 
 
 def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
-                     M: float, seed: int, n_pairs: int = 100) -> list[Entry]:
+                     M: float, seed: int) -> list[Entry]:
     rng = np.random.default_rng(seed)
     phi = e0_functional_structural(schedule, families, k, gammas)
-    norm = functional_norm(phi)
+    norm = vec_norm(phi)
     entries: list[Entry] = []
     pairing = f"porosity.pairing.stage{k - 1}"
     try:
@@ -338,7 +336,7 @@ def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
     delta_min = 2 * 2 * level / norm
     failures = 0
     run = 0
-    for _ in range(n_pairs):
+    for _ in range(POROSITY_PAIRS):
         x = {j: float(v) for j, v in zip(sorted(phi),
                                          0.1 * rng.standard_normal(len(phi)))}
         val_x = apply_functional(phi, x)

@@ -107,7 +107,6 @@ class PolyNet:
     resolution: float
     constraint: str = NO_CONSTRAINT
     field: str = REAL
-    stage: Optional[int] = None
 
     def __len__(self):
         return len(self.members)
@@ -145,7 +144,6 @@ def generate_net(
     constraint: str = NO_CONSTRAINT,
     field: str = REAL,
     cap: int = 500_000,
-    stage: Optional[int] = None,
 ) -> PolyNet:
     """Enumerate the coefficient-lattice net of the l1 ball, deterministically.
 
@@ -197,7 +195,6 @@ def generate_net(
         resolution=resolution,
         constraint=constraint,
         field=field,
-        stage=stage,
     )
 
 

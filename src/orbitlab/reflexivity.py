@@ -53,11 +53,10 @@ def build_A_independent(basis: BasisMap) -> sparse.csc_matrix:
     return (basis.E_csc @ (S @ P @ basis.F_csc)).tocsc()
 
 
-def noncommutation_witness(basis: BasisMap, A: Optional[sparse.spmatrix] = None
+def noncommutation_witness(basis: BasisMap, A: sparse.spmatrix
                            ) -> tuple[dict, dict]:
-    """(T A e_0, A T e_0) as f-frame dicts; exactly (0, e_2)."""
-    if A is None:
-        A = build_A(basis)
+    """(T A e_0, A T e_0) as f-frame dicts for A = build_A(basis); exactly
+    (0, e_2)."""
     T = conjugated_power(basis, 1)
     e0 = np.zeros(basis.n_trunc + 1)
     e0[0] = 1.0
@@ -82,14 +81,12 @@ class MembershipCertificate:
 
 
 def orbit_membership(basis: BasisMap, x_f: dict, n: int,
-                     A: Optional[sparse.spmatrix] = None,
-                     threshold: Optional[float] = None) -> MembershipCertificate:
-    """Ax lies in the orbit closure of x at truncation scale: when x has no
-    f_0 component, Ax = Tx exactly; otherwise run the fan-power certificate
-    toward e_1 and record that Ax stays inside the span of f_1, f_2, ...
+                     A: sparse.spmatrix) -> MembershipCertificate:
+    """Ax lies in the orbit closure of x at truncation scale (A =
+    build_A(basis)): when x has no f_0 component, Ax = Tx exactly; otherwise
+    run the fan-power certificate toward e_1 and record that Ax stays inside
+    the span of f_1, f_2, ...
     """
-    if A is None:
-        A = build_A(basis)
     head = x_f.get(0, 0)
     xd = np.zeros(basis.n_trunc + 1, dtype=A.dtype)
     for j, v in x_f.items():
@@ -101,7 +98,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
         res = float(np.linalg.norm(diff))
         return MembershipCertificate("exact-shift", 0.0, exact_residual=res,
                                      image_f0_component=float(abs(ax[0])))
-    cert = certify_hypercyclic_step(basis, x_f, n, threshold=threshold)
+    cert = certify_hypercyclic_step(basis, x_f, n)
     # density of the certified-orbit span over f_1, f_2, ... is only sampled
     # at truncation: record the certified point's distance to a basis sample
     x_e = basis.f_to_e(x_f)

@@ -16,12 +16,12 @@ from . import negligibility as neg
 from . import operators as ops
 from . import reflexivity as refl
 from . import unicell as uni
-from .basis import assemble
+from .basis import assemble, vec_norm
 from .errors import ProfileError
 from .polynet import Poly
 from .profiles import doubled_layoffs, statistical_schedule
 from .report import VerificationReport, check
-from .schedule import COMPLEX, RATIONAL, REAL
+from .schedule import COMPLEX, REAL
 
 
 def _stages(b):
@@ -48,7 +48,7 @@ def boundedness(b, rep: VerificationReport, rng, seed: int) -> None:
 
 def fan(b, rep: VerificationReport, rng, seed: int) -> None:
     for n in _stages(b):
-        rep.extend(hyp.fan_entries(b, n, rng=rng))
+        rep.extend(hyp.fan_entries(b, n, rng))
         for k in range(1, b.schedule.stage(n).k + 1):
             rep.add(ops.tail_bound_entry(b, n, k))
 
@@ -62,11 +62,10 @@ def hypercyclic(b, rep: VerificationReport, rng, seed: int) -> hyp.Certificate:
     """Rows of the stage-1 certificate toward e_1 and of a modulus chain;
     returns the certificate."""
     cert = hyp.certify_hypercyclic_step(b, {0: 1}, 1)
-    tol = 0.0 if b.mode == RATIONAL else 1e-9
     rep.add(check(
         "certificate.honesty",
         "independently recomputed final residual equals the recorded one",
-        abs(cert.final_residual - cert.recomputed_final), tol,
+        abs(cert.final_residual - cert.recomputed_final), cert.tolerance,
         asserted=True, details={"power": cert.power, "k": cert.k}))
     rep.add(check(
         "certificate.composed",
@@ -105,7 +104,7 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
             f"functional.crosscheck.stage{n}",
             "structural sparse head functional equals row 0 of the "
             "assembled map",
-            dev, 1e-9 * max(1.0, neg.functional_norm(assembled)),
+            dev, 1e-9 * max(1.0, vec_norm(assembled)),
             asserted=True, details={"support": sorted(keys)}))
     k = b.schedule.n_stages + 1
     rep.extend(neg.porosity_entries(b.schedule, b.families, b.gammas,

@@ -26,6 +26,11 @@ from .operators import sup_e_norm
 X_CONTAINS_Y = "x-contains-y"
 Y_CONTAINS_X = "y-contains-x"
 
+COMPARISON_BASE = 4.0  # the constant C of the large-coordinate ladder
+STEER_SYSTEMS = 200    # random Toeplitz systems of the steer.random row
+STEER_SAMPLES = 200    # random head pairs of the steering-constant estimate
+COMPARE_PAIRS = 30     # random head pairs of the compare.* rows
+
 
 @dataclass(frozen=True)
 class ToeplitzSystem:
@@ -75,7 +80,6 @@ def steering_residual(sys: ToeplitzSystem, p: Poly) -> float:
 @dataclass(frozen=True)
 class LargeCoordIndex:
     stage: int
-    base: float               # the constant C of the threshold ladder
     j: int
     value: float              # |alpha_j|
     threshold: float          # C^-(xi - j + 1)
@@ -83,22 +87,22 @@ class LargeCoordIndex:
     sup_e: float
 
 
-def large_coord_index(basis, x_f: dict, n: int, base: float = 4.0
-                      ) -> Optional[LargeCoordIndex]:
+def large_coord_index(basis, x_f: dict, n: int) -> Optional[LargeCoordIndex]:
     """Smallest j in [0, xi_n] whose e-coordinate of x / ||x|| clears the
-    ladder C^-(xi-j+1); None when no coordinate qualifies."""
+    ladder C^-(xi-j+1), C = COMPARISON_BASE; None when no coordinate
+    qualifies."""
     st = basis.schedule.stage(n)
     nx = vec_norm(x_f)
     if nx == 0:
         return None
     alpha = basis.f_to_e(basis.project_f(x_f, 0, st.xi))
     sup_e = sup_e_norm(basis, st.xi)
-    side_ok = math.sqrt(base) >= sup_e
+    side_ok = math.sqrt(COMPARISON_BASE) >= sup_e
     for j in range(st.xi + 1):
-        thr = base ** -(st.xi - j + 1)
+        thr = COMPARISON_BASE ** -(st.xi - j + 1)
         val = abs(alpha.get(j, 0)) / nx
         if val >= thr:
-            return LargeCoordIndex(n, base, j, float(val), thr, side_ok, sup_e)
+            return LargeCoordIndex(n, j, float(val), thr, side_ok, sup_e)
     return None
 
 
@@ -119,8 +123,7 @@ class ComparisonResult:
     details: dict = field(default_factory=dict)
 
 
-def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
-                   ) -> ComparisonResult:
+def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
     """Decide which orbit closure contains the other at this truncation scale
     and certify the steering chain; ties keep the first argument in front."""
     from .hypercyclic import PipelineStep, fan_power_steps
@@ -130,8 +133,8 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
         raise PreconditionError("orbit comparison needs nonzero vectors")
     x_f = {j: v / nx for j, v in x_f.items()}
     y_f = {j: v / ny for j, v in y_f.items()}
-    jx = large_coord_index(basis, x_f, n, base)
-    jy = large_coord_index(basis, y_f, n, base)
+    jx = large_coord_index(basis, x_f, n)
+    jy = large_coord_index(basis, y_f, n)
     if jx is None and jy is None:
         raise PreconditionError(
             "neither vector has a large head coordinate at this stage")
@@ -197,13 +200,12 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int, base: float = 4.0
 
 # -- report rows ----------------------------------------------------------------------
 
-def unicell_entries(basis, n: int, rng, n_solve: int = 200, n_pairs: int = 30
-                    ) -> list[Entry]:
+def unicell_entries(basis, n: int, rng) -> list[Entry]:
     st = basis.schedule.stage(n)
     entries: list[Entry] = []
 
     worst = 0.0
-    for _ in range(n_solve):
+    for _ in range(STEER_SYSTEMS):
         xi = int(rng.integers(1, 12))
         r = int(rng.integers(0, xi))
         x = rng.standard_normal(xi - r + 1)
@@ -214,7 +216,8 @@ def unicell_entries(basis, n: int, rng, n_solve: int = 200, n_pairs: int = 30
         worst = max(worst, steering_residual(sysm, p) /
                     max(math.sqrt(float(sum(y * y))), 1e-300))
     entries.append(check(
-        "steer.random", f"worst steering residual over {n_solve} random systems",
+        "steer.random",
+        f"worst steering residual over {STEER_SYSTEMS} random systems",
         worst, 1e-10, asserted=True))
 
     slope = growth_exponent_fit(8, 3, rng)
@@ -229,10 +232,11 @@ def unicell_entries(basis, n: int, rng, n_solve: int = 200, n_pairs: int = 30
         "empirical steering constant (max |p| * |lead|^(xi-j+1) over a unit "
         "sphere sample) vs the comparison base",
         cprime, None, asserted=False,
-        details={"comparison_base": 4.0, "dominated": bool(4.0 >= cprime)}))
+        details={"comparison_base": COMPARISON_BASE,
+                 "dominated": bool(COMPARISON_BASE >= cprime)}))
 
     total, failures, antisym = 0, 0, True
-    for _ in range(n_pairs):
+    for _ in range(COMPARE_PAIRS):
         x = _random_unit_head(basis, st.xi, rng)
         y = _random_unit_head(basis, st.xi, rng)
         jx = large_coord_index(basis, x, n)
@@ -266,7 +270,7 @@ def unicell_entries(basis, n: int, rng, n_solve: int = 200, n_pairs: int = 30
     return entries
 
 
-def steering_constant_estimate(basis, n: int, rng, samples: int = 200) -> float:
+def steering_constant_estimate(basis, n: int, rng) -> float:
     """Empirical version of the steering-modulus constant: the largest
     |p| * |leading coordinate|^(xi - j + 1) over random unit head pairs.
     Recorded next to the comparison base, never asserted (the two constants
@@ -274,7 +278,7 @@ def steering_constant_estimate(basis, n: int, rng, samples: int = 200) -> float:
     st = basis.schedule.stage(n)
     xi = st.xi
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(STEER_SAMPLES):
         x = _random_unit_head(basis, xi, rng)
         y = _random_unit_head(basis, xi, rng)
         ax = basis.f_to_e(x)

@@ -22,7 +22,7 @@ from orbitlab import negligibility as neg
 from orbitlab import operators as ops
 from orbitlab import reflexivity as refl
 from orbitlab import unicell as uni
-from orbitlab.basis import shift_e, solve_F, vec_clean
+from orbitlab.basis import shift_e, solve_F, vec_clean, vec_norm
 from orbitlab.profiles import doubled_layoffs, reference_schedule_bcal
 
 SEED = 20250810
@@ -286,7 +286,7 @@ def test_5b_comparison_battery(r1, rng):
 def test_6_porosity_battery(r1):
     rng = np.random.default_rng(SEED)
     phi = neg.e0_functional_structural(r1.schedule, r1.families, 2, r1.gammas)
-    norm = neg.functional_norm(phi)
+    norm = vec_norm(phi)
     M = 2.0
     level = 2.0 ** -2 * M
     delta_min = 4 * level / norm

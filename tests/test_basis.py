@@ -234,22 +234,27 @@ def test_solve_F_random_vectors(mini_rational, rng):
 
 
 def test_matrix_market_roundtrip(mini, tmp_path):
+    from scipy import sparse
+    from scipy.io import mmread
+
     path = tmp_path / "F.mtx"
     ol.export_matrix_market(path, mini.F_csc)
-    back = ol.read_matrix_market(path)
+    back = sparse.csc_matrix(mmread(path))
     diff = (back - mini.F_csc).tocoo()
     assert diff.nnz == 0 or float(np.max(np.abs(diff.data))) <= 1e-12
 
 
 def test_calibrate_gamma_formula():
+    # the smallest truncation past nu_1 calibrates stage 1
     sched, fams = reference_schedule()
-    rec = ol.calibrate_gamma(sched, fams, 1)
+    nu = sched.stage(1).nu
+    rec, = ol.assemble(sched, fams, n_trunc=nu + 1).calibration
     assert rec.gamma == pytest.approx(0.25 / rec.frame_constant)
     assert rec.gamma <= rec.gamma_cap
     # halving delta halves gamma (linearity)
     from dataclasses import replace
     sched2 = replace(sched, stages=(replace(sched.stages[0], delta=0.125),))
-    rec2 = ol.calibrate_gamma(sched2, fams, 1)
+    rec2, = ol.assemble(sched2, fams, n_trunc=nu + 1).calibration
     assert rec2.gamma == pytest.approx(rec.gamma / 2)
 
 

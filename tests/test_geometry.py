@@ -260,37 +260,37 @@ def test_interval_weights_rejects_working_and_outside(r1s):
     assert len(geo.interval_weights(lay, r1s, lay.lo, lay.lo - 1)) == 0
 
 
-def _fraction_power_dyadic(x, bits=40, rounding=round):
-    """geometry.dyadic as a product of Fraction powers."""
+def _fraction_power_dyadic(x, rounding):
+    """A 40-bit dyadic of x, rounded by `rounding`, as a product of Fraction
+    powers."""
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)
-    mant = rounding(m * (1 << bits))
-    return Fraction(mant, 1) * Fraction(2) ** (e - bits)
+    mant = rounding(m * (1 << 40))
+    return Fraction(mant, 1) * Fraction(2) ** (e - 40)
 
 
-def _fraction_power_pow2(e, bits=40):
+def _fraction_power_pow2(e):
     """geometry.pow2_dyadic_pairs of one exponent as a product of Fraction
     powers."""
     ip = math.floor(e)
     frac = e - ip
-    return _fraction_power_dyadic(2.0 ** frac, bits) * Fraction(2) ** ip
+    return _fraction_power_dyadic(2.0 ** frac, round) * Fraction(2) ** ip
 
 
 def test_dyadics_match_fraction_power_formula():
     # the integer-shift dyadics against the Fraction-power formula, on a
     # seeded grid: both signs, subnormals and the float range's ends for
     # dyadic, and exponents far past +-1074 for pow2_dyadic_pairs
+    assert geo.DYADIC_BITS == 40
     rng = np.random.default_rng(20261018)
     xs = [0.0, 1.0, -1.0, 0.5, -0.75, 5e-324, -5e-324, 1e-310, -1e-310,
           sys.float_info.max, -sys.float_info.max, sys.float_info.min]
     xs += (rng.standard_normal(300) * 2.0 ** rng.integers(-1100, 1000, 300)).tolist()
     for x in xs:
-        for bits in (1, 40, 53, 60):
-            assert geo.dyadic(x, bits) == _fraction_power_dyadic(x, bits), (x, bits)
-            got = geo.dyadic(x, bits, rounding=math.floor)
-            assert got == _fraction_power_dyadic(x, bits, math.floor), (x, bits)
-            assert got <= x
+        got = geo.dyadic(x)
+        assert got == _fraction_power_dyadic(x, math.floor), x
+        assert got <= x
     es = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1074.0, -1074.0, 1075.25, -1075.25,
           -1e-17, 1 - 1e-16, 3000.0, -3000.0]
     es += rng.uniform(-3000, 3000, 400).tolist() + rng.uniform(-2, 2, 100).tolist()

@@ -33,7 +33,7 @@ def test_fan_opbound_fails_on_underreported_frame_constant(monkeypatch):
                         lambda *a: measure(*a) * (1 - 1e-3))
     b = ol.assemble(*mini_schedule())
     for n in (1, 2):
-        row = hyp.fan_entries(b, n)[0]
+        row = hyp.fan_entries(b, n, np.random.default_rng(0))[0]
         assert row.claim_id == f"fan.opbound.stage{n}"
         assert row.status == ol.FAIL
         assert row.measured == pytest.approx(row.bound / (1 - 1e-3), rel=1e-9)
@@ -44,6 +44,35 @@ def test_fan_residual_unit_vector(r1):
     g = float(r1.gammas[0])
     assert hyp.fan_residual(r1, {0: 1.0}, 1, 1) == pytest.approx(g, rel=1e-12)
     assert hyp.fan_residual(r1, {0: 1.0}, 1, 2) == pytest.approx(g, rel=1e-12)
+
+
+def test_fan_sampling_is_exact_in_rational_mode(mini_rational, rng,
+                                                monkeypatch):
+    # Fraction(float) is exact, so rational mode samples the float draws
+    # without leaving exact arithmetic
+    seen = []
+    residual = hyp.fan_residual
+
+    def recording(basis, x_f, n, k):
+        seen.append(x_f)
+        return residual(basis, x_f, n, k)
+
+    monkeypatch.setattr(hyp, "fan_residual", recording)
+    rows = hyp.fan_entries(mini_rational, 1, rng)
+    assert len(seen) == hyp.FAN_SAMPLES * mini_rational.schedule.stage(1).k
+    assert all(type(v) is Fraction for x in seen for v in x.values())
+    assert rows[1].claim_id == "fan.sampled.stage1"
+    assert rows[1].status == ol.PASS
+
+
+def test_exact_stage2_fan_sample_below_delta(mini_rational, rng):
+    # mini's stage-2 head chains pass 2^50, where float sampling is skipped;
+    # the exact route carries their cancellation
+    from orbitlab.basis import vec_norm
+    st = mini_rational.schedule.stage(2)
+    x = dict(enumerate(map(Fraction, rng.standard_normal(st.nu + 1).tolist())))
+    for k in range(1, st.k + 1):
+        assert hyp.fan_residual(mini_rational, x, 2, k) / vec_norm(x) <= st.delta
 
 
 def test_fan_residual_zero_and_support(r1):
@@ -63,12 +92,10 @@ def test_fan_residual_random_below_delta(r1, rng):
 
 def test_b_identity_head_basis(r1):
     # (T^b/b - I) T e_j = f_(j+b+1)/b for j < xi: norm exactly 1/b
+    _, per_vec = hyp.b_identity_constant(r1, 1)
+    assert len(per_vec) == r1.schedule.stage(1).xi + 1
     for j in range(4):
-        assert hyp.b_identity_residual(r1, {j: 1.0}, 1) == pytest.approx(
-            1 / 64, rel=1e-12)
-    assert hyp.b_identity_residual(r1, {}, 1) == 0.0
-    with pytest.raises(SupportError):
-        hyp.b_identity_residual(r1, {5: 1.0}, 1)
+        assert per_vec[j] == pytest.approx(1 / 64, rel=1e-12)
 
 
 def test_b_identity_top_vector(r1):
@@ -76,8 +103,8 @@ def test_b_identity_top_vector(r1):
     lam69 = r1.weight(69)
     lam5 = r1.weight(5)
     expected = math.hypot(1 / (64 * lam69), 1 / lam5)
-    assert hyp.b_identity_residual(r1, {4: 1.0}, 1) == pytest.approx(
-        expected, rel=1e-9)
+    _, per_vec = hyp.b_identity_constant(r1, 1)
+    assert per_vec[4] == pytest.approx(expected, rel=1e-9)
 
 
 def test_b_identity_constant(r1):
@@ -181,13 +208,25 @@ def test_certify_e0(r1):
     assert cert.final_residual == pytest.approx(math.sqrt(2 + float(r1.gammas[0]) ** 2),
                                                 rel=1e-9)
     assert cert.final_residual <= cert.composed_bound
-    assert cert.verify(tol=1e-9) == []
+    assert cert.tolerance == 1e-9
+    assert cert.verify() == []
 
 
 def test_certify_exact_mode(r1_rational):
     cert = hyp.certify_hypercyclic_step(r1_rational, {0: 1}, 1)
     assert cert.final_residual == cert.recomputed_final  # bitwise equal
-    assert cert.verify(tol=0.0) == []
+    assert cert.tolerance == 0.0
+    assert cert.verify() == []
+
+
+def test_hypercyclic_suite_reads_the_certificate_tolerance(mini_rational):
+    # the honesty row and Certificate.verify share one tolerance: 0 when exact
+    from orbitlab import suites
+    rep = ol.VerificationReport()
+    cert = suites.hypercyclic(mini_rational, rep, np.random.default_rng(0), 0)
+    row, = (e for e in rep.entries if e.claim_id == "certificate.honesty")
+    assert row.bound == 0.0 and row.status == ol.PASS
+    assert cert.verify() == []
 
 
 def test_certify_refusals(r1):
@@ -231,7 +270,7 @@ def test_certify_companion_profile_is_tight(r1_companion):
     assert cert.k == 1
     assert cert.final_residual == pytest.approx(float(r1_companion.gammas[0]),
                                                 rel=1e-9)
-    assert cert.verify(tol=1e-9) == []
+    assert cert.verify() == []
 
 
 def test_certificate_serialization(r1):

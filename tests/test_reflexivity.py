@@ -72,7 +72,8 @@ def test_independent_conjugation_route(r1_companion):
 
 
 def test_noncommutation_witness_exact(r1_companion):
-    ta, at = refl.noncommutation_witness(r1_companion)
+    ta, at = refl.noncommutation_witness(r1_companion,
+                                         refl.build_A(r1_companion))
     assert ta == {}
     assert at == {2: 1.0}
 
@@ -96,15 +97,17 @@ def test_companion_norm_not_larger(r1_companion):
 
 
 def test_membership_exact_branch(r1_companion):
-    m = refl.orbit_membership(r1_companion, {3: 1.0}, 1)
+    A = refl.build_A(r1_companion)
+    m = refl.orbit_membership(r1_companion, {3: 1.0}, 1, A)
     assert m.kind == "exact-shift"
     assert m.exact_residual == 0.0
-    m2 = refl.orbit_membership(r1_companion, {5: 2.0, 700: -1.0}, 1)
+    m2 = refl.orbit_membership(r1_companion, {5: 2.0, 700: -1.0}, 1, A)
     assert m2.kind == "exact-shift" and m2.exact_residual == 0.0
 
 
 def test_membership_certified_branch(r1_companion):
-    m = refl.orbit_membership(r1_companion, {0: 1.0}, 1)
+    m = refl.orbit_membership(r1_companion, {0: 1.0}, 1,
+                              refl.build_A(r1_companion))
     assert m.kind == "power-certificate"
     cert = m.certificate
     assert cert.final_residual <= cert.composed_bound
@@ -113,14 +116,16 @@ def test_membership_certified_branch(r1_companion):
 
 
 def test_membership_mixed_vector(r1_companion):
-    m = refl.orbit_membership(r1_companion, {0: 1.0, 3: 1.0}, 1)
+    m = refl.orbit_membership(r1_companion, {0: 1.0, 3: 1.0}, 1,
+                              refl.build_A(r1_companion))
     assert m.kind == "power-certificate"
     assert m.certificate.final_residual <= m.certificate.composed_bound
 
 
 def test_membership_snap_stays_zero_constant(r1_companion):
     # the snapped fan polynomial must keep the zero-constant constraint
-    m = refl.orbit_membership(r1_companion, {0: 1.0}, 1)
+    m = refl.orbit_membership(r1_companion, {0: 1.0}, 1,
+                              refl.build_A(r1_companion))
     assert m.certificate.snapped_poly.constant_term() == 0
 
 
@@ -135,9 +140,9 @@ def test_reflexivity_entries(r1_companion, rng):
 
 def test_exact_mode_witnesses(r1_companion_rational):
     # rational weights: the witness identities hold exactly as well
-    ta, at = refl.noncommutation_witness(r1_companion_rational)
+    A = refl.build_A(r1_companion_rational)
+    ta, at = refl.noncommutation_witness(r1_companion_rational, A)
     assert ta == {}
     assert at == {2: 1.0}
-    A = refl.build_A(r1_companion_rational)
     T = ops.conjugated_power(r1_companion_rational, 1)
     assert (A[:, 1:] - T[:, 1:]).nnz == 0
