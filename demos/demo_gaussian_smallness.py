@@ -19,7 +19,7 @@ for field in (ol.REAL, ol.COMPLEX):
     sched, fams = ol.profiles.statistical_schedule(6, field)
     print(f"\n{field} field, 6 virtual stages "
           f"(deepest truncation would need ~{sched.xi_end:.3g} indices):")
-    sampler = neg.GaussianSampler(lambda j: 1.0 / (1 + j), field, SEED)
+    sampler = neg.GaussianSampler(field, SEED)
     for n in range(1, 7):
         phi = neg.e0_functional_structural(sched, fams, n)
         stat = neg.coord_tail_probability(phi, {}, sampler, n, 1.0, 100_000)

@@ -2,8 +2,8 @@
 from lay-off weights and working-interval relations, with verifiers for the
 quantitative estimates the construction is designed to satisfy."""
 
-from .schedule import (StageParams, StageSchedule, validate, truncation_length,
-                       load_config, save_config, REAL, COMPLEX, FLOAT, RATIONAL)
+from .schedule import (StageParams, StageSchedule, validate, load_config,
+                       save_config, REAL, COMPLEX, FLOAT, RATIONAL)
 from .geometry import (Seed, BLayOff, BWorking, CLayOff, CWorking, TailLayOff,
                        LatticeCoord, classify, layoff_weight, coord_to_index,
                        index_to_coord, is_layoff)

@@ -328,11 +328,25 @@ class _Columns:
         nnz = self.indptr[self.n_cols]
         values = tuple(a[:nnz].copy() for a in self.values)
         exact = len(values) == 2
-        # int / int is correctly rounded: the same float as float(Fraction)
-        data = np.true_divide(*values).astype(float) if exact else values[0]
+        data = values[0]
+        if exact:
+            # int / int is correctly rounded: the same float as float(Fraction)
+            try:
+                data = np.true_divide(*values).astype(float)
+            except OverflowError:
+                data = np.frompyfunc(_float_or_inf, 2, 1)(*values).astype(float)
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
+
+
+def _float_or_inf(num: int, den: int) -> float:
+    """num / den (den > 0), or +-inf beyond the float range, as float mode
+    stores such an entry."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
@@ -597,9 +611,8 @@ class DescentExpansion:
     f_coords: Vec             # fully expanded f-frame coordinates
 
 
-def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord, extra: int = 0):
-    """Terms of the unrolled descent; extra = 1 runs each inner sum one step
-    further (the printed closed form).  Returns (terms, residual_poly)."""
+def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord):
+    """Terms of the unrolled descent.  Returns (terms, residual_poly)."""
     sched = basis.schedule
     st = sched.stage(coord.n)
     family = basis.families[coord.n - 1]
@@ -611,7 +624,7 @@ def _descent_terms(basis: BasisMap, coord: geo.LatticeCoord, extra: int = 0):
     for l in range(t, 0, -1):
         rl = coord.r[l - 1]
         base_lower = sum(coord.r[i] * st.c[i] for i in range(l - 1))
-        for s in range(rl + extra):
+        for s in range(rl):
             cur_abs = sum(coord.r[: l - 1]) + (rl - s)
             coef = g * four ** (cur_abs - 1)
             terms.append(
@@ -662,24 +675,6 @@ def _shifted_f_in_f(basis: BasisMap, j: int, u: int) -> Vec:
         if i + u <= basis.n_trunc:
             vec_add(out, expand_e_structural(basis, i + u), v)
     return vec_clean(out)
-
-
-def printed_closed_form_terms(basis: BasisMap, coord: geo.LatticeCoord):
-    """Terms of the printed lattice-descent closed form, whose inner sums run
-    one step further (s_l up to r_l instead of r_l - 1).
-
-    Returns (terms, residual_poly, extra_terms): extra_terms are the members
-    absent from the unrolled recursion.  The comparison is expression-level;
-    no suite reports it, the tests compare it with the unrolled recursion.
-    """
-    printed, q_above = _descent_terms(basis, coord, extra=1)
-    unrolled, _ = _descent_terms(basis, coord)
-    unrolled_keys = {(t2.f_index, t2.poly.coeffs, repr(t2.coefficient)) for t2 in unrolled}
-    extras = tuple(
-        t2 for t2 in printed
-        if (t2.f_index, t2.poly.coeffs, repr(t2.coefficient)) not in unrolled_keys
-    )
-    return tuple(printed), q_above, extras
 
 
 # -- triangular solve (oracle route) -------------------------------------------

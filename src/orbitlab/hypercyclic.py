@@ -136,7 +136,6 @@ class Certificate:
     stage: int
     power: int
     k: int
-    target: dict
     precondition_value: float
     threshold: float
     solver_poly: Poly
@@ -278,14 +277,15 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
     x_vec = [alpha.get(j, 0) for j in xi_range]
     y_vec = [target_e.get(j, 0) for j in xi_range]
     p = solve_poly(ToeplitzSystem(st.xi, 0, tuple(x_vec), tuple(y_vec)))
-    solve_vec = poly_shift_apply(p, alpha, st.xi)
+    head = poly_shift_apply(p, alpha, st.xi)
+    solve_vec = dict(head)
     vec_add(solve_vec, target_e, -1)
     m_solve = vec_norm(basis.e_to_f(solve_vec))
 
     # spill of the plain shift past the truncated one
     full = poly_shift_apply(p, alpha, basis.n_trunc)
     spill = dict(full)
-    vec_add(spill, poly_shift_apply(p, alpha, st.xi), -1)
+    vec_add(spill, head, -1)
     m_spill = vec_norm(basis.e_to_f(spill))
 
     # modulus damping through the b-fan
@@ -317,7 +317,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
     recomputed = vec_norm(fin2)
 
     return Certificate(
-        stage=n, power=st.c[k0], k=k0 + 1, target=target_f,
+        stage=n, power=st.c[k0], k=k0 + 1,
         precondition_value=float(abs(a0)), threshold=threshold,
         solver_poly=p, damped_poly=q, snapped_poly=pk,
         snap_distance=float(snap_dist), steps=steps,
@@ -364,9 +364,9 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
     scale = 2.0 ** (-j) if basis.mode != RATIONAL else Fraction(1, 2 ** j)
     qj = p.scale(scale)
     kj, _ = nearest_member(family, qj)
-    rj_vec = basis.e_to_f(power_vec(st.c[kj]))
+    prev = basis.e_to_f(power_vec(st.c[kj]))
     qv = basis.e_to_f(poly_shift_apply(qj, x_e, basis.n_trunc))
-    diff = dict(rj_vec)
+    diff = dict(prev)
     vec_add(diff, qv, -1)
     links.append(ChainLink(j, kj + 1, st.c[kj], vec_norm(diff),
                            "base level: fan power vs the scaled polynomial"))
@@ -376,17 +376,15 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
         target = family[k_prev].scale(2)
         k_cur, _ = nearest_member(family, target)
         cur = basis.e_to_f(power_vec(st.c[k_cur]))
-        prev2 = basis.e_to_f(power_vec(st.c[k_prev]))
         diff = dict(cur)
-        vec_add(diff, prev2, -2)
+        vec_add(diff, prev, -2)
         m = vec_norm(diff)
         links.append(ChainLink(level, k_cur + 1, st.c[k_cur], m,
                                "doubling link"))
         composed += (2.0 ** level) * m
-        k_prev = k_cur
-    final_vec = basis.e_to_f(power_vec(st.c[k_prev]))
+        k_prev, prev = k_cur, cur
     pv = basis.e_to_f(poly_shift_apply(p, x_e, basis.n_trunc))
-    diff = dict(final_vec)
+    diff = dict(prev)
     vec_add(diff, pv, -1)
     final = vec_norm(diff)
     return ChainCertificate(j, tuple(links), final, composed)

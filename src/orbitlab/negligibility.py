@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 TRIALS = 100_000          # draws per statistics row
 POROSITY_PAIRS = 100      # (vector, radius) pairs of the porosity.witness row
 WITNESS_SAMPLES = 32      # sampled points of each punched ball
+POROSITY_M = 2.0          # M of the porosity rows' small-head level 2^-k M
 
 
 # -- the sparse head functional --------------------------------------------------
@@ -60,7 +61,7 @@ def apply_functional(phi: dict, x_f: dict):
 
 
 def functional_gamma_identity(schedule: StageSchedule, families, k: int,
-                              gammas: Optional[Sequence] = None):
+                              gammas: Sequence):
     """The pairing of the head functional with the first fan base vector of
     stage k equals -1/gamma_k exactly; requires that stage's first fan
     polynomial to be the constant 1."""
@@ -69,26 +70,21 @@ def functional_gamma_identity(schedule: StageSchedule, families, k: int,
             "first fan polynomial is not the constant 1; the base-vector "
             "pairing identity does not apply")
     phi = e0_functional_structural(schedule, families, k + 1, gammas)
-    g = gammas[k - 1] if gammas is not None else schedule.stage(k).gamma
-    return phi[schedule.stage(k).c[0]], -1.0 / float(g)
+    return phi[schedule.stage(k).c[0]], -1.0 / float(gammas[k - 1])
 
 
 # -- Gaussian sampling -------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GaussianSampler:
-    """Random series sum c_j g_j f_j truncated to the support that the head
-    functional sees; all requested coefficients must be nonzero."""
+    """Random series sum c_j g_j f_j, c_j = 1 / (1 + j), truncated to the
+    support that the head functional sees."""
 
-    coeff: Callable[[int], float]
     field: str
     seed: int
 
     def coefficients(self, support: Sequence[int]) -> np.ndarray:
-        vals = np.array([self.coeff(j) for j in support], dtype=float)
-        if np.any(vals == 0):
-            raise ValueError("coefficient sequence must be nonzero everywhere")
-        return vals
+        return np.array([_coeff(j) for j in support], dtype=float)
 
     def draw(self, m: int, k: int, rng: np.random.Generator) -> np.ndarray:
         if self.field == COMPLEX:
@@ -149,9 +145,7 @@ def coord_tail_probability(phi: dict, x0_f: dict, sampler: GaussianSampler,
     bound 2^-n M / |c_0| (real) or 2^-2n M^2 / (2 |c_0|^2) (complex)."""
     if trials < 1000:
         raise ValueError("at least 1000 trials required")
-    c0 = abs(sampler.coeff(0))
-    if c0 == 0:
-        raise ValueError("c_0 must be nonzero")
+    c0 = _coeff(0)
     level = 2.0 ** (-n) * M
     X = sample_head_coordinate(phi, x0_f, sampler, trials)
     hits = int(np.count_nonzero(np.abs(X) <= level))
@@ -189,12 +183,7 @@ class WitnessRecord:
     stage: int
     M: float
     delta: float
-    functional_norm: float
-    selection_lhs: float       # delta/2 * ||functional||
-    selection_rhs: float       # 2 * 2^-k * M
-    selected: bool
-    x_value: float             # |functional(x)|
-    displaced_value: float     # |functional(y)|
+    selected: bool             # delta/2 * ||functional|| > 2 * 2^-k * M
     sample_values: tuple[float, ...]
     level: float               # 2^-k * M
     passed: bool
@@ -214,18 +203,14 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
     if x_val > level:
         raise PreconditionError(
             f"|functional(x)| = {x_val:.3g} is not below the level {level:.3g}")
-    lhs, rhs = 0.5 * delta * norm, 2 * level
-    selected = lhs > rhs
-    if not selected:
-        return WitnessRecord(k, M, delta, norm, lhs, rhs, False, x_val,
-                             float("nan"), (), level, False)
+    if not 0.5 * delta * norm > 2 * level:
+        return WitnessRecord(k, M, delta, False, (), level, False)
     supp = sorted(phi)
     xk = {j: complex(phi[j]).conjugate() / norm for j in supp}
     xk = {j: v.real if v.imag == 0 else v for j, v in xk.items()}
     y = dict(x_f)
     for j, v in xk.items():
         y[j] = y.get(j, 0) + delta * v
-    y_val = abs(apply_functional(phi, y))
     dims = supp + [max(supp) + 1, max(supp) + 2]
     values = []
     for _ in range(WITNESS_SAMPLES):
@@ -237,8 +222,7 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
             z[j] = z.get(j, 0) + radius * wj
         values.append(abs(apply_functional(phi, z)))
     passed = all(v > level for v in values)
-    return WitnessRecord(k, M, delta, norm, lhs, rhs, True, x_val, y_val,
-                         tuple(values), level, passed)
+    return WitnessRecord(k, M, delta, True, tuple(values), level, passed)
 
 
 # -- report rows ----------------------------------------------------------------------
@@ -259,7 +243,7 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
             break
         phi = e0_functional_structural(schedule, families, n)
         for M in (1.0, 4.0):
-            sampler = GaussianSampler(_coeff, field, seed + 17 * n)
+            sampler = GaussianSampler(field, seed + 17 * n)
             st = coord_tail_probability(phi, {}, sampler, n, M, TRIALS)
             entries.append(check(
                 f"gauss.tail.{field}.n{n}.M{int(M)}",
@@ -270,7 +254,7 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
                          "sigma": st.sigma_closed, "trials": TRIALS}))
     n_mom = min(3, schedule.n_stages)
     phi = e0_functional_structural(schedule, families, n_mom)
-    sampler = GaussianSampler(_coeff, field, seed + 1)
+    sampler = GaussianSampler(field, seed + 1)
     x0 = {0: 0.25, 1: -0.5}
     X = sample_head_coordinate(phi, x0, sampler, TRIALS)
     m0, sig = head_moments(phi, x0, sampler)
@@ -309,7 +293,7 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
 
 
 def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
-                     M: float, seed: int) -> list[Entry]:
+                     seed: int) -> list[Entry]:
     rng = np.random.default_rng(seed)
     phi = e0_functional_structural(schedule, families, k, gammas)
     norm = vec_norm(phi)
@@ -332,7 +316,7 @@ def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
         2.0 ** k, norm, asserted=False,
         details={"note": "informational at desk scale; holds when gamma is "
                          "capped dyadically"}))
-    level = 2.0 ** (-k) * M
+    level = 2.0 ** (-k) * POROSITY_M
     delta_min = 2 * 2 * level / norm
     failures = 0
     run = 0
@@ -344,7 +328,7 @@ def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
             scale = 0.5 * level / abs(val_x)
             x = {j: v * scale for j, v in x.items()}
         delta = delta_min * float(rng.uniform(1.05, 50.0))
-        rec = porosity_witness(phi, x, delta, M, k, rng)
+        rec = porosity_witness(phi, x, delta, POROSITY_M, k, rng)
         run += 1
         if not (rec.selected and rec.passed):
             failures += 1
@@ -353,5 +337,5 @@ def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
         f"punched-ball witness failed on {failures} of {run} sampled "
         "(vector, radius) pairs with a valid stage selection",
         float(failures), 0.0, asserted=True,
-        details={"M": M, "level": level, "delta_min": delta_min}))
+        details={"M": POROSITY_M, "level": level, "delta_min": delta_min}))
     return entries

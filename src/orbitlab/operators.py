@@ -481,8 +481,6 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
 
     spill_max, band_growth, low_growth = 0.0, {}, {}
     for m in _default_subsample(nu // 2):
-        if m >= max(nu // 2, 1) + 1:
-            continue
         spill, band, low = (spill1, band_blk, lo_blk) if m == 1 else \
             power_norms(basis, m, [spill_nu, band_nu, low_nu])
         spill_max = max(spill_max, spill.value)
@@ -496,12 +494,12 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
         f"powm.band.stage{n}",
         "iterated-power band norms over the sample (growth reported, constants "
         "unspecified by the estimate)",
-        max(band_growth.values()) if band_growth else 0.0, 1 + eps,
+        max(band_growth.values()), 1 + eps,
         asserted=False, details={"per_power": band_growth}))
     entries.append(check(
         f"powm.low.stage{n}",
         "iterated-power low-block norms over the sample",
-        max(low_growth.values()) if low_growth else 0.0, eps,
+        max(low_growth.values()), eps,
         asserted=False, details={"per_power": low_growth}))
     return entries
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NetSizeError
 from .schedule import COMPLEX, REAL
@@ -103,9 +103,6 @@ def ell1_distance(p: Poly, q: Poly):
 class PolyNet:
     members: tuple[Poly, ...]
     degree: int
-    radius: float
-    resolution: float
-    constraint: str = NO_CONSTRAINT
     field: str = REAL
 
     def __len__(self):
@@ -154,48 +151,32 @@ def generate_net(
         raise ValueError("resolution must be positive")
     dim = degree + 1
     if field == COMPLEX:
-        step = resolution / math.sqrt(2)
-        steps = math.floor(radius / step)
-        count = _count_l1_lattice(2 * dim, steps)
+        step, width, slack = resolution / math.sqrt(2), 2 * dim, 1e-12
     else:
-        step = resolution
-        steps = math.floor(radius / step)
-        count = _count_l1_lattice(dim, steps)
+        step, width, slack = resolution, dim, 0
+    steps = math.floor(radius / step)
+    count = _count_l1_lattice(width, steps)
     if count > cap:
         raise NetSizeError(
             f"net would have up to {count} members, above the cap {cap}"
         )
 
     members = []
-    if field == COMPLEX:
-        for m in _l1_lattice(2 * dim, steps):
+    for m in _l1_lattice(width, steps):
+        if field == COMPLEX:
             coeffs = tuple(
                 complex(m[2 * i] * step, m[2 * i + 1] * step) for i in range(dim)
             )
-            p = Poly(coeffs)
-            if p.ell1 > radius + 1e-12:
-                continue
-            if constraint == ZERO_CONSTANT_TERM and p.constant_term() != 0:
-                continue
-            members.append(p)
-    else:
-        for m in _l1_lattice(dim, steps):
+        else:
             coeffs = tuple(mi * step for mi in m)
-            p = Poly(coeffs)
-            if p.ell1 > radius:
-                continue
-            if constraint == ZERO_CONSTANT_TERM and p.constant_term() != 0:
-                continue
-            members.append(p)
+        p = Poly(coeffs)
+        if p.ell1 > radius + slack:
+            continue
+        if constraint == ZERO_CONSTANT_TERM and p.constant_term() != 0:
+            continue
+        members.append(p)
     members.sort(key=lambda p: (float(p.ell1), _sort_key(p)))
-    return PolyNet(
-        members=tuple(members),
-        degree=degree,
-        radius=radius,
-        resolution=resolution,
-        constraint=constraint,
-        field=field,
-    )
+    return PolyNet(members=tuple(members), degree=degree, field=field)
 
 
 def _sort_key(p: Poly):
@@ -219,15 +200,15 @@ def nearest_member(family: Sequence[Poly], q: Poly) -> tuple[int, float]:
     return best_i, best_d
 
 
-def b_damped(p: Poly, b: int, degree_cap: Optional[int] = None) -> Poly:
+def b_damped(p: Poly, b: int, degree_cap: int) -> Poly:
     """zeta^b / b * p: coefficients shifted up by b and scaled by 1/b.
 
     l1 norm drops by the factor b; the degree grows by b and must stay within
-    `degree_cap` when one is given (the stage's working length).
+    `degree_cap` (the stage's working length).
     """
     if p.is_zero:
         return p
-    if degree_cap is not None and p.degree + b > degree_cap:
+    if p.degree + b > degree_cap:
         raise ValueError(
             f"damped degree {p.degree + b} exceeds the cap {degree_cap}"
         )

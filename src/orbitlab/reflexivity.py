@@ -73,7 +73,6 @@ def _dense_to_dict(v) -> dict:
 @dataclass
 class MembershipCertificate:
     kind: str                   # "exact-shift" or "power-certificate"
-    head_coordinate: float      # f_0 component of x
     exact_residual: Optional[float] = None
     certificate: Optional[object] = None
     image_f0_component: float = 0.0
@@ -96,7 +95,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
         T = conjugated_power(basis, 1)
         diff = ax - T @ xd
         res = float(np.linalg.norm(diff))
-        return MembershipCertificate("exact-shift", 0.0, exact_residual=res,
+        return MembershipCertificate("exact-shift", exact_residual=res,
                                      image_f0_component=float(abs(ax[0])))
     cert = certify_hypercyclic_step(basis, x_f, n)
     # density of the certified-orbit span over f_1, f_2, ... is only sampled
@@ -109,7 +108,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
         diff[j] = diff.get(j, 0) - 1
         sample_dists[j] = vec_norm(diff)
     return MembershipCertificate(
-        "power-certificate", float(abs(head)), certificate=cert,
+        "power-certificate", certificate=cert,
         image_f0_component=float(abs(ax[0])),
         details={"note": "image lies in the span of f_1.., distance equals "
                          "its f_0 component",

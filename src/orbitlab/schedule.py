@@ -145,15 +145,6 @@ def validate(schedule: StageSchedule) -> list[str]:
     return v
 
 
-def truncation_length(schedule: StageSchedule, n_stages: int) -> int:
-    """Largest index fully determined by stages <= n_stages (xi_{n_stages+1})."""
-    if not 0 <= n_stages <= schedule.n_stages:
-        raise IndexError(
-            f"n_stages {n_stages} out of range 0..{schedule.n_stages}"
-        )
-    return schedule.xi(n_stages + 1)
-
-
 # -- config file I/O ---------------------------------------------------------
 #
 # INI layout: one [schedule] section plus one [stage N] section per stage.

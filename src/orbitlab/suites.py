@@ -108,7 +108,7 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
             asserted=True, details={"support": sorted(keys)}))
     k = b.schedule.n_stages + 1
     rep.extend(neg.porosity_entries(b.schedule, b.families, b.gammas,
-                                    k, M=2.0, seed=seed))
+                                    k, seed=seed))
 
 
 def reflexivity(b, rep: VerificationReport, rng, seed: int) -> None:

@@ -84,7 +84,6 @@ class LargeCoordIndex:
     value: float              # |alpha_j|
     threshold: float          # C^-(xi - j + 1)
     side_condition_ok: bool   # sqrt(C) >= sup ||e_j|| on the head block
-    sup_e: float
 
 
 def large_coord_index(basis, x_f: dict, n: int) -> Optional[LargeCoordIndex]:
@@ -96,13 +95,12 @@ def large_coord_index(basis, x_f: dict, n: int) -> Optional[LargeCoordIndex]:
     if nx == 0:
         return None
     alpha = basis.f_to_e(basis.project_f(x_f, 0, st.xi))
-    sup_e = sup_e_norm(basis, st.xi)
-    side_ok = math.sqrt(COMPARISON_BASE) >= sup_e
+    side_ok = math.sqrt(COMPARISON_BASE) >= sup_e_norm(basis, st.xi)
     for j in range(st.xi + 1):
         thr = COMPARISON_BASE ** -(st.xi - j + 1)
         val = abs(alpha.get(j, 0)) / nx
         if val >= thr:
-            return LargeCoordIndex(n, j, float(val), thr, side_ok, sup_e)
+            return LargeCoordIndex(n, j, float(val), thr, side_ok)
     return None
 
 
@@ -112,9 +110,7 @@ def large_coord_index(basis, x_f: dict, n: int) -> Optional[LargeCoordIndex]:
 class ComparisonResult:
     direction: str
     j_lead: int
-    j_follow: Optional[int]
     poly: Poly
-    damped_ell1: float
     k: int
     power: int
     steps: tuple
@@ -140,10 +136,8 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
             "neither vector has a large head coordinate at this stage")
     if jy is None or (jx is not None and jx.j <= jy.j):
         direction, lead, follow, j_lead = X_CONTAINS_Y, x_f, y_f, jx
-        j_follow = None if jy is None else jy.j
     else:
         direction, lead, follow, j_lead = Y_CONTAINS_X, y_f, x_f, jy
-        j_follow = jx.j if jx is not None else None
 
     st = basis.schedule.stage(n)
     xi = st.xi
@@ -186,8 +180,7 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
     )
     composed = float(sum((s.bound for s in fan_steps), t3))
     return ComparisonResult(
-        direction=direction, j_lead=js, j_follow=j_follow, poly=p,
-        damped_ell1=float(q.ell1), k=k0 + 1, power=st.c[k0], steps=steps,
+        direction=direction, j_lead=js, poly=p, k=k0 + 1, power=st.c[k0], steps=steps,
         final_residual=final, composed_bound=composed,
         details={
             "snap_distance": float(snap_dist),

@@ -209,8 +209,7 @@ def test_4a_anticoncentration_grid():
         for n in range(1, 7):
             phi = neg.e0_functional_structural(sched, fams, n)
             for M in (1.0, 4.0):
-                s = neg.GaussianSampler(lambda j: 1.0 / (1 + j), field,
-                                        SEED + 17 * n)
+                s = neg.GaussianSampler(field, SEED + 17 * n)
                 stat = neg.coord_tail_probability(phi, {}, s, n, M, 100_000)
                 if not stat.passed:
                     failures.append((field, n, M))
@@ -224,7 +223,7 @@ def test_4b_moments():
     for field in (ol.REAL, ol.COMPLEX):
         sched, fams = ol.profiles.statistical_schedule(6, field)
         phi = neg.e0_functional_structural(sched, fams, 3)
-        s = neg.GaussianSampler(lambda j: 1.0 / (1 + j), field, SEED)
+        s = neg.GaussianSampler(field, SEED)
         x0 = {0: 0.25, 1: -0.5}
         m0, sig = neg.head_moments(phi, x0, s)
         X = neg.sample_head_coordinate(phi, x0, s, 100_000)

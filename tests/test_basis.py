@@ -7,7 +7,7 @@ import pytest
 
 import orbitlab as ol
 from orbitlab import geometry as geo
-from orbitlab.basis import (column_norms, expand_e_structural, printed_closed_form_terms,
+from orbitlab.basis import (column_norms, expand_e_structural,
                             solve_F, vec_add, vec_clean, vec_norm)
 
 from orbitlab.profiles import mini_schedule, reference_schedule
@@ -207,17 +207,6 @@ def test_structural_expansion_matches_inverse(mini, rng):
         scale = max(abs(v) for v in col.values())
         for k in keys:
             assert abs(got.get(k, 0) - col.get(k, 0)) <= 1e-9 * scale
-
-
-def test_printed_closed_form_has_extra_terms(r1):
-    # already at r = (1,) the printed inner sum runs one step too far
-    coord = geo.LatticeCoord(1, (1, 0), 0)
-    printed, residual, extras = printed_closed_form_terms(r1, coord)
-    assert len(extras) == 1
-    assert extras[0].f_index == 0  # the spurious gamma/4 p_1(T) f_alpha term
-    assert residual.coeffs == (1,)
-    unrolled = ol.lattice_descent(r1, coord)
-    assert len(printed) == len(unrolled.terms) + len(extras)
 
 
 def test_solve_F_random_vectors(mini_rational, rng):

@@ -210,18 +210,47 @@ MINI_BUILD_HASHES = {
 }
 
 
-def test_mini_cfg_build_hashes_are_pinned(tmp_path):
+# sha256 of the mini.cfg `verify --suite all` report rows, runtime_s left out
+MINI_REPORT_ROWS_HASH = \
+    "c0c70da16fd38323435f28a7148da4fdd098383748d6719be0df1e9efc5b7990"
+
+
+def _cli_one_thread(*args):
+    """Run the orbitlab CLI in a fresh single-threaded-BLAS process; a nonzero
+    exit raises."""
     import subprocess
     import sys
     from pathlib import Path
 
-    root = Path(__file__).resolve().parents[1]
+    src = Path(__file__).resolve().parents[1] / "src"
     threads = {k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                 "MKL_NUM_THREADS")}
-    subprocess.run(
-        [sys.executable, "-m", "orbitlab.cli", "build", "--config",
-         str(root / "configs" / "mini.cfg"), "--out", str(tmp_path)],
-        check=True, capture_output=True,
-        env={**os.environ, **threads, "PYTHONPATH": str(root / "src")})
-    manifest = json.load(open(tmp_path / "manifest.json"))
+    subprocess.run([sys.executable, "-m", "orbitlab.cli", *map(str, args)],
+                   check=True, capture_output=True,
+                   env={**os.environ, **threads, "PYTHONPATH": str(src)})
+
+
+@pytest.fixture(scope="module")
+def mini_cfg_build(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mini_cfg_build")
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "mini.cfg")
+    _cli_one_thread("build", "--config", cfg, "--out", out)
+    return out
+
+
+def test_mini_cfg_build_hashes_are_pinned(mini_cfg_build):
+    manifest = json.load(open(mini_cfg_build / "manifest.json"))
     assert manifest["hashes"] == MINI_BUILD_HASHES
+
+
+def test_mini_cfg_verify_all_report_is_pinned(mini_cfg_build):
+    import hashlib
+
+    _cli_one_thread("verify", "--build", mini_cfg_build, "--suite", "all")
+    rows = json.load(open(mini_cfg_build / "report_all.json"))
+    assert len(rows) == 83
+    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
+    for r in rows:
+        del r["runtime_s"]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest() == MINI_REPORT_ROWS_HASH

@@ -500,6 +500,18 @@ def test_boundedness_flags_nonfinite_doubled_mini(mini, monkeypatch):
     assert row.details["flag"] == ops.NONFINITE_FLAG
 
 
+def test_boundedness_runs_on_rational_mini(mini_rational):
+    # the twin's exact E holds values beyond the float range; its float image
+    # stores them as +-inf, as float mode does, so the rows match float mini
+    from orbitlab import suites
+
+    rep, _ = suites.run_suite(mini_rational, "boundedness", 0)
+    assert rep.counts() == {PASS: 0, FAIL: 0, INFO: 22}
+    row = next(e for e in rep.entries if e.claim_id == "opnorm.gap_monotone")
+    assert math.isnan(row.measured)
+    assert row.details["flag"] == ops.NONFINITE_FLAG
+
+
 def test_sup_e_norm_memo_stops_at_hi(r1):
     # the memoised column norms extend only up to the largest hi asked for,
     # and agree with vec_norm of each e column

@@ -70,19 +70,6 @@ def test_validate_idempotent_and_pure():
     assert ol.validate(bad) == ol.validate(bad)
 
 
-def test_truncation_length():
-    sched, _ = reference_schedule()
-    assert ol.truncation_length(sched, 0) == 4
-    assert ol.truncation_length(sched, 1) == 400_000
-    with pytest.raises(IndexError):
-        ol.truncation_length(sched, 2)
-    mini, _ = mini_schedule()
-    assert ol.truncation_length(mini, 1) == 88
-    assert ol.truncation_length(mini, 2) == 31_600
-    with pytest.raises(IndexError):
-        ol.truncation_length(mini, 3)
-
-
 def test_config_roundtrip(tmp_path):
     for mode in (ol.FLOAT, ol.RATIONAL):
         sched, fams = mini_schedule(weight_mode=mode)
