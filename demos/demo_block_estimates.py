@@ -18,8 +18,9 @@ entry, res = ops.full_norm_entry(b)
 print(f"operator norm: {res.value:.6g} ({res.method})\n")
 
 for n in (1, 2):
-    print(f"stage {n} gates: {ops.stage_gates(b, n)['band']=} "
-          f"{ops.stage_gates(b, n)['spill']=}")
+    gates = ops.stage_gates(b, n)
+    print(f"stage {n} gates: " + ", ".join(
+        f"{name} {'open' if ok else 'closed'}" for name, (ok, _) in gates.items()))
     for e in ops.block_estimates(b, n):
         bound = "" if e.bound is None else f" vs {e.bound:g}"
         print(f"  {e.status:13s} {e.claim_id:26s} measured {e.measured:.4g}{bound}")

@@ -23,7 +23,7 @@ from . import basis as basis_mod
 from . import operators as ops
 from . import reflexivity as refl
 from . import suites
-from .errors import ConfigError, OrbitLabError, ProfileError
+from .errors import ConfigError, OrbitLabError
 from .schedule import load_config, save_config
 
 SUITES = (*suites.SUITES, "all")
@@ -44,11 +44,7 @@ def _assemble_from_config(path):
 
 
 def cmd_build(args) -> int:
-    try:
-        schedule, families = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    schedule, families = load_config(args.config)
     b = basis_mod.assemble(schedule, families, n_trunc=args.trunc)
     os.makedirs(args.out, exist_ok=True)
     echo = os.path.join(args.out, "schedule.cfg")
@@ -83,17 +79,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = os.path.join(args.build, "schedule.cfg")
-    try:
-        b = _assemble_from_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rep, cert = suites.run_suite(b, args.suite, args.seed)
-    except ProfileError as exc:
-        print(f"profile mismatch: {exc}", file=sys.stderr)
-        return 2
+    b = _assemble_from_config(os.path.join(args.build, "schedule.cfg"))
+    rep, cert = suites.run_suite(b, args.suite, args.seed)
     if cert is not None:
         with open(os.path.join(args.build, "certificate_stage1.json"),
                   "w") as fh:
@@ -128,16 +115,11 @@ def parse_vector_spec(spec: str, b) -> dict:
 
 
 def cmd_orbit(args) -> int:
-    cfg = os.path.join(args.build, "schedule.cfg")
-    try:
-        if args.steps < 0:
-            raise ConfigError(f"--steps {args.steps} is negative")
-        b = _assemble_from_config(cfg)
-        x = parse_vector_spec(args.x, b)
-        targets = [parse_vector_spec(t, b) for t in args.targets.split(";")]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.steps < 0:
+        raise ConfigError(f"--steps {args.steps} is negative")
+    b = _assemble_from_config(os.path.join(args.build, "schedule.cfg"))
+    x = parse_vector_spec(args.x, b)
+    targets = [parse_vector_spec(t, b) for t in args.targets.split(";")]
     rows = ops.orbit_distances(b, x, targets, args.steps)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:

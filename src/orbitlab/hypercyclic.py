@@ -23,7 +23,7 @@ from .basis import (BasisMap, column_norms, measure_frame_constant,
                     poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
                     vec_clean, vec_norm)
 from .errors import PreconditionError, SupportError, TruncationError
-from .operators import (b_calibrated, op_norm, poly_image, power_norms,
+from .operators import (op_norm, poly_image, power_norms, stage_gates,
                         sup_e_norm)
 from .polynet import Poly, b_damped, nearest_member
 from .report import Entry, check
@@ -446,8 +446,8 @@ def bfan_entries(basis: BasisMap, n: int) -> list[Entry]:
         "damping identity residual on the head basis vs measured C/b",
         worst, C / st.b, asserted=True,
         details={"measured_C": C, "per_vector": per_vec}))
-    b_ok, b_info = b_calibrated(basis, n)
     sigma, ratios = shade_measurements(basis, n)
+    b_ok, b_info = stage_gates(basis, n)["b"]
     entries.append(check(
         f"bfan.shade.stage{n}",
         "norm of the (b+1)-st power on the f-span of the b-fan block vs 2.5",

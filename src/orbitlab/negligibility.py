@@ -180,9 +180,6 @@ def borel_cantelli_sum(c0_abs: float, M: float, n_stages: int, field: str
 
 @dataclass(frozen=True)
 class WitnessRecord:
-    stage: int
-    M: float
-    delta: float
     selected: bool             # delta/2 * ||functional|| > 2 * 2^-k * M
     sample_values: tuple[float, ...]
     level: float               # 2^-k * M
@@ -204,7 +201,7 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
         raise PreconditionError(
             f"|functional(x)| = {x_val:.3g} is not below the level {level:.3g}")
     if not 0.5 * delta * norm > 2 * level:
-        return WitnessRecord(k, M, delta, False, (), level, False)
+        return WitnessRecord(False, (), level, False)
     supp = sorted(phi)
     xk = {j: complex(phi[j]).conjugate() / norm for j in supp}
     xk = {j: v.real if v.imag == 0 else v for j, v in xk.items()}
@@ -222,7 +219,7 @@ def porosity_witness(phi: dict, x_f: dict, delta: float, M: float, k: int,
             z[j] = z.get(j, 0) + radius * wj
         values.append(abs(apply_functional(phi, z)))
     passed = all(v > level for v in values)
-    return WitnessRecord(k, M, delta, True, tuple(values), level, passed)
+    return WitnessRecord(True, tuple(values), level, passed)
 
 
 # -- report rows ----------------------------------------------------------------------

@@ -326,94 +326,81 @@ def sup_e_norm(basis: BasisMap, hi: int) -> float:
     return max(norms[:top])
 
 
-def h_calibrated(basis: BasisMap, n: int) -> tuple[bool, dict]:
-    """Whether the shade count h_n is large enough for the aggregate fan-power
-    claims (the saturated-coordinate case of the power estimates).
+def stage_gates(basis: BasisMap, n: int) -> dict[str, tuple[bool, dict]]:
+    """The largeness gates of stage n, as {name: (open, values)}.
 
-    Two computable requirements: the geometric tail k * 2^(1-h) stays below
-    1/2, and the descent-residual factor 2^(k h) / gamma * sup||e|| * 2^(-h)
-    stays below delta.  Below the gate, those claims report measured values
-    without asserting the printed constants.
+    A per-stage claim asserts only while its gates are open; otherwise its
+    row reports the measured value.  The values are the numbers a gate
+    compares, copied into the details of the rows it decides.  Here s runs
+    over the lengths of the lay-off gaps above nu_n, read in one pass over
+    the stage table, and ||e_u|| over the assembled f-frame columns.
+
+    h: the shade count h_n is large enough for the aggregate fan-power
+       claims (the saturated-coordinate case of the power estimates): the
+       geometric tail k 2^(1-h) <= 1/2, and the descent-residual chain
+       2^(kh) / gamma * max_{u <= nu + (h+1) k d} ||e_u|| * 2^(-h) <= delta.
+       With a calibrated gamma this gate is closed whenever delta < 1: every
+       basis has f_j = e_j for j <= xi_1, so max ||e_u|| >= 1 and the frame
+       constant C >= 1, and gamma <= delta / C makes the chain at least
+       2^((k-1)h) / gamma >= 1/delta > delta.
+    b: b_n 2^(-sqrt(b_n)/2) <= 1/2, for the shade estimate and the
+       norm-vs-gap monotonicity.
+    band, which also gates the low block: the smallest gap weighs down the
+       head chains, 2^(-sqrt(min s)/2) max_{u <= nu} ||e_u|| <= delta, and
+       the next stage's difference chains, which live inside this stage's
+       band, are tamed by their own gap parameter,
+       2^(-sqrt(b')/2) b'^xi' <= delta.  Both compare in log2 form, since
+       b'^xi' overflows.
+    spill: the first gap s_1 exceeds the working length nu, and
+       2^(-(s_1 - nu) / (2 sqrt(s_1))) sqrt(nu + 1) <= delta, so that low
+       powers land on heavy-weight gap beginnings.
+    scale.k<k>, one per c_k: 2^(c_k / sqrt(s)) <= 2 for the shortest gap
+       s > c_k (shorter gaps cannot hold both j and j + c_k), so that a
+       c_k-shift within one gap keeps the weight ratio below 2: the gap
+       lengths must dominate c_k^2.  With no gap longer than c_k the ratio
+       is 1.
     """
     st = basis.schedule.stage(n)
     g = float(basis.gamma(n))
     tail = st.k * 2.0 ** (1 - st.h)
-    hi = min(st.nu + (st.h + 1) * st.k * st.d, basis.n_trunc)
+    hi = st.nu + (st.h + 1) * st.k * st.d
     chain = (2.0 ** (st.k * st.h) / g) * sup_e_norm(basis, hi) * 2.0 ** (-st.h)
-    ok = tail <= 0.5 and chain <= st.delta
-    return ok, {"geometric_tail": tail, "residual_chain": chain,
-                "h": st.h, "k": st.k}
+    endpoint = st.b * 2.0 ** (-math.sqrt(st.b) / 2)
+    gates = {
+        "h": (tail <= 0.5 and chain <= st.delta,
+              {"geometric_tail": tail, "residual_chain": chain,
+               "h": st.h, "k": st.k}),
+        "b": (endpoint <= 0.5, {"b": st.b, "endpoint_factor": endpoint}),
+    }
 
-
-def b_calibrated(basis: BasisMap, n: int) -> tuple[bool, dict]:
-    """Whether b_n is large enough that b * 2^(-sqrt(b)/2) is small; below
-    this the shade estimate and the norm-vs-gap monotonicity are reported,
-    not asserted."""
-    st = basis.schedule.stage(n)
-    val = st.b * 2.0 ** (-math.sqrt(st.b) / 2)
-    return val <= 0.5, {"b": st.b, "endpoint_factor": val}
-
-
-def scale_calibrated(basis: BasisMap, n: int, k: int) -> tuple[bool, dict]:
-    """Whether the lay-off gaps above nu_n are long enough that a c_k-shift
-    within one gap keeps the weight ratio 2^(c_k / sqrt(s)) below 2; the gap
-    lengths must dominate c_k^2 for the fan-power aggregates to bind."""
-    st = basis.schedule.stage(n)
-    ck = st.c[k - 1]
-    s_min = None
-    for iv in geo.stage_table(basis.schedule, n):
-        if iv.hi <= st.nu or not geo.is_layoff(iv.tag):
-            continue
-        s = iv.hi - iv.lo + 1
-        if s > ck:  # shorter gaps cannot hold both j and j + c_k
-            s_min = s if s_min is None else min(s_min, s)
-    if s_min is None:
-        return True, {"worst_gap_ratio": 1.0}
-    ratio = 2.0 ** (ck / math.sqrt(s_min))
-    return ratio <= 2.0, {"worst_gap_ratio": ratio, "gap_length": s_min}
-
-
-def stage_gates(basis: BasisMap, n: int) -> dict:
-    """Largeness predicates deciding which per-stage block claims assert.
-
-    band/low: the smallest c-side gap must weigh down the head chains
-    (2^(-sqrt(s)/2) * sup||e|| below the stage tolerance), and the next
-    stage's difference chains, which live inside this stage's band, must be
-    tamed by their own gap parameter (2^(-sqrt(b)/2) * b^xi below it, in
-    log2 form since b^xi overflows).  spill: the first c-gap must exceed the
-    working length so that low powers land on heavy-weight gap beginnings.
-    """
-    st = basis.schedule.stage(n)
     log2_delta = math.log2(st.delta)
-    info: dict = {}
+    band, band_ok = {}, True
     if n < basis.schedule.n_stages:
         st2 = basis.schedule.stage(n + 1)
         log2_chain = -math.sqrt(st2.b) / 2 + st2.xi * math.log2(st2.b)
-        chain_ok = log2_chain <= log2_delta
-        info["next_stage_chain_log2"] = log2_chain
-    else:
-        chain_ok = True
+        band_ok = log2_chain <= log2_delta
+        band["next_stage_chain_log2"] = log2_chain
     gaps = [iv.hi - iv.lo + 1 for iv in geo.stage_table(basis.schedule, n)
             if geo.is_layoff(iv.tag) and iv.hi > st.nu]
-    s_min = min(gaps) if gaps else 1
-    sup = sup_e_norm(basis, min(st.nu, basis.n_trunc))
+    s_min, sup = min(gaps, default=1), sup_e_norm(basis, st.nu)
     log2_gap = -math.sqrt(s_min) / 2 + math.log2(max(sup, 1e-300))
-    gap_ok = log2_gap <= log2_delta
-    info.update({"min_gap": s_min, "gap_weight_log2": log2_gap,
+    band.update({"min_gap": s_min, "gap_weight_log2": log2_gap,
                  "sup_e_norm": sup})
+    gates["band"] = (band_ok and log2_gap <= log2_delta, band)
+
     first_gap = gaps[0] if gaps else 1
-    if first_gap > st.nu:
-        log2_spill = (-(first_gap - st.nu) / (2 * math.sqrt(first_gap))
-                      + 0.5 * math.log2(st.nu + 1))
-        spill_ok = log2_spill <= log2_delta
-        info["first_gap_spill_log2"] = log2_spill
-    else:
-        spill_ok = False
-        info["first_gap_spill_log2"] = float("inf")
-    info["first_gap"] = first_gap
-    gates = {"band": chain_ok and gap_ok, "low": chain_ok and gap_ok,
-             "spill": spill_ok}
-    gates.update(info)
+    log2_spill = float("inf") if first_gap <= st.nu else \
+        (-(first_gap - st.nu) / (2 * math.sqrt(first_gap))
+         + 0.5 * math.log2(st.nu + 1))
+    gates["spill"] = (log2_spill <= log2_delta,
+                      {"first_gap_spill_log2": log2_spill,
+                       "first_gap": first_gap})
+
+    for k, ck in enumerate(st.c, start=1):
+        s = min((s for s in gaps if s > ck), default=None)
+        values = {"worst_gap_ratio": 1.0} if s is None else \
+            {"worst_gap_ratio": 2.0 ** (ck / math.sqrt(s)), "gap_length": s}
+        gates[f"scale.k{k}"] = (values["worst_gap_ratio"] <= 2.0, values)
     return gates
 
 
@@ -432,10 +419,9 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
         min(basis.schedule.stage(n + 1).nu, trunc)
     delta, eps = st.delta, st.eps
     entries: list[Entry] = []
-    h_ok, h_info = h_calibrated(basis, n)
     gates = stage_gates(basis, n)
-    gate_info = {k: v for k, v in gates.items()
-                 if k not in ("band", "low", "spill")}
+    (band_ok, band_info), (spill_ok, spill_info) = gates["band"], gates["spill"]
+    gate_info = {**band_info, **spill_info}
 
     head, above = slice(0, nu + 1), slice(nu + 1, hi + 1)
     low_nu, band_nu, spill_nu = (head, above), (above, above), (above, head)
@@ -445,12 +431,12 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     entries.append(check(
         f"shift.low.nu.stage{n}",
         f"norm of rows [0,{nu}] of the shifted image of span f_({nu},{hi}]",
-        lo_blk.value, delta, asserted=gates["low"],
+        lo_blk.value, delta, asserted=band_ok,
         details={"method": lo_blk.method, **gate_info}))
     entries.append(check(
         f"shift.band.nu.stage{n}",
         f"norm of the shifted image of span f_({nu},{hi}] within itself",
-        band_blk.value, 1 + delta, asserted=gates["band"],
+        band_blk.value, 1 + delta, asserted=band_ok,
         details={"method": band_blk.method, **gate_info}))
     entries.append(check(
         f"shift.low.xi.stage{n}",
@@ -464,8 +450,8 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     for ki, ck in enumerate(st.c, start=1):
         if ck > trunc:
             continue
-        s_ok, s_info = scale_calibrated(basis, n, ki)
-        gate = h_ok and s_ok and gates["band"]
+        (h_ok, h_info), (s_ok, s_info) = gates["h"], gates[f"scale.k{ki}"]
+        gate = h_ok and s_ok and band_ok
         info = {**h_info, **s_info}
         band, low = power_norms(basis, ck, [band_nu, low_nu])
         entries.append(check(
@@ -488,7 +474,7 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     entries.append(check(
         f"powm.spill.stage{n}",
         f"powers m<nu/2 of span f_[0,{nu}] escaping above {nu} (max over sample)",
-        spill_max, delta, asserted=gates["spill"],
+        spill_max, delta, asserted=spill_ok,
         details={"sample": list(band_growth), **gate_info}))
     entries.append(check(
         f"powm.band.stage{n}",
@@ -524,8 +510,8 @@ def tail_bound_entry(basis: BasisMap, n: int, k: int) -> Entry:
                      asserted=False, details={"admissible_columns": 0})
     res, = power_norms(basis, ck, [(slice(0, basis.n_trunc + 1),
                                     slice(st.nu + 1, jmax + 1))])
-    h_ok, h_info = h_calibrated(basis, n)
-    s_ok, s_info = scale_calibrated(basis, n, k)
+    gates = stage_gates(basis, n)
+    (h_ok, h_info), (s_ok, s_info) = gates["h"], gates[f"scale.k{k}"]
     det = {"admissible_columns": jmax - st.nu, "method": res.method,
            **h_info, **s_info}
     return check(

@@ -102,8 +102,6 @@ def ell1_distance(p: Poly, q: Poly):
 @dataclass(frozen=True)
 class PolyNet:
     members: tuple[Poly, ...]
-    degree: int
-    field: str = REAL
 
     def __len__(self):
         return len(self.members)
@@ -176,7 +174,7 @@ def generate_net(
             continue
         members.append(p)
     members.sort(key=lambda p: (float(p.ell1), _sort_key(p)))
-    return PolyNet(members=tuple(members), degree=degree, field=field)
+    return PolyNet(members=tuple(members))
 
 
 def _sort_key(p: Poly):

@@ -33,7 +33,7 @@ def boundedness(b, rep: VerificationReport, rng, seed: int) -> None:
     rep.add(entry)
     for n in _stages(b):
         rep.extend(ops.block_estimates(b, n))
-    b_ok, b_info = ops.b_calibrated(b, 1)
+    b_ok, b_info = ops.stage_gates(b, 1)["b"]
     b2 = assemble(doubled_layoffs(b.schedule), b.families)
     _, res2 = ops.full_norm_entry(b2)
     details = {"norm": res.value, "norm_doubled": res2.value, **b_info}

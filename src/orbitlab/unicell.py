@@ -65,14 +65,9 @@ def solve_poly(sys: ToeplitzSystem) -> Poly:
 
 def steering_residual(sys: ToeplitzSystem, p: Poly) -> float:
     """l2 residual of p(T_xi) x = y on [r, xi] (plain coordinates)."""
-    m = sys.xi - sys.r + 1
-    out = [0] * m  # int zero keeps exact coefficients exact
-    for u, coef in enumerate(p.coeffs):
-        if coef == 0:
-            continue
-        for i in range(m - u):
-            out[i + u] += coef * sys.x[i]
-    return math.sqrt(sum(abs(o - yv) ** 2 for o, yv in zip(out, sys.y)))
+    out = poly_shift_apply(p, dict(enumerate(sys.x)), sys.xi - sys.r)
+    return math.sqrt(sum(abs(out.get(i, 0) - yv) ** 2
+                         for i, yv in enumerate(sys.y)))
 
 
 # -- large head coordinates ---------------------------------------------------------

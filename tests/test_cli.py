@@ -210,9 +210,14 @@ MINI_BUILD_HASHES = {
 }
 
 
-# sha256 of the mini.cfg `verify --suite all` report rows, runtime_s left out
+# sha256 of the `verify --suite all` report rows, runtime_s left out, of
+# mini.cfg and of thm1.cfg; thm1 is the shipped config on which boundedness
+# rows assert (shift.low.nu, shift.band.nu, powm.spill), so a change to a
+# calibration gate shows in its pin
 MINI_REPORT_ROWS_HASH = \
     "c0c70da16fd38323435f28a7148da4fdd098383748d6719be0df1e9efc5b7990"
+THM1_REPORT_ROWS_HASH = \
+    "df68bc9b1642eaf46e89de76a14eeeb874da19adb5f75742d73a53d7da425a5f"
 
 
 def _cli_one_thread(*args):
@@ -243,14 +248,30 @@ def test_mini_cfg_build_hashes_are_pinned(mini_cfg_build):
     assert manifest["hashes"] == MINI_BUILD_HASHES
 
 
-def test_mini_cfg_verify_all_report_is_pinned(mini_cfg_build):
+def _verify_all_rows(build):
+    """Rows of `verify --suite all` on a build, runtime_s left out, and
+    their sha256."""
     import hashlib
 
-    _cli_one_thread("verify", "--build", mini_cfg_build, "--suite", "all")
-    rows = json.load(open(mini_cfg_build / "report_all.json"))
-    assert len(rows) == 83
-    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
+    _cli_one_thread("verify", "--build", build, "--suite", "all")
+    rows = json.load(open(build / "report_all.json"))
     for r in rows:
         del r["runtime_s"]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
-    assert digest.hexdigest() == MINI_REPORT_ROWS_HASH
+    return rows, digest.hexdigest()
+
+
+def test_mini_cfg_verify_all_report_is_pinned(mini_cfg_build):
+    rows, digest = _verify_all_rows(mini_cfg_build)
+    assert len(rows) == 83
+    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
+    assert digest == MINI_REPORT_ROWS_HASH
+
+
+def test_thm1_cfg_verify_all_report_is_pinned(tmp_path):
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "thm1.cfg")
+    _cli_one_thread("build", "--config", cfg, "--out", tmp_path)
+    rows, digest = _verify_all_rows(tmp_path)
+    assert len(rows) == 67
+    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
+    assert digest == THM1_REPORT_ROWS_HASH

@@ -389,6 +389,48 @@ def test_deep_layoff_tail_column_ratio(r1):
     assert col2.data[0] == pytest.approx(1.0, rel=1e-12)
 
 
+def _row_gates(claim_id: str) -> list[str]:
+    """The stage_gates entries that decide a gated row, [] for an ungated
+    one."""
+    k = claim_id.rpartition(".k")[2]
+    if claim_id.startswith(("shift.low.nu.", "shift.band.nu.")):
+        return ["band"]
+    if claim_id.startswith("powm.spill."):
+        return ["spill"]
+    if claim_id.startswith("fanpow."):
+        return ["h", f"scale.k{k}", "band"]
+    if claim_id.startswith("tailpow."):
+        return ["h", f"scale.k{k}"]
+    if claim_id.startswith("bfan.shade.stage"):
+        return ["b"]
+    return []
+
+
+@pytest.mark.parametrize("name", ["mini", "r1", "r1b"])
+def test_gated_rows_assert_exactly_when_their_gates_open(name, request):
+    from orbitlab import hypercyclic as hyp
+    b = request.getfixturevalue(name)
+    seen = set()
+    for n in range(1, b.schedule.n_stages + 1):
+        gates = ops.stage_gates(b, n)
+        rows = [*ops.block_estimates(b, n), *hyp.bfan_entries(b, n),
+                *(ops.tail_bound_entry(b, n, k)
+                  for k in range(1, b.schedule.stage(n).k + 1))]
+        for e in rows:
+            names = _row_gates(e.claim_id)
+            if not names:
+                continue
+            is_open = all(gates[g][0] for g in names)
+            assert (e.status == INFO) == (not is_open), e.claim_id
+            # the row carries its gates' values; a fanpow row carries those
+            # of h and its scale gate, not those of band
+            for g in names[:2]:
+                assert e.details.items() >= gates[g][1].items(), (e.claim_id, g)
+            seen.add(e.claim_id.split(".stage")[0])
+    assert seen == {"shift.low.nu", "shift.band.nu", "powm.spill",
+                    "fanpow.band", "fanpow.low", "tailpow", "bfan.shade"}
+
+
 def test_full_norm_entry(r1):
     e, res = ops.full_norm_entry(r1)
     assert res.converged and math.isfinite(res.value)
