@@ -19,6 +19,12 @@ bit those of the formed power; a product that rounds to 0 is not stored,
 as there.  Only the other columns go through `poly_image`, once per power,
 and each block's pairs enter `op_norm`'s drop-and-split stage as two
 numbers: their largest magnitude and their count.
+
+Cost: per power, one pass over the columns marks the pairs and forms their
+entries from the diagonals of F and E, read once per basis; per block, a
+max and a count over its slice of the pair entries, and otherwise only its
+stored remainder entries (`_rank` sorts a block's rows when they are sparse
+against its height instead of passing over all n rows).
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from .report import Entry, check
 # Widest component (rows or columns) op_norm solves by dense SVD; a wider
 # one that can hold the norm makes op_norm raise.
 DENSE_COMPONENT_CAP = 1024
+# _rank sorts an index array shorter than 1/RANK_SORT_RATIO of its range.
+RANK_SORT_RATIO = 8
 NONFINITE_FLAG = "operator matrix has non-finite entries; no norm measured"
 
 
@@ -90,14 +98,23 @@ class OpNormResult:
     iterations: int
 
 
-def _rank_map(idx: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-    """For indices in [0, n): the map sending each present value to its rank
-    among the present values, and their count.  ``_rank_map(idx, n)[0][idx]``
-    equals ``np.unique(idx, return_inverse=True)[1]``, without the sort."""
+def _rank(idx: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """For indices in [0, n): each one's rank among the distinct values of
+    idx, and their count, as ``np.unique(idx, return_inverse=True)`` gives
+    them.  An idx with fewer than one entry per RANK_SORT_RATIO values of
+    [0, n) is sorted, at the cost of its own length; a denser one is ranked
+    without a sort, by a presence mask over [0, n) and its running count.
+    For a block of a power (the row indices of its stored remainder entries,
+    n its height) that is a cost of the block's entries, not of n, whenever
+    the block is sparse against its height, as R1's 400 001-row blocks with
+    a few thousand entries are."""
+    if len(idx) * RANK_SORT_RATIO < n:
+        values, rank = np.unique(idx, return_inverse=True)
+        return rank, len(values)
     present = np.zeros(n, dtype=bool)
     present[idx] = True
     rank = np.cumsum(present) - 1
-    return rank, int(rank[-1]) + 1
+    return rank[idx], int(rank[-1]) + 1
 
 
 def _compress(M: sparse.spmatrix) -> sparse.csc_matrix:
@@ -106,10 +123,9 @@ def _compress(M: sparse.spmatrix) -> sparse.csc_matrix:
     nnz = M.nnz
     if nnz == 0:
         return sparse.csc_matrix((1, 1))
-    indices = M.indices[:nnz]
-    row_rank, n_rows = _rank_map(indices, M.shape[0])
+    rows, n_rows = _rank(M.indices[:nnz], M.shape[0])
     indptr = np.append(M.indptr[:-1][np.diff(M.indptr) > 0], nnz)
-    C = sparse.csc_matrix((M.data[:nnz].copy(), row_rank[indices], indptr),
+    C = sparse.csc_matrix((M.data[:nnz].copy(), rows, indptr),
                           shape=(n_rows, len(indptr) - 1))
     C.sum_duplicates()  # sorts a copy: M itself may have unsorted indices
     return C
@@ -178,8 +194,9 @@ def _split_norm(C: sparse.csc_matrix, loose2: float, n_loose: int) -> float:
     S = _compress(sparse.coo_matrix(
         (C.data[rest], (C.indices[rest], col_of[rest])), shape=C.shape))
     row_label, col_label = _component_labels(S)
-    rank, n_comp = _rank_map(col_label, S.shape[1])
-    row_comp, col_comp = rank[row_label], rank[col_label]
+    # a component's label is its smallest column, labelled by itself
+    col_comp, n_comp = _rank(col_label, S.shape[1])
+    row_comp = col_comp[row_label]
     s_col_nnz = np.diff(S.indptr)
     entry_comp = np.repeat(col_comp, s_col_nnz)
     fro2 = np.bincount(entry_comp, weights=np.abs(S.data) ** 2,
@@ -254,19 +271,20 @@ def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResul
 
 
 def _lone_diagonal(M: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, diag) of a triangular basis matrix: the indices j where M's
-    row j and column j each hold one stored entry with a zero imaginary
-    part, and that entry M[j, j] as a real number (0 elsewhere)."""
+    """(mask, diag) of a triangular basis matrix whose columns each end in
+    their stored diagonal entry: the indices j where M's row j and column j
+    each hold one stored entry with a zero imaginary part, and M's diagonal
+    as real numbers (that entry, where the mask holds)."""
     n = M.shape[1]
     one = (np.diff(M.indptr) == 1) & (np.bincount(M.indices, minlength=n) == 1)
-    j = np.flatnonzero(one)
-    at = M.indptr[j]
-    assert np.array_equal(M.indices[at], j), \
+    last = M.indptr[1:] - 1
+    assert not (one & (M.indices.take(last)
+                       != np.arange(n, dtype=M.indices.dtype))).any(), \
         "a single-entry basis column holds its diagonal entry"
-    real = M.data[at].imag == 0
-    one[j[~real]] = False
-    diag = np.zeros(n)
-    diag[j[real]] = M.data[at[real]].real
+    diag = M.data.take(last)
+    if np.iscomplexobj(diag):
+        one &= diag.imag == 0
+        diag = diag.real.copy()
     return one, diag
 
 
@@ -298,11 +316,11 @@ def power_norms(basis: BasisMap, m: int,
     cols = np.flatnonzero(rest)
     R = poly_image(basis, ((m, 1),),
                    basis.F_csc[:, cols] if len(cols) < n else basis.F_csc)
-    # the pair entry of column j, 0 where none is stored (the sparse
-    # product stores no zero sums)
+    # the magnitude of column j's pair entry, 0 where none is stored (the
+    # sparse product stores no zero sums)
     v = np.zeros(k)
     np.multiply(e_diag[m:], f_diag[:k], out=v, where=pair)
-    mag = np.abs(v)
+    np.abs(v, out=v)
 
     out = []
     for r0, r1, c0, c1 in spans:
@@ -310,7 +328,7 @@ def power_norms(basis: BasisMap, m: int,
         # the block's pairs: columns j in [c0, c1) with row j + m in [r0, r1)
         run = slice(max(c0, r0 - m), max(min(c1, r1 - m, k), 0))
         out.append(_norm(_compress(R[r0:r1, a:b]),
-                         float(mag[run].max(initial=0.0)),
+                         float(v[run].max(initial=0.0)),
                          np.count_nonzero(v[run])))
     return out
 
@@ -452,7 +470,7 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
             continue
         (h_ok, h_info), (s_ok, s_info) = gates["h"], gates[f"scale.k{ki}"]
         gate = h_ok and s_ok and band_ok
-        info = {**h_info, **s_info}
+        info = {**h_info, **s_info, **band_info}
         band, low = power_norms(basis, ck, [band_nu, low_nu])
         entries.append(check(
             f"fanpow.band.stage{n}.k{ki}",

@@ -215,9 +215,9 @@ MINI_BUILD_HASHES = {
 # rows assert (shift.low.nu, shift.band.nu, powm.spill), so a change to a
 # calibration gate shows in its pin
 MINI_REPORT_ROWS_HASH = \
-    "c0c70da16fd38323435f28a7148da4fdd098383748d6719be0df1e9efc5b7990"
+    "99a24781e094eb6333d527e5b4429359b4607e1aefd3bc16fc5f1aab776da538"
 THM1_REPORT_ROWS_HASH = \
-    "df68bc9b1642eaf46e89de76a14eeeb874da19adb5f75742d73a53d7da425a5f"
+    "17bd9180b953762652ea6565afc85173d5171b4567df3a6b0301c2ebeeda718c"
 
 
 def _cli_one_thread(*args):

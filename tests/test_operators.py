@@ -153,6 +153,25 @@ def test_op_norm_solves_wide_components_up_to_cap(case):
     assert res.value == pytest.approx(want, rel=1e-12)
 
 
+def _tall_block():
+    """A CSC block with fewer than one entry per RANK_SORT_RATIO rows:
+    unsorted rows within columns, a duplicate entry, empty rows and
+    columns (the first and the last ones among them)."""
+    rng = np.random.default_rng(5)
+    n_rows, n_cols = 3000, 40
+    counts = rng.integers(0, 4, n_cols)
+    counts[[0, 7, -1]] = 0
+    indptr = np.r_[0, np.cumsum(counts)]
+    indices = rng.integers(1, n_rows - 1, indptr[-1])
+    at = indptr[np.flatnonzero(counts >= 2)[0]]
+    indices[at + 1] = indices[at]  # a duplicate (row, column) entry
+    M = sparse.csc_matrix((rng.standard_normal(indptr[-1]), indices, indptr),
+                          shape=(n_rows, n_cols))
+    assert not M.has_canonical_format
+    assert M.nnz * ops.RANK_SORT_RATIO < n_rows
+    return M
+
+
 def test_compress_matches_unique_reference():
     M = sparse.random(60, 80, density=0.03, random_state=4, format="csc")
     M = M.tolil()
@@ -165,7 +184,10 @@ def test_compress_matches_unique_reference():
     # unsorted row indices within columns, as in a conjugated_power slice
     U = M[np.random.default_rng(4).permutation(60), :].tocsc()
     assert not U.has_sorted_indices
-    for M in (M, U, U.tocoo()):
+    T = _tall_block()
+    D = sparse.random(30, 25, density=0.5, random_state=9, format="csc")
+    assert D.nnz >= D.shape[0]  # ranked by the presence mask
+    for M in (M, U, U.tocoo(), T, T.tocoo(), D):
         before = M.copy()
         coo = M.tocoo()
         rows, rr = np.unique(coo.row, return_inverse=True)
@@ -422,9 +444,8 @@ def test_gated_rows_assert_exactly_when_their_gates_open(name, request):
                 continue
             is_open = all(gates[g][0] for g in names)
             assert (e.status == INFO) == (not is_open), e.claim_id
-            # the row carries its gates' values; a fanpow row carries those
-            # of h and its scale gate, not those of band
-            for g in names[:2]:
+            # the row carries every deciding gate's values
+            for g in names:
                 assert e.details.items() >= gates[g][1].items(), (e.claim_id, g)
             seen.add(e.claim_id.split(".stage")[0])
     assert seen == {"shift.low.nu", "shift.band.nu", "powm.spill",
@@ -436,6 +457,16 @@ def test_full_norm_entry(r1):
     assert res.converged and math.isfinite(res.value)
     assert res.value == pytest.approx(1.247e6, rel=1e-3)
     assert e.details["method"] == "dense_svd" and "flag" not in e.details
+
+
+def test_full_norm_entry_of_doubled_twin_matches_formed_power(r1):
+    from orbitlab.profiles import doubled_layoffs
+
+    twin = ol.assemble(doubled_layoffs(r1.schedule), r1.families)
+    assert twin.n_trunc == 799_812
+    _, res = ops.full_norm_entry(twin)
+    _assert_same(res, ops.op_norm(ops.conjugated_power(twin, 1)))
+    assert res.value == pytest.approx(5.6455e6, rel=1e-4)
 
 
 def test_mini_tail_block_is_exact(mini):
@@ -637,6 +668,47 @@ def test_power_norms_match_formed_power(name, request, monkeypatch):
             values.append(got.value)
     if name.startswith("mini"):  # stage 1's chains take the rescale branch
         assert max(values) > 1e100
+
+
+def _lone_reference(M):
+    """_lone_diagonal's answer from per-column and per-row entry counts and
+    the diagonal read as M[j, j]."""
+    coo = M.tocoo()
+    n = M.shape[1]
+    diag = M.diagonal()
+    one = ((np.bincount(coo.col, minlength=n) == 1)
+           & (np.bincount(coo.row, minlength=n) == 1) & (diag.imag == 0))
+    return one, diag.real
+
+
+def _assert_lone_diagonal(M):
+    one, diag = ops._lone_diagonal(M)
+    want_one, want_diag = _lone_reference(M)
+    assert np.array_equal(one, want_one)
+    assert diag.dtype == float and diag.flags.owndata
+    assert np.array_equal(diag, want_diag)
+    return one, diag
+
+
+@pytest.mark.parametrize("name", ["r1", "mini", "mini_rational", "r1_complex"])
+def test_lone_diagonal_matches_counts(name, request):
+    b = request.getfixturevalue(name)
+    for M in (b.F_csc, b.E_csc):
+        one, _ = _assert_lone_diagonal(M)
+        assert one.any() and not one.all()
+
+
+def test_lone_diagonal_of_complex_entries():
+    # columns 0-3 hold one entry each; column 4's row also holds column 5's
+    # off-diagonal entry
+    data = np.array([1.5, 2 + 3j, 0, 4, 1, 0.5, 2], dtype=complex)
+    indices = np.array([0, 1, 2, 3, 4, 4, 5])
+    M = sparse.csc_matrix((data, indices, [0, 1, 2, 3, 4, 5, 7]), shape=(6, 6))
+    assert M.nnz == 7  # the explicit zero is stored
+    one, diag = _assert_lone_diagonal(M)
+    # a nonzero imaginary part leaves the pairs; an explicit zero stays
+    assert one.tolist() == [True, False, True, True, False, False]
+    assert diag.tolist() == [1.5, 2.0, 0.0, 4.0, 1.0, 2.0]
 
 
 def test_power_norms_edge_blocks(mini):
