@@ -19,7 +19,7 @@ print(f"fan families (zero constant terms): "
       f"{[tuple(p.coeffs for p in f) for f in b.families]}")
 
 A = refl.build_A(b)
-T = ops.conjugated_power(b, 1)
+T = ops.conjugated_power(b)
 print(f"columns j >= 1 identical to the operator: "
       f"{(A[:, 1:] - T[:, 1:]).nnz == 0}")
 

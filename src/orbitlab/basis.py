@@ -32,13 +32,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from . import geometry as geo
-from .errors import ScheduleError, TruncationError
+from .errors import ScheduleError
 from .polynet import ONE, Poly
 from .schedule import COMPLEX, RATIONAL, StageSchedule
 
@@ -180,7 +179,11 @@ class _ColumnDicts:
 
 
 class BasisMap:
-    """Assembled change-of-basis on [0, n_trunc] plus assembly metadata.
+    """Assembled change-of-basis plus assembly metadata.
+
+    Every basis spans its schedule's whole truncation: ``n_trunc`` is
+    ``schedule.xi_end``, the end of the last stage's block, and F and E are
+    square of size n_trunc + 1.
 
     F and E are stored as CSC matrices with sorted row indices and float (or
     complex) data.  In rational mode ``exact`` holds each one's exact values
@@ -209,10 +212,7 @@ class BasisMap:
     # -- scalar / column access ------------------------------------------
 
     def gamma(self, n: int):
-        g = self.gammas[n - 1]
-        if g is None:
-            raise ScheduleError([f"gamma of stage {n} not available at this truncation"])
-        return g
+        return self.gammas[n - 1]
 
     def weight(self, j: int):
         if not (0 <= j <= self.n_trunc and self.layoff[j]):
@@ -264,8 +264,6 @@ class BasisMap:
         """Row 0 of the f->e map on columns [0, xi_n]: the e_0 coordinate
         functional evaluated on each basis vector f_j."""
         xi_n = self.schedule.xi(n)
-        if xi_n > self.n_trunc:
-            raise TruncationError(f"truncation does not cover xi_{n}")
         F = self._F
         first = F.indptr[: xi_n + 1]  # every column is nonempty, rows sorted
         js = np.flatnonzero(F.indices[first] == 0)
@@ -406,8 +404,6 @@ def _fan_rule(tag, st, families, gammas, mode):
     if p.degree > st.d:
         raise ScheduleError([f"fan polynomial {t} of stage {tag.n} exceeds degree {st.d}"])
     g = gammas[tag.n - 1]
-    if g is None:
-        raise ScheduleError([f"gamma of stage {tag.n} not set"])
     if mode == RATIONAL:
         g, k = Fraction(g), 2 * (coord.abs_r - 1)  # 4^(1-|r|) = 2^-k
         scale = Fraction(g.denominator << max(-k, 0), g.numerator << max(k, 0))
@@ -442,32 +438,27 @@ def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRe
 _LAYOFF_BLOCK = 1 << 16  # lay-off weights computed per block (bounds the transient lists)
 
 
-def assemble(schedule: StageSchedule, families,
-             n_trunc: Optional[int] = None) -> BasisMap:
-    """Build both triangular maps on [0, n_trunc] (default: the full truncation).
+def assemble(schedule: StageSchedule, families) -> BasisMap:
+    """Build both triangular maps on [0, xi_end], the schedule's truncation.
 
     Each stage-table interval is appended to F and E as one block of
-    columns.  Working vectors read f_j = scale (e_j - p(T) e_{j - shift})
-    (b-working: scale 1, p = b, shift b), so E's column j is e_j / scale plus
-    the earlier E columns j - shift + u weighted by p's coefficients.
-    Stages whose gamma is None are calibrated on the fly (see _calibrate)
-    once their b-part is assembled.
+    columns, in one walk over each stage's table.  Working vectors read
+    f_j = scale (e_j - p(T) e_{j - shift}) (b-working: scale 1, p = b,
+    shift b), so E's column j is e_j / scale plus the earlier E columns
+    j - shift + u weighted by p's coefficients.  A stage whose gamma is None
+    is calibrated on the fly (see _calibrate) when the walk reaches nu_n + 1,
+    the first column above its b-part.
     """
     mode = schedule.weight_mode
     if mode == RATIONAL and schedule.scalar_field == COMPLEX:
         raise ScheduleError(["rational weight mode supports the real field only"])
-    if n_trunc is None:
-        n_trunc = schedule.xi_end
-    if not 0 <= n_trunc <= schedule.xi_end:
-        raise TruncationError(
-            f"n_trunc {n_trunc} outside [0, xi_end {schedule.xi_end}]")
     if len(families) != schedule.n_stages:
         raise ScheduleError(["one fan family per stage required"])
 
     exact = mode == RATIONAL
     one = Fraction(1) if exact else 1.0
     dtype = object if exact else complex if schedule.scalar_field == COMPLEX else float
-    size = n_trunc + 1
+    size = schedule.xi_end + 1
     F, E = _Columns(size, dtype), _Columns(size, dtype)
     layoff = np.zeros(size, dtype=bool)
     gammas: list = [st.gamma for st in schedule.stages]
@@ -492,10 +483,10 @@ def assemble(schedule: StageSchedule, families,
         F.append(ones, rows, f_vals)
         E.append(ones, rows, e_vals)
 
-    def add_layoffs(iv, j_lo, j_hi):
-        layoff[j_lo:j_hi + 1] = True
-        for lo in range(j_lo, j_hi + 1, _LAYOFF_BLOCK):
-            hi = min(lo + _LAYOFF_BLOCK - 1, j_hi)
+    def add_layoffs(iv):
+        layoff[iv.lo:iv.hi + 1] = True
+        for lo in range(iv.lo, iv.hi + 1, _LAYOFF_BLOCK):
+            hi = min(lo + _LAYOFF_BLOCK - 1, iv.hi)
             if exact:  # positive weights: a reciprocal is the swapped pair
                 num, den = geo.interval_weight_pairs(iv, schedule, lo, hi)
                 add_diagonal(lo, (num, den), (den, num))
@@ -503,7 +494,7 @@ def assemble(schedule: StageSchedule, families,
                 lam = geo.interval_weights(iv, schedule, lo, hi)
                 add_diagonal(lo, (lam,), (one / lam,))
 
-    def add_working(j_lo, j_hi, shift, p, scale):
+    def add_working(iv, shift, p, scale):
         terms = [(u - shift, a) for u, a in enumerate(p.coeffs) if a != 0]
         f_rows = np.array([d for d, _ in terms] + [0])
         f_vals = values([0 - scale * a for _, a in terms] + [scale])
@@ -511,8 +502,8 @@ def assemble(schedule: StageSchedule, families,
         inverse = scalar(one / scale)
         # the E sources j - shift + u (u <= deg p) of a block at most
         # shift - deg p wide all precede it
-        for lo in range(j_lo, j_hi + 1, shift - p.degree):
-            js = np.arange(lo, min(lo + shift - p.degree, j_hi + 1))
+        for lo in range(iv.lo, iv.hi + 1, shift - p.degree):
+            js = np.arange(lo, min(lo + shift - p.degree, iv.hi + 1))
             F.append(np.full(len(js), len(f_rows)), (js[:, None] + f_rows).ravel(),
                      tuple(np.tile(v, len(js)) for v in f_vals))
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
@@ -526,48 +517,26 @@ def assemble(schedule: StageSchedule, families,
             E.append(np.diff(ends, prepend=0) + 1, np.insert(rows, ends, js),
                      tuple(np.insert(v, ends, x) for v, x in zip(vals, inverse)))
 
-    seeds = values([one] * (min(schedule.xi(1), n_trunc) + 1))
+    seeds = values([one] * (schedule.xi(1) + 1))
     add_diagonal(0, seeds, seeds)
 
-    for n in range(1, schedule.n_stages + 1):
-        st = schedule.stage(n)
-        if st.xi >= n_trunc:
-            break
-        table = geo.stage_table(schedule, n)
-        hi_bpart = min(st.nu, n_trunc)
-        for iv in table:
-            if iv.lo > hi_bpart:
-                break
-            j_hi = min(iv.hi, hi_bpart)
+    for n, st in enumerate(schedule.stages, start=1):
+        for iv in geo.stage_table(schedule, n):
+            if iv.lo == st.nu + 1 and gammas[n - 1] is None:
+                rec = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
+                gammas[n - 1] = rec.gamma
+                calibration.append(rec)
             if geo.is_layoff(iv.tag):
-                add_layoffs(iv, iv.lo, j_hi)
+                add_layoffs(iv)
+            elif isinstance(iv.tag, geo.BWorking):
+                add_working(iv, st.b, Poly((st.b,)), one)
             else:
-                add_working(iv.lo, j_hi, st.b, Poly((st.b,)), one)
-        if n_trunc <= st.nu:
-            break
-        if gammas[n - 1] is None:
-            rec = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
-            gammas[n - 1] = rec.gamma
-            calibration.append(rec)
-        for iv in table:
-            if iv.hi <= st.nu:
-                continue
-            if iv.lo > n_trunc:
-                break
-            j_lo, j_hi = max(iv.lo, st.nu + 1), min(iv.hi, n_trunc)
-            if geo.is_layoff(iv.tag):
-                add_layoffs(iv, j_lo, j_hi)
-            else:
-                add_working(j_lo, j_hi, *_fan_rule(iv.tag, st, families, gammas, mode))
+                add_working(iv, *_fan_rule(iv.tag, st, families, gammas, mode))
 
-    if F.n_cols != size:
-        raise TruncationError(
-            f"assembly stopped at {F.n_cols - 1}, requested {n_trunc}"
-        )
     F_csc, F_exact = F.matrix(size)
     del F  # free its buffers before E's are converted
     E_csc, E_exact = E.matrix(size)
-    return BasisMap(schedule, families, mode, n_trunc, gammas, F_csc, E_csc,
+    return BasisMap(schedule, families, mode, schedule.xi_end, gammas, F_csc, E_csc,
                     layoff, calibration, exact=(F_exact, E_exact))
 
 

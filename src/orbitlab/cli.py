@@ -4,6 +4,8 @@
     orbitlab verify --build dir --suite name [--seed N]
     orbitlab orbit  --build dir --x SPEC --targets SPEC --steps N [--out csv]
 
+``build`` assembles the schedule's whole truncation [0, xi_end]; ``verify``
+and ``orbit`` re-assemble the same range from the build's schedule.cfg.
 Vector specs are frame-prefixed sparse coordinate lists: ``f:0=1,3=-2`` or
 ``e:1=1``; targets are semicolon-separated specs.  Reports are deterministic
 for a fixed config and seed, up to the runtime columns.  orbitlab reads no
@@ -38,20 +40,17 @@ def _sha256(path) -> str:
 
 
 def _assemble_from_config(path):
-    schedule, families = load_config(path)
-    b = basis_mod.assemble(schedule, families)
-    return b
+    return basis_mod.assemble(*load_config(path))
 
 
 def cmd_build(args) -> int:
-    schedule, families = load_config(args.config)
-    b = basis_mod.assemble(schedule, families, n_trunc=args.trunc)
+    b = _assemble_from_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     echo = os.path.join(args.out, "schedule.cfg")
-    save_config(echo, b.schedule.with_gammas(b.gammas), families)
+    save_config(echo, b.schedule.with_gammas(b.gammas), b.families)
     files = {"schedule.cfg": echo}
     for name, mat in (("F_in_E", b.F_csc), ("E_in_F", b.E_csc),
-                      ("T_f", ops.conjugated_power(b, 1))):
+                      ("T_f", ops.conjugated_power(b))):
         path = os.path.join(args.out, f"{name}.mtx")
         basis_mod.export_matrix_market(path, mat)
         files[f"{name}.mtx"] = path
@@ -140,7 +139,6 @@ def main(argv=None) -> int:
     p_build = sub.add_parser("build", help="assemble basis and operator files")
     p_build.add_argument("--config", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--trunc", type=int, default=None)
     p_build.set_defaults(fn=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run a verifier suite on a build")

@@ -72,8 +72,6 @@ def fan_residual_norm(basis: BasisMap, n: int, k: int) -> float:
     F = basis.F_csc[:, : st.nu + 1]
     terms = [(st.c[k - 1], 1)] + [(u, -a) for u, a in enumerate(
         basis.families[n - 1][k - 1].coeffs) if a != 0]
-    if F.indices.max() + max(u for u, _ in terms) > basis.n_trunc:
-        raise TruncationError("fan power would leave the truncation")
     return op_norm(poly_image(basis, terms, F)).value
 
 
@@ -101,8 +99,6 @@ def shade_measurements(basis: BasisMap, n: int):
     the power's (j + b + 1, j) entry (0.0 where none is stored) and the
     number of entries in its column j."""
     st = basis.schedule.stage(n)
-    if basis.n_trunc < st.nu + st.b + 1:
-        raise TruncationError("truncation must cover nu_n + b_n + 1")
     shift = st.b + 1
     sigma, = power_norms(basis, shift, [(slice(0, basis.n_trunc + 1),
                                          slice(st.xi + 1, st.nu + 1))])
@@ -410,7 +406,7 @@ def fan_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
     # the measured route subtracts head chains; float can carry that
     # cancellation only while the chain entries stay exactly representable,
     # and rational mode samples the same draws as exact Fractions
-    chain_scale = sup_e_norm(basis, min(st.nu, basis.n_trunc))
+    chain_scale = sup_e_norm(basis, st.nu)
     exact = basis.mode == RATIONAL
     if exact or chain_scale <= 2.0 ** 50:
         worst = 0.0

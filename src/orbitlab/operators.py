@@ -76,16 +76,13 @@ def poly_image(basis: BasisMap, terms, X: sparse.spmatrix) -> sparse.csc_matrix:
     return P
 
 
-def conjugated_power(basis: BasisMap, m: int) -> sparse.csc_matrix:
-    """f-frame matrix of the m-th operator power, E S^m F.  The operator
-    itself (m = 1) is built once per basis and shared, so callers must not
-    modify it."""
-    if m == 1 and basis._T is not None:
-        return basis._T
-    P = poly_image(basis, ((m, 1),), basis.F_csc)
-    if m == 1:
-        basis._T = P
-    return P
+def conjugated_power(basis: BasisMap) -> sparse.csc_matrix:
+    """f-frame matrix of the operator, E S F, built once per basis and
+    shared, so callers must not modify it.  A power E S^m F is
+    poly_image(basis, ((m, 1),), basis.F_csc)."""
+    if basis._T is None:
+        basis._T = poly_image(basis, ((1, 1),), basis.F_csc)
+    return basis._T
 
 
 # -- operator norms --------------------------------------------------------------
@@ -290,7 +287,7 @@ def _lone_diagonal(M: sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def power_norms(basis: BasisMap, m: int,
                 blocks: Sequence[tuple[slice, slice]]) -> list[OpNormResult]:
-    """op_norm(conjugated_power(basis, m)[rows, cols]) for each (rows, cols)
+    """op_norm(E S^m F[rows, cols]) for each (rows, cols)
     block of unit-step slices, bit for bit, without forming the power.
 
     The pair columns among the blocks' columns (see the module docstring)
@@ -432,9 +429,9 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
     b-fan pushes weight-chain mass below xi at the gap endpoints.
     """
     st = basis.schedule.stage(n)
-    nu, xi, trunc = st.nu, st.xi, basis.n_trunc
-    hi = trunc if n == basis.schedule.n_stages else \
-        min(basis.schedule.stage(n + 1).nu, trunc)
+    nu, xi = st.nu, st.xi
+    hi = basis.n_trunc if n == basis.schedule.n_stages else \
+        basis.schedule.stage(n + 1).nu
     delta, eps = st.delta, st.eps
     entries: list[Entry] = []
     gates = stage_gates(basis, n)
@@ -466,8 +463,6 @@ def block_estimates(basis: BasisMap, n: int) -> list[Entry]:
         band_xi.value, 1 + delta, asserted=False))
 
     for ki, ck in enumerate(st.c, start=1):
-        if ck > trunc:
-            continue
         (h_ok, h_info), (s_ok, s_info) = gates["h"], gates[f"scale.k{ki}"]
         gate = h_ok and s_ok and band_ok
         info = {**h_info, **s_info, **band_info}

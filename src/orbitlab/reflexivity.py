@@ -57,7 +57,7 @@ def noncommutation_witness(basis: BasisMap, A: sparse.spmatrix
                            ) -> tuple[dict, dict]:
     """(T A e_0, A T e_0) as f-frame dicts for A = build_A(basis); exactly
     (0, e_2)."""
-    T = conjugated_power(basis, 1)
+    T = conjugated_power(basis)
     e0 = np.zeros(basis.n_trunc + 1)
     e0[0] = 1.0
     ta = T @ (A @ e0)
@@ -92,7 +92,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
         xd[j] = v
     ax = A @ xd
     if head == 0:
-        T = conjugated_power(basis, 1)
+        T = conjugated_power(basis)
         diff = ax - T @ xd
         res = float(np.linalg.norm(diff))
         return MembershipCertificate("exact-shift", exact_residual=res,
@@ -118,7 +118,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
 def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
     entries: list[Entry] = []
     A = build_A(basis)
-    T = conjugated_power(basis, 1)
+    T = conjugated_power(basis)
 
     diff = (A - build_A_independent(basis)).tocoo()
     entries.append(check(

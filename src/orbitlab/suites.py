@@ -84,7 +84,7 @@ def hypercyclic(b, rep: VerificationReport, rng, seed: int) -> hyp.Certificate:
 
 
 def unicell(b, rep: VerificationReport, rng, seed: int) -> None:
-    rep.extend(uni.unicell_entries(b, min(b.schedule.n_stages, 1), rng))
+    rep.extend(uni.unicell_entries(b, 1, rng))
 
 
 def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
@@ -92,8 +92,6 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
         sched6, fams6 = statistical_schedule(6, field)
         rep.extend(neg.statistics_entries(sched6, fams6, seed))
     for n in range(1, b.schedule.n_stages + 2):
-        if b.schedule.xi(n) > b.n_trunc:
-            break
         structural = neg.e0_functional_structural(
             b.schedule, b.families, n, b.gammas)
         assembled = {j: float(v) for j, v in b.e0_functional(n).items()}

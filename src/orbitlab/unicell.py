@@ -252,7 +252,7 @@ def unicell_entries(basis, n: int, rng) -> list[Entry]:
     entries.append(check(
         "compare.stages", "multi-stage comparison depth available",
         float(basis.schedule.n_stages), None, asserted=False,
-        details={"note": "entries above run at the top built stage; the "
+        details={"note": f"entries above run at stage {n}; the "
                          "alternating-stage argument needs >= 2 stages",
                  "binding": gated}))
     return entries

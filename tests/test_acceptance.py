@@ -51,7 +51,7 @@ def test_1a_roundtrip_exact(r1_rational):
 
 
 def test_1b_layoff_action_float(r1):
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     worst = 0.0
     checked = 0
     Tc = T.tocsc()
@@ -124,7 +124,7 @@ def test_1d_steering_solver(rng):
 def test_1e_companion_witnesses(r1_companion_rational):
     b = r1_companion_rational
     A = refl.build_A(b)
-    T = ops.conjugated_power(b, 1)
+    T = ops.conjugated_power(b)
     cols_ok = (A[:, 1:] - T[:, 1:]).nnz == 0
     ta, at = refl.noncommutation_witness(b, A)
     criterion("1e.companion", cols_ok and ta == {} and at == {2: 1.0},
@@ -157,7 +157,7 @@ def test_2b_damping_identity(r1):
 
 
 def test_2c_low_block(r1):
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     st = r1.schedule.stage(1)
     res = ops.sigma_max_block(T, slice(0, st.nu + 1),
                               slice(st.nu + 1, r1.n_trunc + 1))

@@ -10,7 +10,7 @@ from orbitlab import geometry as geo
 from orbitlab.basis import (column_norms, expand_e_structural,
                             solve_F, vec_add, vec_clean, vec_norm)
 
-from orbitlab.profiles import mini_schedule, reference_schedule
+from orbitlab.profiles import doubled_layoffs, mini_schedule, reference_schedule
 
 
 def test_f0_is_e0(r1):
@@ -110,15 +110,28 @@ def test_roundtrip_exact_catches_one_perturbed_entry(mini_rational, which):
             == Fraction(num[p], den[p]) - Fraction(1, 2 ** 80))
 
 
+@pytest.mark.parametrize("name", ["mini", "r1", "r1b", "r1_companion",
+                                  "mini_rational", "r1_doubled"])
+def test_basis_spans_the_whole_truncation(name, request):
+    # a basis is [0, xi_end]: F and E are square of size xi_end + 1, and
+    # each gamma=auto stage is calibrated once, in stage order
+    if name == "r1_doubled":
+        r1 = request.getfixturevalue("r1")
+        b = ol.assemble(doubled_layoffs(r1.schedule), r1.families)
+    else:
+        b = request.getfixturevalue(name)
+    size = b.schedule.xi_end + 1
+    assert b.n_trunc == b.schedule.xi_end
+    assert b.F_csc.shape == b.E_csc.shape == (size, size)
+    auto = [n for n, st in enumerate(b.schedule.stages, start=1)
+            if st.gamma is None]
+    assert auto and [rec.stage for rec in b.calibration] == auto
+    assert all(b.gamma(n) == rec.gamma for n, rec in zip(auto, b.calibration))
+
+
 def test_roundtrip_exact_rejects_float_basis(mini):
     with pytest.raises(ValueError, match="roundtrip_max_error"):
         ol.roundtrip_exact(mini, "FE")
-
-
-def test_trivial_truncation_is_identity():
-    sched, fams = mini_schedule()
-    b = ol.assemble(sched, fams, n_trunc=0)
-    assert b.f_col(0) == {0: 1.0} and b.e_col(0) == {0: 1.0}
 
 
 def test_descent_one_step(r1):
@@ -234,16 +247,14 @@ def test_matrix_market_roundtrip(mini, tmp_path):
 
 
 def test_calibrate_gamma_formula():
-    # the smallest truncation past nu_1 calibrates stage 1
     sched, fams = reference_schedule()
-    nu = sched.stage(1).nu
-    rec, = ol.assemble(sched, fams, n_trunc=nu + 1).calibration
+    rec, = ol.assemble(sched, fams).calibration
     assert rec.gamma == pytest.approx(0.25 / rec.frame_constant)
     assert rec.gamma <= rec.gamma_cap
     # halving delta halves gamma (linearity)
     from dataclasses import replace
     sched2 = replace(sched, stages=(replace(sched.stages[0], delta=0.125),))
-    rec2, = ol.assemble(sched2, fams, n_trunc=nu + 1).calibration
+    rec2, = ol.assemble(sched2, fams).calibration
     assert rec2.gamma == pytest.approx(rec.gamma / 2)
 
 

@@ -185,13 +185,6 @@ def test_orbit_bad_spec(built, capsys, x, targets, steps):
     assert "error:" in capsys.readouterr().err
 
 
-def test_build_negative_trunc(mini_cfg, tmp_path, capsys):
-    rc = main(["build", "--config", mini_cfg, "--out", str(tmp_path / "b"),
-               "--trunc", "-5"])
-    assert rc == 2
-    assert "n_trunc -5" in capsys.readouterr().err
-
-
 def test_shipped_profiles_load():
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("thm1.cfg", "orbit_reflexive.cfg", "mini.cfg",
@@ -200,24 +193,52 @@ def test_shipped_profiles_load():
         assert ol.validate(sched) == []
 
 
-# sha256 of the mini.cfg build; the calibrated gammas (and so every file)
-# depend on the BLAS summation order, so the build runs single-threaded
-MINI_BUILD_HASHES = {
-    "E_in_F.mtx": "70b198886db537d2d52b2a445d811e1ca0f088a9ddfb997def2654269053f527",
-    "F_in_E.mtx": "c51bdd9231dcb415b1f9c9d51c47e8d867825acd22a4b56706f87b21d4f00995",
-    "T_f.mtx": "0ddcd5db7b522df6ff193fdc203ef2d0afef3787f2f21c685014cc54a76f5cc7",
-    "schedule.cfg": "6a76bd723b6ddd32550b8411a5465a419e73a1836ee6a7df40f6211f743239e0",
+# sha256 of each shipped config's build; the calibrated gammas (and so every
+# file) depend on the BLAS summation order, so the builds run single-threaded.
+# Only the companion-profile (reflexive) configs write A_f.mtx.
+BUILD_HASHES = {
+    "mini": {
+        "E_in_F.mtx": "70b198886db537d2d52b2a445d811e1ca0f088a9ddfb997def2654269053f527",
+        "F_in_E.mtx": "c51bdd9231dcb415b1f9c9d51c47e8d867825acd22a4b56706f87b21d4f00995",
+        "T_f.mtx": "0ddcd5db7b522df6ff193fdc203ef2d0afef3787f2f21c685014cc54a76f5cc7",
+        "schedule.cfg": "6a76bd723b6ddd32550b8411a5465a419e73a1836ee6a7df40f6211f743239e0",
+    },
+    "thm1": {
+        "E_in_F.mtx": "78d0ca0a46619d8992bb8cd00000822e1f0fb2f88ec0b2528b51bfb2a6ff56b8",
+        "F_in_E.mtx": "3878f17d93449a151714eb3b4e56fb7b856f3042c6036b1af54ada23ce506081",
+        "T_f.mtx": "0c82815b1dbde316834fcbd79a770fbc4916f9d8019131533cadfc161252573e",
+        "schedule.cfg": "38dfb6ac23e4122b5cb463ebd4bf5a34af0f74d21aafe0eae20a2dc3e2b04790",
+    },
+    "mini_reflexive": {
+        "A_f.mtx": "1145c92722c6f09d892cce26d28756d083bb0b68d1e0867f8db7ea7b965e9905",
+        "E_in_F.mtx": "47d9be45255693262bd950e8b23c137464e7ebde2adc3bfc2ee1a129b8ec69f8",
+        "F_in_E.mtx": "ab898d217c32f725de32dcf58a7a74bb08c0bd3fc13b003f919eb127c6696dd3",
+        "T_f.mtx": "aad8faf4992d0d257607598e5af2a160a1bdcde58c3332e501ec769ca1bff005",
+        "schedule.cfg": "f273a45d0e8771b9ea6a5281eb59c0e5ca3129288a669d86f8df8b6029b051bb",
+    },
+    "orbit_reflexive": {
+        "A_f.mtx": "01a1c47c95b039cc51fbcd598bd7718121a0927b7350fdf8f6f5102d2a261e04",
+        "E_in_F.mtx": "a6df22b02f5b7f28f0354583f096aae0bb880db696d3c927d8cbd3e0b26ac24d",
+        "F_in_E.mtx": "eff474db4a87d340388b4080c23e832fccdc4c62e99b5f46b134faf447f43aad",
+        "T_f.mtx": "241c86be02d28ef9aa533dd6620034f1de880905934cb57cc764e6377d64df47",
+        "schedule.cfg": "39ece0a6a8dfe95961f55c3b88e1117b922fea2554ffa10e1973a7670677a8a3",
+    },
 }
 
 
-# sha256 of the `verify --suite all` report rows, runtime_s left out, of
-# mini.cfg and of thm1.cfg; thm1 is the shipped config on which boundedness
+# the count and sha256 of each shipped config's `verify --suite all` report
+# rows, runtime_s left out.  thm1 is the shipped config on which boundedness
 # rows assert (shift.low.nu, shift.band.nu, powm.spill), so a change to a
-# calibration gate shows in its pin
-MINI_REPORT_ROWS_HASH = \
-    "99a24781e094eb6333d527e5b4429359b4607e1aefd3bc16fc5f1aab776da538"
-THM1_REPORT_ROWS_HASH = \
-    "17bd9180b953762652ea6565afc85173d5171b4567df3a6b0301c2ebeeda718c"
+# calibration gate shows in its pin; only the reflexive configs run the
+# companion (reflexivity) rows.
+REPORT_ROWS = {
+    "mini": (83, "a0353d86e4cdd35aa42ffa4b1cdbd8afa4fbb5f05b4a05cd0414f947e3269800"),
+    "thm1": (67, "b2153a8e836116fb998b7cbce0f7b5b199cf662164b27fd69e4fe4579fceeabf"),
+    "mini_reflexive":
+        (88, "0261e1b5c93f0196e578f0dca0f2a4317164ea8a4efe1e6787f6561aa09aa914"),
+    "orbit_reflexive":
+        (72, "a4285bcd33ac82adbe7025aa053fa56f3b730ace2d6920c8c55e0ac8493c4d66"),
+}
 
 
 def _cli_one_thread(*args):
@@ -236,42 +257,59 @@ def _cli_one_thread(*args):
 
 
 @pytest.fixture(scope="module")
-def mini_cfg_build(tmp_path_factory):
-    out = tmp_path_factory.mktemp("mini_cfg_build")
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "mini.cfg")
-    _cli_one_thread("build", "--config", cfg, "--out", out)
-    return out
+def cfg_build(tmp_path_factory):
+    """cfg_build(name): the build directory of configs/<name>.cfg, built
+    single-threaded once per module and shared by its pins."""
+    builds = {}
+
+    def build(name):
+        if name not in builds:
+            out = tmp_path_factory.mktemp(f"{name}_build")
+            cfg = os.path.join(os.path.dirname(__file__), "..", "configs",
+                               f"{name}.cfg")
+            _cli_one_thread("build", "--config", cfg, "--out", out)
+            builds[name] = out
+        return builds[name]
+    return build
 
 
-def test_mini_cfg_build_hashes_are_pinned(mini_cfg_build):
-    manifest = json.load(open(mini_cfg_build / "manifest.json"))
-    assert manifest["hashes"] == MINI_BUILD_HASHES
+def _assert_build_pinned(cfg_build, name):
+    manifest = json.load(open(cfg_build(name) / "manifest.json"))
+    assert manifest["hashes"] == BUILD_HASHES[name]
 
 
-def _verify_all_rows(build):
-    """Rows of `verify --suite all` on a build, runtime_s left out, and
-    their sha256."""
+def _assert_verify_all_pinned(cfg_build, name):
+    """Run `verify --suite all` on the config's build and check its rows,
+    runtime_s left out, against the pinned count and sha256."""
     import hashlib
 
+    build = cfg_build(name)
     _cli_one_thread("verify", "--build", build, "--suite", "all")
     rows = json.load(open(build / "report_all.json"))
     for r in rows:
         del r["runtime_s"]
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
-    return rows, digest.hexdigest()
-
-
-def test_mini_cfg_verify_all_report_is_pinned(mini_cfg_build):
-    rows, digest = _verify_all_rows(mini_cfg_build)
-    assert len(rows) == 83
     assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
-    assert digest == MINI_REPORT_ROWS_HASH
+    assert (len(rows), digest.hexdigest()) == REPORT_ROWS[name]
 
 
-def test_thm1_cfg_verify_all_report_is_pinned(tmp_path):
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "thm1.cfg")
-    _cli_one_thread("build", "--config", cfg, "--out", tmp_path)
-    rows, digest = _verify_all_rows(tmp_path)
-    assert len(rows) == 67
-    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
-    assert digest == THM1_REPORT_ROWS_HASH
+def test_mini_cfg_build_hashes_are_pinned(cfg_build):
+    _assert_build_pinned(cfg_build, "mini")
+
+
+@pytest.mark.parametrize("name", ["thm1", "mini_reflexive", "orbit_reflexive"])
+def test_shipped_cfg_build_hashes_are_pinned(cfg_build, name):
+    _assert_build_pinned(cfg_build, name)
+
+
+def test_mini_cfg_verify_all_report_is_pinned(cfg_build):
+    _assert_verify_all_pinned(cfg_build, "mini")
+
+
+def test_thm1_cfg_verify_all_report_is_pinned(cfg_build):
+    _assert_verify_all_pinned(cfg_build, "thm1")
+
+
+@pytest.mark.parametrize("name", ["mini_reflexive", "orbit_reflexive"])
+def test_reflexive_cfg_verify_all_report_is_pinned(cfg_build, name):
+    _assert_verify_all_pinned(cfg_build, name)

@@ -133,15 +133,6 @@ def test_b_identity_constant_matches_dict_route(name, request):
     assert [v.hex() for v in per_vec] == [vec_norm(f).hex() for f in cols]
 
 
-def test_fan_residual_norm_refuses_short_truncation():
-    # c_2 = 52 pushes f_16 to row 68, past a truncation at 60
-    from orbitlab.profiles import mini_schedule
-    b = ol.assemble(*mini_schedule(), n_trunc=60)
-    assert hyp.fan_residual_norm(b, 1, 1) > 0
-    with pytest.raises(TruncationError):
-        hyp.fan_residual_norm(b, 1, 2)
-
-
 def test_shade_interior_exact_ratio(r1):
     sigma, ratios = hyp.shade_measurements(r1, 1)
     interior = [v for _, v, nnz in ratios if nnz == 1]
@@ -166,12 +157,12 @@ def test_shade_bcal_bound(r1b):
 def test_shade_ratios_match_column_loop(name, n, request):
     # the column-by-column read of the formed power, kept as the reference
     from orbitlab import geometry as geo
-    from orbitlab.operators import conjugated_power
+    from orbitlab.operators import poly_image
 
     b = request.getfixturevalue(name)
     st = b.schedule.stage(n)
     shift = st.b + 1
-    P = conjugated_power(b, shift)
+    P = poly_image(b, ((shift, 1),), b.F_csc)
     gap = np.zeros(st.nu + shift + 1, dtype=bool)
     for iv in geo.stage_table(b.schedule, n):
         if isinstance(iv.tag, geo.BLayOff):
@@ -189,8 +180,9 @@ def test_shade_ratios_match_column_loop(name, n, request):
 def test_shade_kills_outside_support(r1):
     # the estimate applies to the projection onto (xi, nu]: a vector
     # supported elsewhere projects to zero, so its shade image vanishes
-    from orbitlab.operators import conjugated_power
-    P = conjugated_power(r1, 65)[:, 5:261]  # the power on f-span of (xi, nu]
+    from orbitlab.operators import poly_image
+    # the power on f-span of (xi, nu]
+    P = poly_image(r1, ((65, 1),), r1.F_csc)[:, 5:261]
     x = np.zeros(r1.n_trunc + 1)
     x[300] = 1.0  # outside (xi, nu]
     assert np.count_nonzero(P @ x[5:261]) == 0

@@ -10,6 +10,11 @@ from orbitlab import operators as ops
 from orbitlab.report import FAIL, INFO, PASS, check
 
 
+def _power(b, m):
+    """The f-frame matrix of T^m, E S^m F."""
+    return ops.poly_image(b, ((m, 1),), b.F_csc)
+
+
 def test_op_norm_identity():
     for M in (sparse.identity(40, format="csc"),
               sparse.identity(40, dtype=complex, format="csr")):
@@ -276,12 +281,13 @@ def test_shift_power_kills_last_coordinate():
 
 @pytest.mark.parametrize("name", ["mini", "r1"])
 def test_conjugated_power_matches_shift_product(name, request):
-    # the row-shift builder against the N x N shift product; m = n_trunc
-    # pushes every row but e_0 past the truncation
+    # the operator and poly_image's powers against the N x N shift
+    # product; m = n_trunc pushes every row but e_0 past the truncation
     b = request.getfixturevalue(name)
     st = b.schedule.stage(1)
+    assert ops.conjugated_power(b) is ops.conjugated_power(b)
     for m in (1, st.b + 1, st.c[0], b.n_trunc):
-        P = ops.conjugated_power(b, m)
+        P = ops.conjugated_power(b) if m == 1 else _power(b, m)
         ref = b.E_csc @ ops.shift_power_csc(b.n_trunc + 1, m) @ b.F_csc
         assert P.shape == ref.shape
         assert (P != ref).nnz == 0
@@ -290,7 +296,7 @@ def test_conjugated_power_matches_shift_product(name, request):
 
 def test_layoff_action_interior_columns(r1):
     # T f_j = (w_j / w_{j+1}) f_{j+1} on interior lay-off columns, exactly
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     for j in (5, 40, 63, 300, 139_600):
         tag = ol.classify(j, r1.schedule)
         tag2 = ol.classify(j + 1, r1.schedule)
@@ -317,7 +323,7 @@ def test_layoff_action_exact_rational(mini_rational):
 
 
 def test_working_interior_shift_is_exact_one(r1):
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     for j in (65, 66, 4096, 4200, 65536 + 10):
         col = T[:, j].tocoo()
         assert col.nnz == 1 and int(col.row[0]) == j + 1
@@ -326,7 +332,7 @@ def test_working_interior_shift_is_exact_one(r1):
 
 def test_boundary_column_matches_conjugation(r1):
     # j = 259 ends a b-side gap; its image carries the full difference chain
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     col = {int(i): v for i, v in zip(T[:, 259].tocoo().row,
                                      T[:, 259].tocoo().data)}
     lam = r1.weight(259)
@@ -338,14 +344,14 @@ def test_boundary_column_matches_conjugation(r1):
 
 
 def test_last_column_is_zero(r1):
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     assert T[:, r1.n_trunc].nnz == 0
 
 
 def test_pure_layoff_block_norm_is_max_ratio(mini):
     # a block fully inside one lay-off acts as a weighted shift: its norm is
     # the largest ratio
-    T = ops.conjugated_power(mini, 1)
+    T = ops.conjugated_power(mini)
     iv = [iv for iv in geo.stage_table(mini.schedule, 2)
           if geo.is_layoff(iv.tag) and iv.hi - iv.lo > 10][0]
     lo, hi = iv.lo + 1, iv.hi - 1
@@ -388,17 +394,21 @@ def test_tail_bound_entry(r1):
     e = ops.tail_bound_entry(r1, 1, 1)
     assert e.status == INFO  # below the h/scale gates at R1
     assert e.measured > 0
-    # empty admissible tail
+    # empty admissible tail: mini ending one past its stage-2 fan, where
+    # xi_end - c_1 - d - 1 = nu_2 - 1 leaves no column above nu_2
+    from dataclasses import replace
     sched, fams = ol.profiles.mini_schedule()
-    b_small = ol.assemble(sched, fams, n_trunc=sched.stage(1).nu)
-    e2 = ops.tail_bound_entry(b_small, 1, 2)
-    assert e2.measured == 0.0
+    sched = replace(sched, xi_end=sched.stage(2).fan_end + 1)
+    assert sched.xi_end == 31_553 and not ol.validate(sched)
+    e2 = ops.tail_bound_entry(ol.assemble(sched, fams), 2, 1)
+    assert e2.measured == 0.0 and e2.status == INFO
+    assert e2.details["admissible_columns"] == 0
 
 
 def test_deep_layoff_tail_column_ratio(r1):
     # j and j + c_1 in one long gap: the image is a single entry with the
     # congruent-pattern ratio; across the lattice period the ratio is 1
-    P = ops.conjugated_power(r1, 4096)
+    P = _power(r1, 4096)
     j = 65_536 - 4096 - 100  # inside [8453, 65535], image inside as well
     col = P[:, j].tocoo()
     assert col.nnz == 1
@@ -465,7 +475,7 @@ def test_full_norm_entry_of_doubled_twin_matches_formed_power(r1):
     twin = ol.assemble(doubled_layoffs(r1.schedule), r1.families)
     assert twin.n_trunc == 799_812
     _, res = ops.full_norm_entry(twin)
-    _assert_same(res, ops.op_norm(ops.conjugated_power(twin, 1)))
+    _assert_same(res, ops.op_norm(ops.conjugated_power(twin)))
     assert res.value == pytest.approx(5.6455e6, rel=1e-4)
 
 
@@ -477,7 +487,7 @@ def test_mini_tail_block_is_exact(mini):
     assert e.details["method"] == "dense_svd"
     st = mini.schedule.stage(1)
     jmax = mini.n_trunc - st.c[0] - st.d - 1
-    P = ops.conjugated_power(mini, st.c[0])[:, st.nu + 1:jmax + 1]
+    P = _power(mini, st.c[0])[:, st.nu + 1:jmax + 1]
     scale = abs(P).max()  # its squared entries overflow
     want = svds(P / scale, k=1, return_singular_vectors=False,
                 random_state=0)[0] * scale
@@ -505,7 +515,7 @@ def test_orbit_certified_minimum_at_fan_power(mini):
 
 
 def test_operator_and_companion_on_f0(mini):
-    T = ops.conjugated_power(mini, 1)
+    T = ops.conjugated_power(mini)
     assert T.shape == (mini.n_trunc + 1, mini.n_trunc + 1)
     x = np.zeros(mini.n_trunc + 1)
     x[0] = 1.0
@@ -608,7 +618,7 @@ def test_sup_e_norm_memo_stops_at_hi(r1):
 # -- block norms of operator powers ------------------------------------------------
 
 def _reference_norm(basis, m, rows, cols):
-    return ops.op_norm(ops.conjugated_power(basis, m)[rows, cols])
+    return ops.op_norm(_power(basis, m)[rows, cols])
 
 
 def _assert_same(got, want):
@@ -638,8 +648,7 @@ def _recorded_blocks(basis, monkeypatch):
         ops.block_estimates(basis, n)
         for k in range(1, st.k + 1):
             ops.tail_bound_entry(basis, n, k)
-        if basis.n_trunc >= st.nu + st.b + 1:
-            hyp.shade_measurements(basis, n)
+        hyp.shade_measurements(basis, n)
     return calls
 
 
@@ -662,7 +671,7 @@ def test_power_norms_match_formed_power(name, request, monkeypatch):
     calls = _recorded_blocks(b, monkeypatch)
     values = []
     for m, blocks, results in calls:
-        P = ops.conjugated_power(b, m)
+        P = _power(b, m)
         for (rows, cols), got in zip(blocks, results):
             _assert_same(got, ops.op_norm(P[rows, cols]))
             values.append(got.value)
@@ -770,7 +779,7 @@ def test_single_entry_columns_sharing_a_row_stay_in_the_product(
     # another entry in their row j + m: they go through the product, and
     # the blocks holding both are measured exactly
     F, E = r1.F_csc, r1.E_csc
-    P = ops.conjugated_power(r1, m).tocsr()
+    P = _power(r1, m).tocsr()
     for j in cols:
         assert F.indptr[j + 1] - F.indptr[j] == 1
         assert E.indptr[j + m + 1] - E.indptr[j + m] == 1

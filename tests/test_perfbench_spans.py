@@ -17,7 +17,7 @@ def test_benchmark_span_annotations_read_the_library():
     sched, fams = reference_schedule()
     try:
         tracer.install_orbitlab_probes(tr)
-        b = basis.assemble(sched, fams, n_trunc=sched.stage(1).nu + 1)
+        b = basis.assemble(sched, fams)
         res = operators.op_norm(b.F_csc)
     finally:
         tr.uninstall()

@@ -22,7 +22,7 @@ def test_build_refuses_constant_terms(r1):
 def test_unbounded_direction_on_constant_profile(r1):
     # with p_1 = 1, the would-be companion sends the fan base vector to a
     # vector of norm ~ 1/gamma: the unboundedness mechanism
-    T = ops.conjugated_power(r1, 1)
+    T = ops.conjugated_power(r1)
     A = T.tolil()
     A[:, 0] = 0
     A = A.tocsc()
@@ -39,7 +39,7 @@ def test_unbounded_direction_on_constant_profile(r1):
 
 def test_column_identity_exact(r1_companion):
     A = refl.build_A(r1_companion)
-    T = ops.conjugated_power(r1_companion, 1)
+    T = ops.conjugated_power(r1_companion)
     assert (A[:, 1:] - T[:, 1:]).nnz == 0
     assert A[:, 0].nnz == 0
     ref = T.tolil()  # reference route: zero column 0 through LIL
@@ -55,7 +55,7 @@ def test_forced_constant_profile_breaks_column_identity(mini, monkeypatch):
     # build_A, A drops that part where T keeps it, and the row says so
     monkeypatch.setattr(refl, "zero_constant_profile", lambda basis: True)
     A = refl.build_A(mini)
-    T = ops.conjugated_power(mini, 1)
+    T = ops.conjugated_power(mini)
     diff = (A - T).tocsc()
     assert np.flatnonzero(np.diff(diff.indptr)).tolist() == [0, 18, 15800]
     by_id = {e.claim_id: e
@@ -80,7 +80,7 @@ def test_noncommutation_witness_exact(r1_companion):
 
 def test_commutator_lower_bound(r1_companion):
     A = refl.build_A(r1_companion)
-    T = ops.conjugated_power(r1_companion, 1)
+    T = ops.conjugated_power(r1_companion)
     e0 = np.zeros(r1_companion.n_trunc + 1)
     e0[0] = 1.0
     w = (A @ (T @ e0)) - (T @ (A @ e0))
@@ -89,7 +89,7 @@ def test_commutator_lower_bound(r1_companion):
 
 def test_companion_norm_not_larger(r1_companion):
     A = refl.build_A(r1_companion)
-    T = ops.conjugated_power(r1_companion, 1)
+    T = ops.conjugated_power(r1_companion)
     nA = ops.op_norm(A).value
     nT = ops.op_norm(T).value
     assert nA <= nT + 1e-9
@@ -144,5 +144,5 @@ def test_exact_mode_witnesses(r1_companion_rational):
     ta, at = refl.noncommutation_witness(r1_companion_rational, A)
     assert ta == {}
     assert at == {2: 1.0}
-    T = ops.conjugated_power(r1_companion_rational, 1)
+    T = ops.conjugated_power(r1_companion_rational)
     assert (A[:, 1:] - T[:, 1:]).nnz == 0

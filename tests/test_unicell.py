@@ -172,6 +172,7 @@ def test_unicell_entries_pass(r1, rng):
     assert by_id["compare.total"].status == "pass"
     assert by_id["compare.antisym"].status == "pass"
     assert by_id["compare.stages"].status == "informational"
+    assert "run at stage 1;" in by_id["compare.stages"].details["note"]
 
 
 def test_theil_sen_slope_equals_scipy_theilslopes(rng):
