@@ -181,9 +181,9 @@ class _ColumnDicts:
 class BasisMap:
     """Assembled change-of-basis plus assembly metadata.
 
-    Every basis spans its schedule's whole truncation: ``n_trunc`` is
-    ``schedule.xi_end``, the end of the last stage's block, and F and E are
-    square of size n_trunc + 1.
+    F and E are square of size n_trunc + 1, and ``n_trunc`` is read from
+    their shape: an assembled basis spans its schedule's whole truncation,
+    so it is ``schedule.xi_end``, the end of the last stage's block.
 
     F and E are stored as CSC matrices with sorted row indices and float (or
     complex) data.  In rational mode ``exact`` holds each one's exact values
@@ -192,12 +192,12 @@ class BasisMap:
     the lay-off columns, whose weights are F's diagonal entries.
     """
 
-    def __init__(self, schedule, families, mode, n_trunc, gammas, F, E,
-                 layoff, calibration, exact=(None, None)):
+    def __init__(self, schedule, families, mode, gammas, F, E, layoff,
+                 calibration, exact=(None, None)):
         self.schedule = schedule
         self.families = families
         self.mode = mode
-        self.n_trunc = n_trunc
+        self.n_trunc = F.shape[0] - 1
         self.gammas = tuple(gammas)
         self._F, self._E = F, E
         self._F_exact, self._E_exact = exact
@@ -312,11 +312,7 @@ class _Columns:
         """The entries of the columns src, column after column, as
         (position of the column in src, row, value * factor); factor is a
         value tuple of scalars, and an exact pair multiplies num and den."""
-        starts = self.indptr[src]
-        counts = self.indptr[src + 1] - starts
-        owner = np.repeat(np.arange(len(src)), counts)
-        pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts,
-                                                counts)
+        owner, pos = _positions(self.indptr, src)
         return owner, self.indices[pos], tuple(a[pos] * f
                                                for a, f in zip(self.values, factor))
 
@@ -336,6 +332,16 @@ class _Columns:
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
+
+
+def _positions(indptr: np.ndarray, src: np.ndarray):
+    """The stored positions of the columns src, column after column, and the
+    position in src of each one's column."""
+    starts = indptr[src]
+    counts = indptr[src + 1] - starts
+    owner = np.repeat(np.arange(len(src)), counts)
+    pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return owner, pos
 
 
 def _float_or_inf(num: int, den: int) -> float:
@@ -358,7 +364,11 @@ def _sum_in_order(owner, rows, vals, n_rows: int):
     """Entries sharing (owner, row) summed, with exact zeros dropped and the
     result ordered by (owner, row).  Float values are summed left to right in
     the given order, as vec_add accumulates them; exact pairs are summed by
-    cross-multiplying and reduced once, with one gcd per sum."""
+    cross-multiplying and reduced once, with one gcd per sum.
+
+    Assembly on the shipped schedules gathers no two entries onto one key;
+    roundtrip_exact sums groups of two on every shipped rational basis (the
+    two product terms of an off-diagonal entry, which cancel)."""
     key = owner * n_rows + rows
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -536,8 +546,8 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
     F_csc, F_exact = F.matrix(size)
     del F  # free its buffers before E's are converted
     E_csc, E_exact = E.matrix(size)
-    return BasisMap(schedule, families, mode, schedule.xi_end, gammas, F_csc, E_csc,
-                    layoff, calibration, exact=(F_exact, E_exact))
+    return BasisMap(schedule, families, mode, gammas, F_csc, E_csc, layoff,
+                    calibration, exact=(F_exact, E_exact))
 
 
 # -- independent e -> f expansion (structural route) ---------------------------
@@ -687,19 +697,24 @@ def roundtrip_max_error(basis: BasisMap, order: str = "FE") -> float:
     return float(np.max(np.abs(resid.data))) if resid.nnz else 0.0
 
 
+_ROUNDTRIP_BLOCK = 1 << 16  # product terms summed per block (bounds the transient arrays)
+
+
 def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     """Exact columnwise roundtrip F E = I (order "FE") or E F = I ("EF") of a
     rational-mode basis; returns (ok, worst_column, worst_value).
 
     Integer arithmetic only, on the stored (num, den) pairs.  Column m of
     the product sums c * v over the inner column's entries c and the outer
-    column's entries v; each row's sum is kept as an unreduced pair
-    (num, den): equal denominators add their numerators, others
-    cross-multiply.  Every stored den is positive, so every den of a sum is
-    a product of positive integers and num / den is the exact sum: row
-    i != m matches the identity iff num == 0, and row m iff num == den.
-    Only the first failing column is converted to Fractions, and worst_value
-    is the largest |residual| of that column.
+    column's entries v.  The inner columns are walked in blocks of about
+    _ROUNDTRIP_BLOCK product terms: a block's terms (column m, row i,
+    c.num * v.num, c.den * v.den) are gathered by index arithmetic, two
+    object-int products per term, and summed per (m, i) by _sum_in_order,
+    the exact summation assembly uses (cross-multiplied sums, exact zeros
+    dropped, one gcd per survivor).  So transient memory is bounded per
+    block.  A block passes iff exactly one (m, m, 1, 1) survives in each of
+    its columns.  Only the first failing column is converted to Fractions,
+    and worst_value is the largest |residual| of that column.
 
     A float basis raises ValueError: its roundtrip holds only up to rounding,
     which roundtrip_max_error measures.
@@ -707,35 +722,34 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     if basis.mode != RATIONAL:
         raise ValueError(f"roundtrip_exact needs a rational-mode basis, not "
                          f"{basis.mode!r}; use roundtrip_max_error")
-
-    def columns(M, exact):
-        num, den = exact
-        return M.indptr.tolist(), M.indices.tolist(), num.tolist(), den.tolist()
-
-    F = columns(basis.F_csc, basis._F_exact)
-    E = columns(basis.E_csc, basis._E_exact)
-    (optr, orows, onum, oden), (iptr, irows, inum, iden) = \
-        (F, E) if order == "FE" else (E, F)
-    for m in range(basis.n_trunc + 1):
-        nums: dict[int, int] = {}
-        dens: dict[int, int] = {}
-        for p in range(iptr[m], iptr[m + 1]):
-            j, cn, cd = irows[p], inum[p], iden[p]
-            for q in range(optr[j], optr[j + 1]):
-                i, n, d = orows[q], cn * onum[q], cd * oden[q]
-                ad = dens.get(i)
-                if ad is None:
-                    nums[i], dens[i] = n, d
-                elif ad == d:
-                    nums[i] += n
-                else:
-                    nums[i], dens[i] = nums[i] * d + n * ad, ad * d
-        diagonal = nums.pop(m, 0)
-        if diagonal == dens.get(m) and not any(nums.values()):
-            continue
-        resid = [Fraction(n, dens[i]) for i, n in nums.items()]
-        resid.append(Fraction(diagonal, dens.get(m, 1)) - 1)
-        return (False, m, max(abs(v) for v in resid if v != 0))
+    F = basis.F_csc, basis._F_exact
+    E = basis.E_csc, basis._E_exact
+    (outer, (onum, oden)), (inner, (inum, iden)) = (F, E) if order == "FE" else (E, F)
+    # product terms before each inner column: one per entry of the outer
+    # column that each inner entry reads
+    terms = np.concatenate(([0], np.cumsum(np.diff(outer.indptr)[inner.indices])))
+    terms = terms[inner.indptr]
+    lo, n = 0, inner.shape[1]
+    while lo < n:
+        hi = int(np.searchsorted(terms, terms[lo] + _ROUNDTRIP_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        col, at = _positions(inner.indptr, np.arange(lo, hi))
+        src, pos = _positions(outer.indptr, inner.indices[at])
+        owner, at = col[src], at[src]
+        owner, rows, (num, den) = _sum_in_order(
+            owner, outer.indices[pos], (inum[at] * onum[pos], iden[at] * oden[pos]),
+            outer.shape[0])
+        unit = (rows == owner + lo) & (num == 1) & (den == 1)
+        ok = ((np.bincount(owner, minlength=hi - lo) == 1)
+              & (np.bincount(owner[unit], minlength=hi - lo) == 1))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            mine = owner == k
+            resid = dict(zip(rows[mine].tolist(), map(Fraction, num[mine], den[mine])))
+            m = lo + k
+            resid[m] = resid.get(m, Fraction(0)) - 1
+            return (False, m, max(abs(v) for v in resid.values() if v != 0))
+        lo = hi
     return (True, None, 0)
 
 

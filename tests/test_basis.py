@@ -7,7 +7,7 @@ import pytest
 
 import orbitlab as ol
 from orbitlab import geometry as geo
-from orbitlab.basis import (column_norms, expand_e_structural,
+from orbitlab.basis import (_ROUNDTRIP_BLOCK, column_norms, expand_e_structural,
                             solve_F, vec_add, vec_clean, vec_norm)
 
 from orbitlab.profiles import doubled_layoffs, mini_schedule, reference_schedule
@@ -82,6 +82,29 @@ def _fraction_roundtrip(basis, order, start=0):
     return (True, None, 0)
 
 
+def _entry(basis, which, p) -> Fraction:
+    """The exact value stored at position p of F or E."""
+    num, den = getattr(basis, f"_{which}_exact")
+    return Fraction(num[p], den[p])
+
+
+def _with_entry(basis, which, p, value: Fraction):
+    """A copy of basis whose exact entry at position p of F or E is value
+    (the pair arrays are copied: fixtures are shared)."""
+    b = copy.copy(basis)
+    num, den = (a.copy() for a in getattr(b, f"_{which}_exact"))
+    num[p], den[p] = value.numerator, value.denominator
+    setattr(b, f"_{which}_exact", (num, den))
+    return b
+
+
+def _terms_before(basis, order, m) -> int:
+    """Product terms roundtrip_exact sums before reaching column m."""
+    outer, inner = ((basis.F_csc, basis.E_csc) if order == "FE"
+                    else (basis.E_csc, basis.F_csc))
+    return int(np.diff(outer.indptr)[inner.indices[:inner.indptr[m]]].sum())
+
+
 @pytest.mark.parametrize("which", ["E", "F"])
 def test_roundtrip_exact_catches_one_perturbed_entry(mini_rational, which):
     # perturb the top off-diagonal entry of the last widest column by 2^-80,
@@ -89,25 +112,118 @@ def test_roundtrip_exact_catches_one_perturbed_entry(mini_rational, which):
     # column m do not read it (both maps are upper triangular), and FE and EF
     # column m each hold it times a nonzero diagonal entry, so both orders
     # fail first at m
-    b = copy.copy(mini_rational)
-    M = b.E_csc if which == "E" else b.F_csc
+    M = mini_rational.E_csc if which == "E" else mini_rational.F_csc
     sizes = np.diff(M.indptr)
     m = int(np.flatnonzero(sizes == sizes.max())[-1])
-    assert m > b.schedule.stage(1).xi and sizes[m] >= (3 if which == "E" else 2)
+    assert m > mini_rational.schedule.stage(1).xi
+    assert sizes[m] >= (3 if which == "E" else 2)
     p = M.indptr[m]
-    num, den = (a.copy() for a in getattr(b, f"_{which}_exact"))
-    n, d = num[p] * 2 ** 80 + den[p], den[p] * 2 ** 80  # num/den + 2^-80
-    g = math.gcd(n, d)
-    num[p], den[p] = n // g, d // g
-    setattr(b, f"_{which}_exact", (num, den))
+    b = _with_entry(mini_rational, which, p, _entry(mini_rational, which, p)
+                    + Fraction(1, 2 ** 80))
     for order in ("FE", "EF"):
         got = ol.roundtrip_exact(b, order)
         assert got[:2] == (False, m), order
         assert got == _fraction_roundtrip(b, order, start=m - 100), order
         assert got[2] > 0
-    shared_num, shared_den = getattr(mini_rational, f"_{which}_exact")
-    assert (Fraction(shared_num[p], shared_den[p])
-            == Fraction(num[p], den[p]) - Fraction(1, 2 ** 80))
+    assert (_entry(mini_rational, which, p)
+            == _entry(b, which, p) - Fraction(1, 2 ** 80))
+
+
+@pytest.mark.parametrize("which", ["E", "F"])
+def test_roundtrip_exact_perturbed_past_the_first_block(mini_rational, which):
+    # the top entry of the last multi-entry column, near the end of mini,
+    # plus 2^-80: both orders fail first at that column, blocks of product
+    # terms after the first
+    M = mini_rational.E_csc if which == "E" else mini_rational.F_csc
+    m = int(np.flatnonzero(np.diff(M.indptr) >= 2)[-1])
+    assert m > 0.99 * mini_rational.n_trunc
+    p = M.indptr[m]
+    b = _with_entry(mini_rational, which, p, _entry(mini_rational, which, p)
+                    + Fraction(1, 2 ** 80))
+    for order in ("FE", "EF"):
+        assert _terms_before(b, order, m) > 2 * _ROUNDTRIP_BLOCK
+        got = ol.roundtrip_exact(b, order)
+        assert got[:2] == (False, m), order
+        assert got == _fraction_roundtrip(b, order, start=m - 100), order
+
+
+@pytest.mark.parametrize("kind", ["working", "layoff"])
+def test_roundtrip_exact_diagonal_product_summing_to_zero(mini_rational, kind):
+    # E's diagonal entry of column m set to 0 makes the diagonal product
+    # F_mm E_mm exactly 0, so zero-dropping removes it: that column then
+    # fails with no diagonal left.  A lay-off column keeps nothing at all; a
+    # working column keeps FE's off-diagonal sums, which no longer cancel
+    b0 = mini_rational
+    sizes = np.diff(b0.E_csc.indptr)
+    cols = np.flatnonzero(b0.layoff if kind == "layoff" else sizes >= 2)
+    m = int(cols[len(cols) // 2])
+    b = _with_entry(b0, "E", b0.E_csc.indptr[m + 1] - 1, Fraction(0))
+    for order in ("FE", "EF"):
+        assert _terms_before(b, order, m) > _ROUNDTRIP_BLOCK
+        got = ol.roundtrip_exact(b, order)
+        assert got[:2] == (False, m), order
+        assert got == _fraction_roundtrip(b, order, start=m - 100), order
+
+
+def _hand_basis(F_dense):
+    """A rational BasisMap of the upper-triangular Fraction matrix F_dense
+    and its exact inverse, without a schedule."""
+    from scipy import sparse
+
+    n = len(F_dense)
+    E_dense = [[Fraction(0)] * n for _ in range(n)]
+    for m in range(n):  # back substitution for column m of F^-1
+        for i in range(m, -1, -1):
+            rhs = (i == m) - sum(F_dense[i][k] * E_dense[k][m] for k in range(i + 1, m + 1))
+            E_dense[i][m] = rhs / F_dense[i][i]
+
+    def stored(dense):
+        cols = [[(i, dense[i][j]) for i in range(n) if dense[i][j] != 0] for j in range(n)]
+        rows = [i for c in cols for i, _ in c]
+        vals = [v for c in cols for _, v in c]
+        ptr = np.cumsum([0] + [len(c) for c in cols])
+        M = sparse.csc_matrix((np.array([float(v) for v in vals]), rows, ptr), shape=(n, n))
+        return M, (np.array([v.numerator for v in vals], dtype=object),
+                   np.array([v.denominator for v in vals], dtype=object))
+
+    (F, F_exact), (E, E_exact) = stored(F_dense), stored(E_dense)
+    return ol.BasisMap(None, (), ol.RATIONAL, (), F, E, np.zeros(n, dtype=bool), (),
+                       exact=(F_exact, E_exact))
+
+
+def test_roundtrip_exact_hand_built_cancellations():
+    # every off-diagonal product entry sums terms over unlike denominators
+    # to exactly 0 and must not be flagged; then each stored E entry in turn
+    # is off by 1/7, and the whole tuple matches the Fraction oracle
+    Q = Fraction
+    b = _hand_basis([[Q(1), Q(1, 2), Q(-1, 3), Q(2)],
+                     [0, Q(3), Q(1, 5), Q(-1, 7)],
+                     [0, 0, Q(2, 3), Q(1, 4)],
+                     [0, 0, 0, Q(5)]])
+    assert b.n_trunc == 3 and b.E_csc.nnz == 10
+    for order in ("FE", "EF"):
+        assert ol.roundtrip_exact(b, order) == (True, None, 0) == _fraction_roundtrip(b, order)
+    for p in range(b.E_csc.nnz):
+        bad = _with_entry(b, "E", p, _entry(b, "E", p) + Q(1, 7))
+        for order in ("FE", "EF"):
+            got = ol.roundtrip_exact(bad, order)
+            assert not got[0] and got == _fraction_roundtrip(bad, order), (p, order)
+
+
+def test_roundtrip_exact_memory_stays_blocked(r1_rational):
+    # the product terms are summed in blocks of about 2^16; a dict loop over
+    # whole-matrix .tolist() copies peaked at 77 MB under tracemalloc on
+    # rational R1, the blocks at about 23 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        got = ol.roundtrip_exact(r1_rational, "FE")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (True, None, 0)
+    assert peak < 40e6, f"roundtrip_exact peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("name", ["mini", "r1", "r1b", "r1_companion",
@@ -401,9 +517,10 @@ def test_e_col_equals_solve_F_rational_r1_sampled(r1_rational):
 
 
 def test_sum_in_order_on_repeated_keys():
-    # the shipped schedules never put two gathered entries on one (owner,
-    # row), so the summing loops are checked here on repeated keys, with
-    # sums that cancel to zero and denominators that differ
+    # assembly of the shipped schedules never puts two gathered entries on
+    # one (owner, row), and roundtrip_exact sums only groups of two there, so
+    # the summing loops are checked here on larger repeated keys, with sums
+    # that cancel to zero and denominators that differ
     from orbitlab.basis import _sum_in_order
 
     rng = np.random.default_rng(7)

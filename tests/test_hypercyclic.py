@@ -304,8 +304,8 @@ def test_frame_constant_consistency(r1):
 
 def test_frame_constant_memoised_without_calibration(r1, monkeypatch):
     # a basis assembled with frozen gammas has no calibration records
-    frozen = ol.BasisMap(r1.schedule, r1.families, r1.mode, r1.n_trunc,
-                         r1.gammas, r1.F_csc, r1.E_csc, r1.layoff, ())
+    frozen = ol.BasisMap(r1.schedule, r1.families, r1.mode, r1.gammas,
+                         r1.F_csc, r1.E_csc, r1.layoff, ())
     calls = []
     measure = hyp.measure_frame_constant
 
