@@ -20,10 +20,9 @@ b = ol.assemble(sched, fams)
 rng = np.random.default_rng(11)
 
 k, M = 2, 2.0
-phi = neg.e0_functional_structural(b.schedule, b.families, k, b.gammas)
+phi = neg.e0_functional_structural(b.schedule, b.families, k)
 norm = vec_norm(phi)
-val, expected = neg.functional_gamma_identity(b.schedule, b.families, 1,
-                                              b.gammas)
+val, expected = neg.functional_gamma_identity(b.schedule, b.families, 1)
 print(f"head functional at stage {k}: support {sorted(phi)}")
 print(f"pairing with the first fan base vector: {val} "
       f"(exactly -1/gamma = {expected})")

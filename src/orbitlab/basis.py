@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 
@@ -113,16 +113,6 @@ def poly_shift_apply(p: Poly, v: Vec, n_trunc: int) -> Vec:
     return out
 
 
-@dataclass(frozen=True)
-class CalibRecord:
-    stage: int
-    frame_constant: float          # measured sigma_max of the e/f frame block
-    delta: float
-    gamma_calibrated: object       # delta / C
-    gamma_cap: float               # porosity cap 2^{-n-1}
-    gamma: object                  # value actually used
-
-
 def _scalars(M: sparse.csc_matrix, exact, at) -> list:
     """The scalars stored at positions `at` (a slice or an index array) of a
     stored matrix: its data, or in rational mode (`exact` = its (num, den)
@@ -183,7 +173,8 @@ class BasisMap:
 
     F and E are square of size n_trunc + 1, and ``n_trunc`` is read from
     their shape: an assembled basis spans its schedule's whole truncation,
-    so it is ``schedule.xi_end``, the end of the last stage's block.
+    so it is ``schedule.xi_end``, the end of the last stage's block.  The
+    schedule carries every gamma; ``frame_constants`` maps n to C_n.
 
     F and E are stored as CSC matrices with sorted row indices and float (or
     complex) data.  In rational mode ``exact`` holds each one's exact values
@@ -192,27 +183,29 @@ class BasisMap:
     the lay-off columns, whose weights are F's diagonal entries.
     """
 
-    def __init__(self, schedule, families, mode, gammas, F, E, layoff,
-                 calibration, exact=(None, None)):
+    def __init__(self, schedule, families, mode, F, E, layoff,
+                 frame_constants, exact=(None, None)):
         self.schedule = schedule
         self.families = families
         self.mode = mode
         self.n_trunc = F.shape[0] - 1
-        self.gammas = tuple(gammas)
         self._F, self._E = F, E
         self._F_exact, self._E_exact = exact
         self.layoff = layoff
-        self.calibration = tuple(calibration)
+        self.frame_constants: dict[int, float] = dict(frame_constants)
         self._T = None  # the operator's f-frame matrix, built on first use
         self._lone_diagonals = None  # see operators.power_norms
         self._expand_memo: dict[int, Vec] = {}
-        self._frame_constants: dict[int, float] = {}
         self._e_norms: list[float] = []  # ||e_u|| for u < len, see sup_e_norm
 
     # -- scalar / column access ------------------------------------------
 
+    @property
+    def gammas(self) -> tuple:
+        return tuple(st.gamma for st in self.schedule.stages)
+
     def gamma(self, n: int):
-        return self.gammas[n - 1]
+        return self.schedule.stage(n).gamma
 
     def weight(self, j: int):
         if not (0 <= j <= self.n_trunc and self.layoff[j]):
@@ -400,9 +393,9 @@ def _sum_in_order(owner, rows, vals, n_rows: int):
     return key // n_rows, key % n_rows, acc
 
 
-def _fan_rule(tag, st, families, gammas, mode):
-    """(c_t, p_t, gamma^{-1} 4^{1-|r|}) of the c-working interval tagged `tag`:
-    its vectors are f_j = scale (e_j - p_t(T) e_{j - c_t})."""
+def _fan_rule(tag, st, families, mode):
+    """(c_t, p_t, st.gamma^{-1} 4^{1-|r|}) of the c-working interval tagged
+    `tag`: its vectors are f_j = scale (e_j - p_t(T) e_{j - c_t})."""
     coord = tag.coord
     t = coord.t
     family = families[tag.n - 1]
@@ -413,7 +406,7 @@ def _fan_rule(tag, st, families, gammas, mode):
     p = family[t - 1]
     if p.degree > st.d:
         raise ScheduleError([f"fan polynomial {t} of stage {tag.n} exceeds degree {st.d}"])
-    g = gammas[tag.n - 1]
+    g = st.gamma
     if mode == RATIONAL:
         g, k = Fraction(g), 2 * (coord.abs_r - 1)  # 4^(1-|r|) = 2^-k
         scale = Fraction(g.denominator << max(-k, 0), g.numerator << max(k, 0))
@@ -431,21 +424,20 @@ def measure_frame_constant(F: sparse.csc_matrix, nu: int) -> float:
     return op_norm(F[: nu + 1, : nu + 1]).value
 
 
-def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int) -> CalibRecord:
-    """gamma_n = delta_n / C for the frame constant C of the block [0, nu_n]
+def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int):
+    """(gamma_n, C): delta_n / C for the frame constant C of the block [0, nu_n]
     (F must cover it), capped at 2^{-n-1} so the e_0 functional norms grow;
-    in rational mode the result is rounded down to a dyadic."""
+    in rational mode gamma_n is rounded down to a dyadic."""
     st = schedule.stage(n)
     C = measure_frame_constant(F, st.nu)
-    g_cal = st.delta / C
-    cap = 2.0 ** (-n - 1)
-    g = min(g_cal, cap)
+    g = min(st.delta / C, 2.0 ** (-n - 1))
     if schedule.weight_mode == RATIONAL:
         g = geo.dyadic(g)
-    return CalibRecord(n, C, st.delta, g_cal, cap, g)
+    return g, C
 
 
 _LAYOFF_BLOCK = 1 << 16  # lay-off weights computed per block (bounds the transient lists)
+_FLOAT_EXPONENT_CAP = 1022  # 2^e and 2^-e are normal floats for |e| < 1022
 
 
 def assemble(schedule: StageSchedule, families) -> BasisMap:
@@ -457,7 +449,9 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
     shift b), so E's column j is e_j / scale plus the earlier E columns
     j - shift + u weighted by p's coefficients.  A stage whose gamma is None
     is calibrated on the fly (see _calibrate) when the walk reaches nu_n + 1,
-    the first column above its b-part.
+    the first column above its b-part.  In float mode a lay-off interval
+    whose weights or their reciprocals leave the normal float range is
+    refused with a ScheduleError before it is formed.
     """
     mode = schedule.weight_mode
     if mode == RATIONAL and schedule.scalar_field == COMPLEX:
@@ -471,8 +465,8 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
     size = schedule.xi_end + 1
     F, E = _Columns(size, dtype), _Columns(size, dtype)
     layoff = np.zeros(size, dtype=bool)
-    gammas: list = [st.gamma for st in schedule.stages]
-    calibration: list[CalibRecord] = []
+    stages = list(schedule.stages)
+    frame_constants: dict[int, float] = {}
 
     def scalar(x) -> tuple:
         """x as a value tuple of scalars (see _Columns)."""
@@ -494,6 +488,12 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
         E.append(ones, rows, e_vals)
 
     def add_layoffs(iv):
+        top = 0 if exact else geo.max_abs_exponent(iv, schedule)
+        if top >= _FLOAT_EXPONENT_CAP:
+            raise ScheduleError([
+                f"lay-off interval [{iv.lo}, {iv.hi}] of stage {iv.tag.n} needs "
+                f"weights 2^e with |e| up to {top:.0f}, beyond the normal float "
+                f"range (|e| < {_FLOAT_EXPONENT_CAP})"])
         layoff[iv.lo:iv.hi + 1] = True
         for lo in range(iv.lo, iv.hi + 1, _LAYOFF_BLOCK):
             hi = min(lo + _LAYOFF_BLOCK - 1, iv.hi)
@@ -532,22 +532,23 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
 
     for n, st in enumerate(schedule.stages, start=1):
         for iv in geo.stage_table(schedule, n):
-            if iv.lo == st.nu + 1 and gammas[n - 1] is None:
-                rec = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
-                gammas[n - 1] = rec.gamma
-                calibration.append(rec)
+            if iv.lo == st.nu + 1 and st.gamma is None:
+                g, frame_constants[n] = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
+                st = stages[n - 1] = replace(st, gamma=g)
             if geo.is_layoff(iv.tag):
                 add_layoffs(iv)
             elif isinstance(iv.tag, geo.BWorking):
                 add_working(iv, st.b, Poly((st.b,)), one)
             else:
-                add_working(iv, *_fan_rule(iv.tag, st, families, gammas, mode))
+                add_working(iv, *_fan_rule(iv.tag, st, families, mode))
 
     F_csc, F_exact = F.matrix(size)
     del F  # free its buffers before E's are converted
     E_csc, E_exact = E.matrix(size)
-    return BasisMap(schedule, families, mode, gammas, F_csc, E_csc, layoff,
-                    calibration, exact=(F_exact, E_exact))
+    if frame_constants:  # an equal copy is a slower key for geometry's lru_caches
+        schedule = schedule.with_gammas([st.gamma for st in stages])
+    return BasisMap(schedule, families, mode, F_csc, E_csc, layoff,
+                    frame_constants, exact=(F_exact, E_exact))
 
 
 # -- independent e -> f expansion (structural route) ---------------------------

@@ -47,7 +47,7 @@ def cmd_build(args) -> int:
     b = _assemble_from_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     echo = os.path.join(args.out, "schedule.cfg")
-    save_config(echo, b.schedule.with_gammas(b.gammas), b.families)
+    save_config(echo, b.schedule, b.families)
     files = {"schedule.cfg": echo}
     for name, mat in (("F_in_E", b.F_csc), ("E_in_F", b.E_csc),
                       ("T_f", ops.conjugated_power(b))):
@@ -63,7 +63,7 @@ def cmd_build(args) -> int:
         "scalar_field": b.schedule.scalar_field,
         "n_trunc": b.n_trunc,
         "gammas": [repr(g) for g in b.gammas],
-        "frame_constants": [rec.frame_constant for rec in b.calibration],
+        "frame_constants": [C for _, C in sorted(b.frame_constants.items())],
         "nnz": {"F_in_E": int(b.F_csc.nnz), "E_in_F": int(b.E_csc.nnz)},
         "hashes": {name: _sha256(p) for name, p in sorted(files.items())},
     }

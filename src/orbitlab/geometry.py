@@ -12,9 +12,10 @@ Every index j of a truncation [0, xi_{N+1}] belongs to exactly one region:
 On a lay-off interval written as [r+1, r+s] the weight of index j is
 2^((s/2 + r + 1 - j)/sqrt(s)); b-side lay-offs use sqrt(b) and b/2 in place
 of the actual interval length, which keeps the iterated-power ratios of the
-shade estimate independent of the gap position.  ``_exponents`` is the
-one home of that formula, as one array over a run of indices of one
-stage-table interval.  ``interval_weights`` raises 2 to it entrywise
+shade estimate independent of the gap position.  ``_exponent_line`` is the
+one home of that formula; ``_exponents`` gives it as one array over a run of
+indices of one stage-table interval, and ``max_abs_exponent`` its largest
+magnitude on the interval.  ``interval_weights`` raises 2 to it entrywise
 (``interval_weight_pairs`` gives the exact weights as integer pairs from
 ``pow2_dyadic_pairs``), and ``layoff_weight`` is the one-index case.
 """
@@ -214,18 +215,29 @@ def _exponents(iv: _Interval, schedule: StageSchedule, j_lo: int,
 
     Each entry is bit for bit the scalar (top - j) / root: int -> float is
     exact below 2^53, and - and / are correctly rounded."""
+    top, root = _exponent_line(iv, schedule)
+    if j_lo < iv.lo or j_hi > iv.hi:
+        raise ValueError(f"indices [{j_lo}, {j_hi}] outside [{iv.lo}, {iv.hi}]")
+    return (top - np.arange(j_lo, j_hi + 1)) / root
+
+
+def _exponent_line(iv: _Interval, schedule: StageSchedule) -> tuple[float, float]:
+    """(top, root) of the lay-off interval iv: e_j = (top - j) / root."""
     tag = iv.tag
     if not is_layoff(tag):
         raise ValueError(f"interval [{iv.lo}, {iv.hi}] is not a lay-off ({tag})")
-    if j_lo < iv.lo or j_hi > iv.hi:
-        raise ValueError(f"indices [{j_lo}, {j_hi}] outside [{iv.lo}, {iv.hi}]")
     if isinstance(tag, BLayOff):
         st = schedule.stage(tag.n)
-        top, root = 0.5 * st.b + tag.r * st.b + st.xi + 1, math.sqrt(st.b)
-    else:
-        s = iv.hi - iv.lo + 1
-        top, root = 0.5 * s + iv.lo, math.sqrt(s)
-    return (top - np.arange(j_lo, j_hi + 1)) / root
+        return 0.5 * st.b + tag.r * st.b + st.xi + 1, math.sqrt(st.b)
+    s = iv.hi - iv.lo + 1
+    return 0.5 * s + iv.lo, math.sqrt(s)
+
+
+def max_abs_exponent(iv: _Interval, schedule: StageSchedule) -> float:
+    """max |e_j| over the lay-off interval iv (see _exponents): e_j falls
+    as j grows, so one of the interval's ends attains it."""
+    top, root = _exponent_line(iv, schedule)
+    return max(abs(top - iv.lo), abs(top - iv.hi)) / root
 
 
 def _pow2(e: np.ndarray) -> np.ndarray:

@@ -39,14 +39,12 @@ def support_max(x: dict) -> int:
 
 def frame_constant(basis: BasisMap, n: int) -> float:
     """Measured equivalence constant between head-block e-coordinates and the
-    ambient norm on span f_[0, nu_n] (largest singular value of the block)."""
-    for rec in basis.calibration:
-        if rec.stage == n:
-            return rec.frame_constant
-    memo = basis._frame_constants
-    if n not in memo:
-        memo[n] = measure_frame_constant(basis.F_csc, basis.schedule.stage(n).nu)
-    return memo[n]
+    ambient norm on span f_[0, nu_n] (largest singular value of the block):
+    the basis's frame_constants entry, measured into it when missing."""
+    table = basis.frame_constants
+    if n not in table:
+        table[n] = measure_frame_constant(basis.F_csc, basis.schedule.stage(n).nu)
+    return table[n]
 
 
 def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:

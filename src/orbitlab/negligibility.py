@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,17 +36,15 @@ POROSITY_M = 2.0          # M of the porosity rows' small-head level 2^-k M
 
 # -- the sparse head functional --------------------------------------------------
 
-def e0_functional_structural(schedule: StageSchedule, families, n: int,
-                             gammas: Optional[Sequence] = None) -> dict[int, float]:
+def e0_functional_structural(schedule: StageSchedule, families,
+                             n: int) -> dict[int, float]:
     """Support and values of the stage-n head functional, from the schedule
     alone: {0: 1} plus each fan base point c_{t,m} of stages m < n with value
     -a_0 / gamma_m (a_0 the constant coefficient of that fan polynomial)."""
-    if gammas is None:
-        gammas = [st.gamma for st in schedule.stages]
     out: dict[int, float] = {0: 1.0}
     for m in range(1, n):
         st = schedule.stage(m)
-        g = gammas[m - 1]
+        g = st.gamma
         if g is None:
             raise ProfileError(f"gamma of stage {m} is not set")
         for t in range(1, st.k + 1):
@@ -60,8 +58,7 @@ def apply_functional(phi: dict, x_f: dict):
     return sum(phi[j] * x_f.get(j, 0) for j in phi)
 
 
-def functional_gamma_identity(schedule: StageSchedule, families, k: int,
-                              gammas: Sequence):
+def functional_gamma_identity(schedule: StageSchedule, families, k: int):
     """The pairing of the head functional with the first fan base vector of
     stage k equals -1/gamma_k exactly; requires that stage's first fan
     polynomial to be the constant 1."""
@@ -69,8 +66,8 @@ def functional_gamma_identity(schedule: StageSchedule, families, k: int,
         raise ProfileError(
             "first fan polynomial is not the constant 1; the base-vector "
             "pairing identity does not apply")
-    phi = e0_functional_structural(schedule, families, k + 1, gammas)
-    return phi[schedule.stage(k).c[0]], -1.0 / float(gammas[k - 1])
+    phi = e0_functional_structural(schedule, families, k + 1)
+    return phi[schedule.stage(k).c[0]], -1.0 / float(schedule.stage(k).gamma)
 
 
 # -- Gaussian sampling -------------------------------------------------------------
@@ -289,15 +286,15 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
     return entries
 
 
-def porosity_entries(schedule: StageSchedule, families, gammas, k: int,
+def porosity_entries(schedule: StageSchedule, families, k: int,
                      seed: int) -> list[Entry]:
     rng = np.random.default_rng(seed)
-    phi = e0_functional_structural(schedule, families, k, gammas)
+    phi = e0_functional_structural(schedule, families, k)
     norm = vec_norm(phi)
     entries: list[Entry] = []
     pairing = f"porosity.pairing.stage{k - 1}"
     try:
-        val, expected = functional_gamma_identity(schedule, families, k - 1, gammas)
+        val, expected = functional_gamma_identity(schedule, families, k - 1)
     except ProfileError as exc:
         entries.append(check(pairing, f"pairing identity skipped: {exc}",
                              None, 0.0, asserted=False))

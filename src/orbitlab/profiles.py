@@ -30,7 +30,7 @@ COMPANION_FAMILY = (ZETA, Poly((0, 0, 1)))
 def reference_schedule(weight_mode: str = FLOAT, field: str = REAL
                        ) -> tuple[StageSchedule, tuple]:
     """R1: the single-stage reference schedule (gamma auto-calibrated)."""
-    st = StageParams(xi=4, b=64, c=(4096, 65536), h=2, k=2, d=4,
+    st = StageParams(xi=4, b=64, c=(4096, 65536), h=2, d=4,
                      gamma=None, delta=0.25, eps=0.25)
     sched = StageSchedule(stages=(st,), xi_end=400_000, scalar_field=field,
                           weight_mode=weight_mode)
@@ -56,9 +56,9 @@ def reference_schedule_bcal(weight_mode: str = FLOAT, field: str = REAL
 def mini_schedule(weight_mode: str = FLOAT, field: str = REAL,
                   companion: bool = False) -> tuple[StageSchedule, tuple]:
     """Two tiny stages; small enough for exhaustive exact-arithmetic checks."""
-    s1 = StageParams(xi=2, b=7, c=(18, 52), h=1, k=2, d=2,
+    s1 = StageParams(xi=2, b=7, c=(18, 52), h=1, d=2,
                      gamma=None, delta=0.25, eps=0.25)
-    s2 = StageParams(xi=88, b=178, c=(15800,), h=1, k=1, d=1,
+    s2 = StageParams(xi=88, b=178, c=(15800,), h=1, d=1,
                      gamma=None, delta=0.125, eps=0.125)
     sched = StageSchedule(stages=(s1, s2), xi_end=31_600, scalar_field=field,
                           weight_mode=weight_mode)
@@ -83,7 +83,7 @@ def statistical_schedule(n_stages: int = 6, field: str = REAL
         nu = xi * (b + 1)
         c1 = nu + 1
         c2 = c1 + nu + 1
-        st = StageParams(xi=xi, b=b, c=(c1, c2), h=1, k=2, d=1,
+        st = StageParams(xi=xi, b=b, c=(c1, c2), h=1, d=1,
                          gamma=2.0 ** (-n - 1), delta=2.0 ** (-n - 2),
                          eps=2.0 ** (-n - 2))
         stages.append(st)

@@ -8,7 +8,7 @@ construction on the index block (xi_n, xi_{n+1}]:
     nu     end of the b-fan, always xi * (b + 1)
     c      base points of the c-fan lattice (k of them, increasing)
     h      maximal lattice coordinate (shade count per direction)
-    k      number of lattice directions (= number of fan polynomials)
+    k      number of lattice directions, always len(c)
     d      degree cap for the fan polynomials
     gamma  scaling of the c-fan working vectors (None = calibrate at build)
     delta  per-stage tolerance used by the block estimates
@@ -42,7 +42,6 @@ class StageParams:
     b: int
     c: tuple[int, ...]
     h: int
-    k: int
     d: int
     gamma: Optional[ScalarValue]
     delta: float
@@ -51,6 +50,10 @@ class StageParams:
     @property
     def nu(self) -> int:
         return self.xi * (self.b + 1)
+
+    @property
+    def k(self) -> int:
+        return len(self.c)
 
     @property
     def fan_end(self) -> int:
@@ -85,9 +88,9 @@ class StageSchedule:
             return self.xi_end
         raise IndexError(f"xi_{n} undefined for a {self.n_stages}-stage schedule")
 
-    def with_gammas(self, gammas: Sequence[ScalarValue]) -> "StageSchedule":
+    def with_gammas(self, values: Sequence[ScalarValue]) -> "StageSchedule":
         stages = tuple(
-            replace(st, gamma=g) for st, g in zip(self.stages, gammas, strict=True)
+            replace(st, gamma=g) for st, g in zip(self.stages, values, strict=True)
         )
         return replace(self, stages=stages)
 
@@ -102,6 +105,8 @@ def validate(schedule: StageSchedule) -> list[str]:
         v.append(f"unknown scalar field {schedule.scalar_field!r}")
     if schedule.weight_mode not in (FLOAT, RATIONAL):
         v.append(f"unknown weight mode {schedule.weight_mode!r}")
+    if not schedule.stages:
+        v.append("no stages")
 
     prev_xi = 0
     prev_small = None  # (gamma, delta, eps) of the previous stage
@@ -112,7 +117,7 @@ def validate(schedule: StageSchedule) -> list[str]:
             v.append(f"b lower bound at stage {n}")
         if st.d < 0 or st.d > st.nu:
             v.append(f"degree bound at stage {n}")
-        if st.k != len(st.c) or st.k < 1:
+        if not st.c:
             v.append(f"fan size at stage {n}")
         if st.h < 1:
             v.append(f"shade count at stage {n}")
@@ -216,8 +221,10 @@ def load_config(path):
     """Read a schedule config; returns (schedule, families).
 
     Raises ConfigError carrying the validator's violation list when the file
-    encodes an invalid schedule, or a declared nu other than xi * (b + 1).
-    In rational weight mode, fan and gamma scalars are parsed exactly.
+    encodes an invalid schedule, or when an optional echo line disagrees with
+    what it echoes: n_stages with the number of [stage N] sections, nu with
+    xi * (b + 1), k with len(c).  In rational weight mode, fan and gamma
+    scalars are parsed exactly.
     """
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -229,10 +236,13 @@ def load_config(path):
         mode = sect.get("weight_mode", FLOAT)
         exact = mode == RATIONAL
         xi_end = int(sect["xi_end"])
-        n_stages = int(sect["n_stages"])
+        n_stages = sum(name.startswith("stage ") for name in cp.sections())
         stages = []
         families = []
         violations = []
+        if "n_stages" in sect and int(sect["n_stages"]) != n_stages:
+            violations.append(f"n_stages = {sect['n_stages']} but {n_stages} "
+                              "[stage N] sections")
         for n in range(1, n_stages + 1):
             s = cp[f"stage {n}"]
             gamma_tok = s.get("gamma", "auto").strip()
@@ -243,7 +253,6 @@ def load_config(path):
                 b=int(s["b"]),
                 c=tuple(int(t) for t in s["c"].split()),
                 h=int(s["h"]),
-                k=int(s["k"]),
                 d=int(s["d"]),
                 gamma=gamma,
                 delta=float(s["delta"]),
@@ -251,6 +260,8 @@ def load_config(path):
             )
             if "nu" in s and int(s["nu"]) != st.nu:
                 violations.append(f"nu-formula at stage {n}")
+            if "k" in s and int(s["k"]) != st.k:
+                violations.append(f"fan size at stage {n}")
             stages.append(st)
             families.append(tuple(_parse_poly_list(s["fan"], field, exact)))
     except (KeyError, ValueError) as exc:

@@ -92,9 +92,8 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
         sched6, fams6 = statistical_schedule(6, field)
         rep.extend(neg.statistics_entries(sched6, fams6, seed))
     for n in range(1, b.schedule.n_stages + 2):
-        structural = neg.e0_functional_structural(
-            b.schedule, b.families, n, b.gammas)
-        assembled = {j: float(v) for j, v in b.e0_functional(n).items()}
+        structural = neg.e0_functional_structural(b.schedule, b.families, n)
+        assembled = b.e0_functional(n)
         keys = set(structural) | set(assembled)
         dev = max(abs(structural.get(j, 0.0) - assembled.get(j, 0.0))
                   for j in keys)
@@ -105,8 +104,7 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
             dev, 1e-9 * max(1.0, vec_norm(assembled)),
             asserted=True, details={"support": sorted(keys)}))
     k = b.schedule.n_stages + 1
-    rep.extend(neg.porosity_entries(b.schedule, b.families, b.gammas,
-                                    k, seed=seed))
+    rep.extend(neg.porosity_entries(b.schedule, b.families, k, seed=seed))
 
 
 def reflexivity(b, rep: VerificationReport, rng, seed: int) -> None:

@@ -284,7 +284,7 @@ def test_5b_comparison_battery(r1, rng):
 
 def test_6_porosity_battery(r1):
     rng = np.random.default_rng(SEED)
-    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2, r1.gammas)
+    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2)
     norm = vec_norm(phi)
     M = 2.0
     level = 2.0 ** -2 * M

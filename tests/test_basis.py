@@ -187,7 +187,7 @@ def _hand_basis(F_dense):
                    np.array([v.denominator for v in vals], dtype=object))
 
     (F, F_exact), (E, E_exact) = stored(F_dense), stored(E_dense)
-    return ol.BasisMap(None, (), ol.RATIONAL, (), F, E, np.zeros(n, dtype=bool), (),
+    return ol.BasisMap(None, (), ol.RATIONAL, F, E, np.zeros(n, dtype=bool), (),
                        exact=(F_exact, E_exact))
 
 
@@ -230,7 +230,8 @@ def test_roundtrip_exact_memory_stays_blocked(r1_rational):
                                   "mini_rational", "r1_doubled"])
 def test_basis_spans_the_whole_truncation(name, request):
     # a basis is [0, xi_end]: F and E are square of size xi_end + 1, and
-    # each gamma=auto stage is calibrated once, in stage order
+    # each gamma=auto stage (every stage of these schedules) is calibrated
+    # once, in stage order: its C goes to the table, its gamma to the schedule
     if name == "r1_doubled":
         r1 = request.getfixturevalue("r1")
         b = ol.assemble(doubled_layoffs(r1.schedule), r1.families)
@@ -239,10 +240,27 @@ def test_basis_spans_the_whole_truncation(name, request):
     size = b.schedule.xi_end + 1
     assert b.n_trunc == b.schedule.xi_end
     assert b.F_csc.shape == b.E_csc.shape == (size, size)
-    auto = [n for n, st in enumerate(b.schedule.stages, start=1)
-            if st.gamma is None]
-    assert auto and [rec.stage for rec in b.calibration] == auto
-    assert all(b.gamma(n) == rec.gamma for n, rec in zip(auto, b.calibration))
+    auto = list(range(1, b.schedule.n_stages + 1))
+    assert auto and list(b.frame_constants) == auto
+    assert all(b.gamma(n) is not None for n in auto)
+
+
+def test_float_assembly_refuses_weights_beyond_the_float_range():
+    # R1 at xi_end = 6.4 M passes validate, but its tail gap
+    # [139525, 6400000] needs 2^e with e up to 1251
+    from dataclasses import replace
+
+    sched, fams = reference_schedule()
+    long = replace(sched, xi_end=6_400_000)
+    assert ol.validate(long) == []
+    with pytest.raises(ol.errors.ScheduleError,
+                       match=r"lay-off interval \[139525, 6400000\] of stage 1"):
+        ol.assemble(long, fams)
+    # a 4.3 M truncation (e up to 1020) stays within the normal range
+    shorter = replace(sched, xi_end=4_300_000)
+    tail = geo.stage_table(shorter, 1)[-1]
+    assert isinstance(tail.tag, geo.TailLayOff)
+    assert 1019 < geo.max_abs_exponent(tail, shorter) < 1022
 
 
 def test_roundtrip_exact_rejects_float_basis(mini):
@@ -364,14 +382,13 @@ def test_matrix_market_roundtrip(mini, tmp_path):
 
 def test_calibrate_gamma_formula():
     sched, fams = reference_schedule()
-    rec, = ol.assemble(sched, fams).calibration
-    assert rec.gamma == pytest.approx(0.25 / rec.frame_constant)
-    assert rec.gamma <= rec.gamma_cap
+    b = ol.assemble(sched, fams)
+    assert b.gamma(1) == pytest.approx(0.25 / b.frame_constants[1])
+    assert b.gamma(1) <= 2.0 ** -2  # the porosity cap 2^{-n-1}
     # halving delta halves gamma (linearity)
     from dataclasses import replace
     sched2 = replace(sched, stages=(replace(sched.stages[0], delta=0.125),))
-    rec2, = ol.assemble(sched2, fams).calibration
-    assert rec2.gamma == pytest.approx(rec.gamma / 2)
+    assert ol.assemble(sched2, fams).gamma(1) == pytest.approx(b.gamma(1) / 2)
 
 
 def test_calibration_identity_frame():
@@ -392,12 +409,10 @@ def test_mini_cfg_frame_constant_is_exact():
 
     cfg = Path(__file__).resolve().parents[1] / "configs" / "mini.cfg"
     b = ol.assemble(*ol.load_config(cfg))
-    rec = b.calibration[1]
     st = b.schedule.stage(2)
-    assert rec.stage == 2
     block = b.F_csc[: st.nu + 1, : st.nu + 1]
     c_ref = float(svds(block, k=1, return_singular_vectors=False, rng=0)[0])
-    assert rec.frame_constant == pytest.approx(c_ref, rel=1e-10)
+    assert b.frame_constants[2] == pytest.approx(c_ref, rel=1e-10)
     assert float(b.gamma(2)) * c_ref <= st.delta * (1 + 1e-12)
 
 

@@ -313,3 +313,33 @@ def test_thm1_cfg_verify_all_report_is_pinned(cfg_build):
 @pytest.mark.parametrize("name", ["mini_reflexive", "orbit_reflexive"])
 def test_reflexive_cfg_verify_all_report_is_pinned(cfg_build, name):
     _assert_verify_all_pinned(cfg_build, name)
+
+
+def _shipped_cfg_variant(tmp_path, name, old, new):
+    src = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.cfg")
+    text = open(src).read()
+    assert old in text
+    path = tmp_path / f"{name}_variant.cfg"
+    path.write_text(text.replace(old, new, 1))
+    return str(path)
+
+
+def test_complex_field_build_verifies(tmp_path):
+    cfg = _shipped_cfg_variant(tmp_path, "mini", "scalar_field = real",
+                               "scalar_field = complex")
+    out = str(tmp_path / "build")
+    assert main(["build", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--build", out, "--suite", "all"]) == 0
+    rows = json.load(open(os.path.join(out, "report_all.json")))
+    assert len(rows) == 83
+    assert not [r["claim_id"] for r in rows if r["status"] == "fail"]
+
+
+def test_build_refuses_weights_beyond_the_float_range(tmp_path, capsys):
+    cfg = _shipped_cfg_variant(tmp_path, "thm1", "xi_end = 400000",
+                               "xi_end = 6400000")
+    rc = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "lay-off interval" in err
+    assert "Traceback" not in err

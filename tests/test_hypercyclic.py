@@ -296,16 +296,25 @@ def test_modulus_reduction_chain(r1):
 
 
 def test_frame_constant_consistency(r1):
-    # the cached calibration record agrees with a fresh measurement
+    # the calibrated table entry agrees with a fresh measurement
     from orbitlab.basis import measure_frame_constant
     C = measure_frame_constant(r1.F_csc, r1.schedule.stage(1).nu)
     assert hyp.frame_constant(r1, 1) == pytest.approx(C, rel=1e-12)
 
 
+def test_frame_constant_of_a_calibrated_stage_runs_no_svd(r1, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("frame constant measured again")
+
+    monkeypatch.setattr(hyp, "measure_frame_constant", refuse)
+    assert hyp.frame_constant(r1, 1) == r1.frame_constants[1]
+
+
 def test_frame_constant_memoised_without_calibration(r1, monkeypatch):
-    # a basis assembled with frozen gammas has no calibration records
-    frozen = ol.BasisMap(r1.schedule, r1.families, r1.mode, r1.gammas,
-                         r1.F_csc, r1.E_csc, r1.layoff, ())
+    # a basis assembled from the echoed schedule (gammas set) is not
+    # calibrated: its table starts empty and is filled on demand
+    frozen = ol.assemble(r1.schedule, r1.families)
+    assert frozen.schedule == r1.schedule and frozen.frame_constants == {}
     calls = []
     measure = hyp.measure_frame_constant
 
@@ -317,4 +326,5 @@ def test_frame_constant_memoised_without_calibration(r1, monkeypatch):
     first = hyp.frame_constant(frozen, 1)
     assert hyp.frame_constant(frozen, 1) == first
     assert calls == [r1.schedule.stage(1).nu]
-    assert first == r1.calibration[0].frame_constant
+    assert first == r1.frame_constants[1]
+    assert frozen.frame_constants == {1: first}

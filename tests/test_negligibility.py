@@ -21,8 +21,7 @@ def test_structural_functional_matches_assembled(r1):
     # the sparse structural form equals row 0 of the assembled map, at both
     # functional depths the truncation supports
     for n in (1, 2):
-        structural = neg.e0_functional_structural(r1.schedule, r1.families, n,
-                                                  r1.gammas)
+        structural = neg.e0_functional_structural(r1.schedule, r1.families, n)
         assembled = r1.e0_functional(n)
         assert set(structural) == set(assembled)
         for j in structural:
@@ -30,22 +29,21 @@ def test_structural_functional_matches_assembled(r1):
 
 
 def test_structural_functional_support(r1):
-    phi1 = neg.e0_functional_structural(r1.schedule, r1.families, 1, r1.gammas)
+    phi1 = neg.e0_functional_structural(r1.schedule, r1.families, 1)
     assert phi1 == {0: 1.0}
-    phi2 = neg.e0_functional_structural(r1.schedule, r1.families, 2, r1.gammas)
+    phi2 = neg.e0_functional_structural(r1.schedule, r1.families, 2)
     # p_1 = 1 contributes -1/gamma at c_1; p_2 = zeta has no constant term
     assert set(phi2) == {0, 4096}
     assert phi2[4096] == pytest.approx(-1 / float(r1.gammas[0]))
 
 
 def test_gamma_pairing_identity(r1):
-    val, expected = neg.functional_gamma_identity(r1.schedule, r1.families, 1,
-                                                  r1.gammas)
+    val, expected = neg.functional_gamma_identity(r1.schedule, r1.families, 1)
     assert val == expected  # exact: -1/gamma_1
     comp_sched, comp_fams = reference_schedule_companion()
     with pytest.raises(ProfileError):
-        neg.functional_gamma_identity(comp_sched, comp_fams, 1,
-                                      (0.01,))
+        neg.functional_gamma_identity(comp_sched.with_gammas((0.01,)),
+                                      comp_fams, 1)
 
 
 def test_closed_form_vs_normal_cdf():
@@ -148,7 +146,7 @@ def test_statistics_entries_all_pass():
 
 
 def test_porosity_witness_reference_values(r1, rng):
-    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2, r1.gammas)
+    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2)
     norm = vec_norm(phi)
     assert norm == pytest.approx(math.hypot(1, 1 / float(r1.gammas[0])))
     rec = neg.porosity_witness(phi, {}, 0.1, 2.0, 2, rng)
@@ -157,7 +155,7 @@ def test_porosity_witness_reference_values(r1, rng):
 
 
 def test_porosity_witness_guards(r1, rng):
-    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2, r1.gammas)
+    phi = neg.e0_functional_structural(r1.schedule, r1.families, 2)
     with pytest.raises(PreconditionError):
         neg.porosity_witness(phi, {}, 0.0, 2.0, 2, rng)
     big = {0: 10.0}
@@ -170,8 +168,7 @@ def test_porosity_witness_guards(r1, rng):
 
 
 def test_porosity_entries_battery(r1):
-    entries = neg.porosity_entries(r1.schedule, r1.families, r1.gammas, 2,
-                                   seed=SEED)
+    entries = neg.porosity_entries(r1.schedule, r1.families, 2, seed=SEED)
     by_id = {e.claim_id: e for e in entries}
     assert by_id["porosity.pairing.stage1"].status == "pass"
     assert by_id["porosity.witness.stage2"].status == "pass"

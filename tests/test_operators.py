@@ -819,7 +819,7 @@ def _diagonal_basis(f_diag, e_diag):
         return sparse.csc_matrix((np.asarray(d, dtype=float), np.arange(n),
                                   np.arange(n + 1)), shape=(n, n))
 
-    return BasisMap(None, (), "float", (), diag(f_diag), diag(e_diag),
+    return BasisMap(None, (), "float", diag(f_diag), diag(e_diag),
                     np.ones(n, dtype=bool), ())
 
 
@@ -868,7 +868,7 @@ def test_power_norms_count_loose_pairs_in_the_drop_threshold():
     F = sparse.block_diag([lone, chain], format="csc")
     n = F.shape[0]
     assert F.nnz == n_pairs + 2 * width - 1
-    b = BasisMap(None, (), "float", (), F,
+    b = BasisMap(None, (), "float", F,
                  sparse.identity(n, format="csc"), np.ones(n, dtype=bool), ())
     full = (slice(0, n), slice(0, n))
     with pytest.raises(ol.errors.OrbitLabError) as want:

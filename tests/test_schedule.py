@@ -142,3 +142,54 @@ def test_regions_tile_truncation_smoke():
         tag = ol.classify(j, sched)
         assert tag is not None
         prev = tag
+
+
+@pytest.mark.parametrize("name", ["mini", "mini_reflexive", "thm1",
+                                  "orbit_reflexive"])
+def test_config_echo_of_a_build_roundtrips(name, tmp_path):
+    # the basis's schedule carries its calibrated gammas, and the config
+    # echo of it loads back equal, gammas included
+    b = ol.assemble(*ol.load_config(CONFIGS / f"{name}.cfg"))
+    assert None not in b.gammas
+    path = tmp_path / "schedule.cfg"
+    ol.save_config(path, b.schedule, b.families)
+    assert ol.load_config(path) == (b.schedule, b.families)
+
+
+def _mini_cfg_text(tmp_path):
+    sched, fams = mini_schedule()
+    path = tmp_path / "mini.cfg"
+    ol.save_config(path, sched, fams)
+    return path, path.read_text()
+
+
+def test_k_is_the_fan_size():
+    sched, _ = mini_schedule()
+    assert [st.k for st in sched.stages] == [2, 1]
+    assert any("fan size at stage 1" in v
+               for v in ol.validate(broken(sched, c=())))
+
+
+def test_config_k_line_is_a_checked_echo(tmp_path):
+    path, text = _mini_cfg_text(tmp_path)
+    assert "k = 2\n" in text
+    path.write_text(text.replace("k = 2\n", "k = 3\n", 1))
+    with pytest.raises(ConfigError, match="fan size at stage 1"):
+        ol.load_config(path)
+    path.write_text(text.replace("k = 2\n", "").replace("k = 1\n", ""))
+    sched, _ = ol.load_config(path)
+    assert sched == mini_schedule()[0]
+
+
+def test_config_stage_count_comes_from_the_stage_sections(tmp_path):
+    path, text = _mini_cfg_text(tmp_path)
+    assert "n_stages = 2\n" in text
+    path.write_text(text.replace("n_stages = 2\n", "n_stages = 1\n"))
+    with pytest.raises(ConfigError, match="n_stages = 1 but 2"):
+        ol.load_config(path)
+    path.write_text(text.replace("n_stages = 2\n", ""))
+    sched, _ = ol.load_config(path)
+    assert sched == mini_schedule()[0]
+    path.write_text(text.partition("[stage 1]")[0])
+    with pytest.raises(ConfigError, match="no stages"):
+        ol.load_config(path)
