@@ -8,7 +8,7 @@ norm is the l2 norm of f-frame coordinates.
 Region rules for f_j:
 
     seed          f_j = e_j
-    lay-off       f_j = weight(j) * e_j
+    lay-off       f_j = w_j e_j, w_j = geometry.layoff_weight(j)
     b-working     f_j = e_j - b * e_{j-b}
     c-working     f_j = gamma^{-1} 4^{1-|r|} (e_j - p_t(T) e_{j - c_t})
 
@@ -22,7 +22,7 @@ beside them as two numpy object arrays of Python ints, ``num`` and ``den``,
 aligned with ``data``: each pair in lowest terms with ``den > 0``.  The index
 arrays are shared, so there is one layout for both modes.  Fractions are
 built only where a single scalar or column is read (``f_col``, ``e_col``,
-``weight``, ``e0_functional``, frame conversion and ``F_cols``/``E_cols``).
+``e0_functional``, frame conversion and ``F_cols``/``E_cols``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from scipy import sparse
 from . import geometry as geo
 from .errors import ScheduleError
 from .polynet import ONE, Poly
-from .schedule import COMPLEX, RATIONAL, StageSchedule
+from .schedule import COMPLEX, FLOAT, RATIONAL, StageSchedule
 
 Vec = dict[int, object]  # sparse coordinate vector {index: scalar}
 
@@ -140,32 +140,21 @@ def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
     return vec_clean(out)
 
 
-class _ColumnDicts:
-    """Read-only sequence of a stored matrix's columns as {row: value} dicts,
-    each built on access; iteration converts one block of columns at a time."""
+_DICT_BLOCK = 4096  # columns converted to dicts per block (bounds the transient lists)
 
-    _BLOCK = 4096
 
-    def __init__(self, M: sparse.csc_matrix, exact):
-        self._M, self._exact = M, exact
-
-    def __len__(self) -> int:
-        return self._M.shape[1]
-
-    def __getitem__(self, j: int) -> Vec:
-        return dict(zip(*_column(self._M, self._exact, range(len(self))[j])))
-
-    def __iter__(self):
-        M = self._M
-        for lo in range(0, len(self), self._BLOCK):
-            ptr = M.indptr[lo:lo + self._BLOCK + 1]
-            rows = M.indices[ptr[0]:ptr[-1]].tolist()
-            data = _scalars(M, self._exact, slice(ptr[0], ptr[-1]))
-            ptr = (ptr - ptr[0]).tolist()
-            for s, e in zip(ptr, ptr[1:]):
-                # most columns hold one entry, which a dict literal builds fast
-                yield ({rows[s]: data[s]} if e - s == 1
-                       else dict(zip(rows[s:e], data[s:e])))
+def _column_dicts(M: sparse.csc_matrix, exact):
+    """A stored matrix's columns in order as {row: value} dicts, converted
+    one block of columns at a time."""
+    for lo in range(0, M.shape[1], _DICT_BLOCK):
+        ptr = M.indptr[lo:lo + _DICT_BLOCK + 1]
+        rows = M.indices[ptr[0]:ptr[-1]].tolist()
+        data = _scalars(M, exact, slice(ptr[0], ptr[-1]))
+        ptr = (ptr - ptr[0]).tolist()
+        for s, e in zip(ptr, ptr[1:]):
+            # most columns hold one entry, which a dict literal builds fast
+            yield ({rows[s]: data[s]} if e - s == 1
+                   else dict(zip(rows[s:e], data[s:e])))
 
 
 class BasisMap:
@@ -179,19 +168,17 @@ class BasisMap:
     F and E are stored as CSC matrices with sorted row indices and float (or
     complex) data.  In rational mode ``exact`` holds each one's exact values
     as a (num, den) pair of object arrays aligned with its ``data`` (see the
-    module docstring); otherwise the data are the scalars.  ``layoff`` marks
-    the lay-off columns, whose weights are F's diagonal entries.
+    module docstring); otherwise the data are the scalars.  What the
+    schedule decides, such as the lay-off weights, is read from it.
     """
 
-    def __init__(self, schedule, families, mode, F, E, layoff,
-                 frame_constants, exact=(None, None)):
+    def __init__(self, schedule, families, F, E, frame_constants,
+                 exact=(None, None)):
         self.schedule = schedule
         self.families = families
-        self.mode = mode
         self.n_trunc = F.shape[0] - 1
         self._F, self._E = F, E
         self._F_exact, self._E_exact = exact
-        self.layoff = layoff
         self.frame_constants: dict[int, float] = dict(frame_constants)
         self._T = None  # the operator's f-frame matrix, built on first use
         self._lone_diagonals = None  # see operators.power_norms
@@ -201,20 +188,16 @@ class BasisMap:
     # -- scalar / column access ------------------------------------------
 
     @property
+    def mode(self) -> str:
+        """The weight mode: RATIONAL exactly when the exact pairs are stored."""
+        return FLOAT if self._F_exact is None else RATIONAL
+
+    @property
     def gammas(self) -> tuple:
         return tuple(st.gamma for st in self.schedule.stages)
 
     def gamma(self, n: int):
         return self.schedule.stage(n).gamma
-
-    def weight(self, j: int):
-        if not (0 <= j <= self.n_trunc and self.layoff[j]):
-            raise ValueError(f"index {j} is not a lay-off index")
-        p = self._F.indptr[j]
-        if self._F_exact is None:
-            return float(self._F.data[p].real)
-        num, den = self._F_exact
-        return Fraction(num[p], den[p])
 
     def f_col(self, j: int) -> Vec:
         return dict(zip(*_column(self._F, self._F_exact, j)))
@@ -223,12 +206,12 @@ class BasisMap:
         return dict(zip(*_column(self._E, self._E_exact, m)))
 
     @property
-    def F_cols(self) -> _ColumnDicts:
-        return _ColumnDicts(self._F, self._F_exact)
+    def F_cols(self):
+        return _column_dicts(self._F, self._F_exact)
 
     @property
-    def E_cols(self) -> _ColumnDicts:
-        return _ColumnDicts(self._E, self._E_exact)
+    def E_cols(self):
+        return _column_dicts(self._E, self._E_exact)
 
     # -- frame conversion --------------------------------------------------
 
@@ -464,7 +447,6 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
     dtype = object if exact else complex if schedule.scalar_field == COMPLEX else float
     size = schedule.xi_end + 1
     F, E = _Columns(size, dtype), _Columns(size, dtype)
-    layoff = np.zeros(size, dtype=bool)
     stages = list(schedule.stages)
     frame_constants: dict[int, float] = {}
 
@@ -494,7 +476,6 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
                 f"lay-off interval [{iv.lo}, {iv.hi}] of stage {iv.tag.n} needs "
                 f"weights 2^e with |e| up to {top:.0f}, beyond the normal float "
                 f"range (|e| < {_FLOAT_EXPONENT_CAP})"])
-        layoff[iv.lo:iv.hi + 1] = True
         for lo in range(iv.lo, iv.hi + 1, _LAYOFF_BLOCK):
             hi = min(lo + _LAYOFF_BLOCK - 1, iv.hi)
             if exact:  # positive weights: a reciprocal is the swapped pair
@@ -547,8 +528,8 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
     E_csc, E_exact = E.matrix(size)
     if frame_constants:  # an equal copy is a slower key for geometry's lru_caches
         schedule = schedule.with_gammas([st.gamma for st in stages])
-    return BasisMap(schedule, families, mode, F_csc, E_csc, layoff,
-                    frame_constants, exact=(F_exact, E_exact))
+    return BasisMap(schedule, families, F_csc, E_csc, frame_constants,
+                    exact=(F_exact, E_exact))
 
 
 # -- independent e -> f expansion (structural route) ---------------------------
@@ -564,7 +545,7 @@ def expand_e_structural(basis: BasisMap, m: int) -> Vec:
     if isinstance(tag, geo.Seed):
         out: Vec = {m: 1}
     elif geo.is_layoff(tag):
-        out = {m: 1 / basis.weight(m)}
+        out = {m: 1 / geo.layoff_weight(m, sched)}
     elif isinstance(tag, geo.BWorking):
         st = sched.stage(tag.n)
         out = {m: 1}

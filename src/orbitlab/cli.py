@@ -132,6 +132,14 @@ def cmd_orbit(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"{seed} is negative")
+    return seed
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="orbitlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -144,7 +152,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run a verifier suite on a build")
     p_verify.add_argument("--build", required=True)
     p_verify.add_argument("--suite", required=True, choices=SUITES)
-    p_verify.add_argument("--seed", type=int, default=20250810)
+    p_verify.add_argument("--seed", type=_seed, default=20250810)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_orbit = sub.add_parser("orbit", help="distances from orbit points to targets")
@@ -158,7 +166,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except OrbitLabError as exc:
+    except (OrbitLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,9 +15,10 @@ of the actual interval length, which keeps the iterated-power ratios of the
 shade estimate independent of the gap position.  ``_exponent_line`` is the
 one home of that formula; ``_exponents`` gives it as one array over a run of
 indices of one stage-table interval, and ``max_abs_exponent`` its largest
-magnitude on the interval.  ``interval_weights`` raises 2 to it entrywise
-(``interval_weight_pairs`` gives the exact weights as integer pairs from
-``pow2_dyadic_pairs``), and ``layoff_weight`` is the one-index case.
+magnitude on the interval.  ``interval_weights`` raises 2 to it entrywise,
+as floats only; ``interval_weight_pairs`` gives the rational-mode weights as
+integer pairs from ``pow2_dyadic_pairs``.  ``layoff_weight`` is the
+one-index case of either, per weight mode.
 """
 
 from __future__ import annotations
@@ -189,20 +190,6 @@ def is_layoff(tag: RegionTag) -> bool:
     return isinstance(tag, (BLayOff, CLayOff, TailLayOff))
 
 
-def region_interval(tag: RegionTag, schedule: StageSchedule) -> tuple[int, int]:
-    """[lo, hi] covered by the region (CWorking: its whole working interval)."""
-    if isinstance(tag, Seed):
-        return 0, schedule.xi(1)
-    for iv in stage_table(schedule, tag.n):
-        t = iv.tag
-        if isinstance(tag, CWorking) and isinstance(t, CWorking):
-            if t.coord.r == tag.coord.r:
-                return iv.lo, iv.hi
-        elif t == tag:
-            return iv.lo, iv.hi
-    raise ValueError(f"region {tag} not found")
-
-
 # -- lay-off weights -----------------------------------------------------------
 
 def _exponents(iv: _Interval, schedule: StageSchedule, j_lo: int,
@@ -268,12 +255,9 @@ def pow2_dyadic_pairs(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
                      j_hi: int) -> np.ndarray:
-    """Weights 2^e_j of the indices j_lo..j_hi of the lay-off interval iv (see
-    _exponents): a float array, or in rational mode an object array of the
-    40-bit dyadic Fractions of interval_weight_pairs."""
-    if schedule.weight_mode == RATIONAL:
-        num, den = interval_weight_pairs(iv, schedule, j_lo, j_hi)
-        return np.frompyfunc(Fraction, 2, 1)(num, den)
+    """Float weights 2^e_j of the indices j_lo..j_hi of the lay-off interval
+    iv (see _exponents), in either weight mode; the rational-mode weights
+    are interval_weight_pairs."""
     return _pow2(_exponents(iv, schedule, j_lo, j_hi))
 
 
@@ -297,13 +281,17 @@ def dyadic(x: float) -> Fraction:
 
 def layoff_weight(j: int, schedule: StageSchedule):
     """Weight of a lay-off index, as a float or a 40-bit dyadic Fraction per
-    weight mode: interval_weights on the stage-table interval holding j.  A
-    caller that walks a whole interval should call interval_weights once
-    instead."""
+    weight mode: interval_weights or interval_weight_pairs on the
+    stage-table interval holding j.  A caller that walks a whole interval
+    should call those once instead."""
     tag = classify(j, schedule)
     if not is_layoff(tag):
         raise ValueError(f"index {j} is not in a lay-off region ({tag})")
-    return interval_weights(locate(j, schedule), schedule, j, j).item()
+    iv = locate(j, schedule)
+    if schedule.weight_mode == RATIONAL:
+        (num,), (den,) = interval_weight_pairs(iv, schedule, j, j)
+        return Fraction(num, den)
+    return interval_weights(iv, schedule, j, j).item()
 
 
 # -- lattice coordinate arithmetic ----------------------------------------------

@@ -13,7 +13,8 @@ Two polynomial profiles ship with the package:
 The reference schedule R1 keeps every verifier meaningful at laptop scale;
 its gap parameter b = 64 sits below the threshold where the shade estimate
 and the norm-vs-gap monotonicity hold (both need roughly b * 2^(-sqrt(b)/2)
-small), so a b-calibrated twin with b = 512 carries those two assertions.
+small), so the acceptance tests assert those two on a b-calibrated twin
+with b = 512.
 """
 
 from __future__ import annotations
@@ -35,22 +36,6 @@ def reference_schedule(weight_mode: str = FLOAT, field: str = REAL
     sched = StageSchedule(stages=(st,), xi_end=400_000, scalar_field=field,
                           weight_mode=weight_mode)
     return sched, (THM1_FAMILY,)
-
-
-def reference_schedule_companion(weight_mode: str = FLOAT, field: str = REAL
-                                 ) -> tuple[StageSchedule, tuple]:
-    """R1 with the zero-constant-term fan family (companion profile)."""
-    sched, _ = reference_schedule(weight_mode, field)
-    return sched, (COMPANION_FAMILY,)
-
-
-def reference_schedule_bcal(weight_mode: str = FLOAT, field: str = REAL
-                            ) -> tuple[StageSchedule, tuple]:
-    """R1b: identical to R1 except b = 512, above the shade/monotonicity
-    calibration threshold."""
-    sched, fams = reference_schedule(weight_mode, field)
-    st = replace(sched.stages[0], b=512)
-    return replace(sched, stages=(st,)), fams
 
 
 def mini_schedule(weight_mode: str = FLOAT, field: str = REAL,

@@ -1,10 +1,61 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import orbitlab as ol
-from orbitlab.profiles import (mini_schedule, reference_schedule,
-                               reference_schedule_bcal,
-                               reference_schedule_companion)
+from orbitlab import geometry as geo
+from orbitlab.profiles import COMPANION_FAMILY, mini_schedule, reference_schedule
+
+
+def reference_schedule_companion(weight_mode: str = ol.FLOAT, field: str = ol.REAL):
+    """R1 with the zero-constant-term fan family (companion profile)."""
+    sched, _ = reference_schedule(weight_mode, field)
+    return sched, (COMPANION_FAMILY,)
+
+
+def reference_schedule_bcal(weight_mode: str = ol.FLOAT, field: str = ol.REAL):
+    """R1b: identical to R1 except b = 512, above the shade/monotonicity
+    calibration threshold."""
+    sched, fams = reference_schedule(weight_mode, field)
+    st = replace(sched.stages[0], b=512)
+    return replace(sched, stages=(st,)), fams
+
+
+def region_interval(tag, schedule) -> tuple[int, int]:
+    """[lo, hi] covered by the region (CWorking: its whole working interval),
+    found by scanning the stage table."""
+    if isinstance(tag, geo.Seed):
+        return 0, schedule.xi(1)
+    for iv in geo.stage_table(schedule, tag.n):
+        t = iv.tag
+        if isinstance(tag, geo.CWorking) and isinstance(t, geo.CWorking):
+            if t.coord.r == tag.coord.r:
+                return iv.lo, iv.hi
+        elif t == tag:
+            return iv.lo, iv.hi
+    raise ValueError(f"region {tag} not found")
+
+
+def layoff_weights(schedule):
+    """(mask, weights) over [0, xi_end]: the lay-off indices of the schedule
+    and the weight of each one (0 elsewhere), floats or in rational mode
+    exact Fractions, from one geometry call per stage-table interval."""
+    size = schedule.xi_end + 1
+    mask = np.zeros(size, dtype=bool)
+    weights = [0] * size
+    for n in range(1, schedule.n_stages + 1):
+        for iv in geo.stage_table(schedule, n):
+            if not geo.is_layoff(iv.tag):
+                continue
+            mask[iv.lo:iv.hi + 1] = True
+            if schedule.weight_mode == ol.RATIONAL:
+                w = map(Fraction, *geo.interval_weight_pairs(iv, schedule, iv.lo, iv.hi))
+            else:
+                w = geo.interval_weights(iv, schedule, iv.lo, iv.hi).tolist()
+            weights[iv.lo:iv.hi + 1] = w
+    return mask, weights
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from orbitlab.basis import (_ROUNDTRIP_BLOCK, column_norms, expand_e_structural,
 
 from orbitlab.profiles import doubled_layoffs, mini_schedule, reference_schedule
 
+from conftest import layoff_weights
+
 
 def test_f0_is_e0(r1):
     assert r1.f_col(0) == {0: 1.0}
@@ -90,11 +92,13 @@ def _entry(basis, which, p) -> Fraction:
 
 def _with_entry(basis, which, p, value: Fraction):
     """A copy of basis whose exact entry at position p of F or E is value
-    (the pair arrays are copied: fixtures are shared)."""
+    (the pair arrays are copied and the structural memo is fresh: fixtures
+    are shared)."""
     b = copy.copy(basis)
     num, den = (a.copy() for a in getattr(b, f"_{which}_exact"))
     num[p], den[p] = value.numerator, value.denominator
     setattr(b, f"_{which}_exact", (num, den))
+    b._expand_memo = {}
     return b
 
 
@@ -155,7 +159,8 @@ def test_roundtrip_exact_diagonal_product_summing_to_zero(mini_rational, kind):
     # working column keeps FE's off-diagonal sums, which no longer cancel
     b0 = mini_rational
     sizes = np.diff(b0.E_csc.indptr)
-    cols = np.flatnonzero(b0.layoff if kind == "layoff" else sizes >= 2)
+    cols = np.flatnonzero(layoff_weights(b0.schedule)[0] if kind == "layoff"
+                          else sizes >= 2)
     m = int(cols[len(cols) // 2])
     b = _with_entry(b0, "E", b0.E_csc.indptr[m + 1] - 1, Fraction(0))
     for order in ("FE", "EF"):
@@ -187,8 +192,7 @@ def _hand_basis(F_dense):
                    np.array([v.denominator for v in vals], dtype=object))
 
     (F, F_exact), (E, E_exact) = stored(F_dense), stored(E_dense)
-    return ol.BasisMap(None, (), ol.RATIONAL, F, E, np.zeros(n, dtype=bool), (),
-                       exact=(F_exact, E_exact))
+    return ol.BasisMap(None, (), F, E, (), exact=(F_exact, E_exact))
 
 
 def test_roundtrip_exact_hand_built_cancellations():
@@ -356,6 +360,25 @@ def test_structural_expansion_matches_inverse(mini, rng):
             assert abs(got.get(k, 0) - col.get(k, 0)) <= 1e-9 * scale
 
 
+def test_structural_expansion_checks_the_stored_layoff_weight(mini_rational):
+    # lay-off column m is a lone pair: row m is stored only in column m of F
+    # and of E.  Doubling its weight in F and halving it in E keeps both maps
+    # exact inverses, so neither roundtrip sees it; the structural route
+    # takes w_m from the schedule and must disagree with the stored E
+    b0, m = mini_rational, 31_556
+    assert geo.is_layoff(geo.classify(m, b0.schedule))
+    for M in (b0.F_csc, b0.E_csc):
+        assert np.count_nonzero(M.indices == m) == 1
+    w = geo.layoff_weight(m, b0.schedule)
+    assert b0.f_col(m) == {m: w} and b0.e_col(m) == {m: 1 / w}
+    b = _with_entry(b0, "F", b0.F_csc.indptr[m], 2 * w)
+    b = _with_entry(b, "E", b0.E_csc.indptr[m], 1 / (2 * w))
+    for order in ("FE", "EF"):
+        assert ol.roundtrip_exact(b, order) == (True, None, 0), order
+    assert b.e_col(m) == {m: 1 / (2 * w)}
+    assert expand_e_structural(b, m) == {m: 1 / w}
+
+
 def test_solve_F_random_vectors(mini_rational, rng):
     # exact arithmetic: the float route hits 162^80 chain entries on stage 2
     for _ in range(20):
@@ -468,21 +491,20 @@ def test_stored_maps_follow_region_rules(which, request):
     if which == "r1":
         assert b.f_col(65) == {65: 1.0, 1: -64.0}
         assert b.e_col(65) == {65: 1.0, 1: 64.0}
-        assert b.f_col(5) == {5: b.weight(5)} and b.weight(5) == 16.0
+        assert b.f_col(5) == {5: geo.layoff_weight(5, b.schedule)} == {5: 16.0}
     # the dict-column sequences agree with the stored arrays
     for cols, M, col in ((b.F_cols, b.F_csc, b.f_col), (b.E_cols, b.E_csc, b.e_col)):
         lengths = np.diff(M.indptr)
         for j, c in enumerate(cols):
             assert len(c) == lengths[j]
             if j % 997 == 0 or len(c) > 1 and j % 13 == 0:
-                assert c == col(j) == cols[j]
+                assert c == col(j)
         assert j == b.n_trunc
     ends = {j for n in range(1, b.schedule.n_stages + 1)
             for iv in geo.stage_table(b.schedule, n) for j in (iv.lo, iv.hi)}
     sample = sorted(j for j in ends | set(range(0, size, 997)) if j < size)
     for j in sample:
         assert b.f_col(j) == _region_rule_f(b, j), j
-        assert b.layoff[j] == geo.is_layoff(geo.classify(j, b.schedule))
         # e_j = f_j / f_jj + (the rest of f_j) / (-f_jj), expanded column by column
         f = b.f_col(j)
         want = {j: 1 / f[j]}
@@ -506,9 +528,9 @@ def test_layoff_pairs_are_the_dyadic_weights(mini_rational):
             if not geo.is_layoff(iv.tag) or iv.lo > b.n_trunc:
                 continue
             hi = min(iv.hi, b.n_trunc)
-            want = [(w.numerator, w.denominator)
-                    for w in geo.interval_weights(iv, b.schedule, iv.lo, hi)]
-            assert list(zip(*geo.interval_weight_pairs(iv, b.schedule, iv.lo, hi))) == want
+            pairs = geo.interval_weight_pairs(iv, b.schedule, iv.lo, hi)
+            want = [(w.numerator, w.denominator) for w in map(Fraction, *pairs)]
+            assert list(zip(*pairs)) == want
             for (M, (num, den)), swap in (((b.F_csc, b._F_exact), False),
                                           ((b.E_csc, b._E_exact), True)):
                 p = M.indptr[iv.lo:hi + 1]

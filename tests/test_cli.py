@@ -137,6 +137,33 @@ def test_verify_unknown_suite(built):
     assert exc.value.code == 2
 
 
+def test_verify_refuses_a_negative_seed(built, capsys):
+    # numpy's generators take non-negative seeds only: refused when parsed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--build", built, "--suite", "fan", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --seed: -1 is negative" in err and "Traceback" not in err
+
+
+def test_build_out_on_an_existing_file(mini_cfg, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    rc = main(["build", "--config", mini_cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_orbit_out_in_a_missing_directory(built, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["orbit", "--build", built, "--x", "f:0=1", "--targets", "e:1=1",
+               "--steps", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_orbit_zero_vector(built, tmp_path):
     out = tmp_path / "orbit.csv"
     rc = main(["orbit", "--build", built, "--x", "f:", "--targets", "e:1=1",

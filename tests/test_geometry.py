@@ -10,6 +10,8 @@ import orbitlab as ol
 from orbitlab import geometry as geo
 from orbitlab.profiles import mini_schedule, reference_schedule
 
+from conftest import region_interval
+
 
 @pytest.fixture(scope="module")
 def r1s():
@@ -56,7 +58,7 @@ def test_generic_layoff_weight_formula():
     # stage 1 tail lay-off of the mini schedule is [79, 80]; use direct math
     # on a synthetic interval via the exponent helper instead
     tag = geo.CLayOff(1, 0)
-    lo, hi = geo.region_interval(tag, sched)
+    lo, hi = region_interval(tag, sched)
     s = hi - lo + 1
     lam_first = ol.layoff_weight(lo, sched)
     lam_last = ol.layoff_weight(hi, sched)
@@ -177,7 +179,7 @@ def _reference_exponents(iv, sched):
     the interval bounds found by scanning the stage table (region_interval)."""
     tag = iv.tag
     st = sched.stage(tag.n)
-    lo, hi = geo.region_interval(tag, sched)
+    lo, hi = region_interval(tag, sched)
     s = hi - lo + 1
     out = []
     for j in range(iv.lo, iv.hi + 1):
@@ -237,11 +239,14 @@ def test_interval_weights_bit_identical_r1(r1s):
             assert all(_same_float(a, b) for a, b in zip(part, full[k:])), (iv, j)
 
 
-def test_interval_weights_rational_mini_exact():
+def test_interval_weights_rational_mini_exact(minis):
+    # the rational weights come as pairs; interval_weights stays float-only
     sched, _ = mini_schedule(weight_mode=ol.RATIONAL)
     for iv in _layoff_intervals(sched):
-        got = geo.interval_weights(iv, sched, iv.lo, iv.hi).tolist()
+        got = list(map(Fraction, *geo.interval_weight_pairs(iv, sched, iv.lo, iv.hi)))
         assert all(isinstance(w, Fraction) for w in got)
+        floats = geo.interval_weights(iv, sched, iv.lo, iv.hi)
+        assert floats.tobytes() == geo.interval_weights(iv, minis, iv.lo, iv.hi).tobytes()
         assert got == _reference_weights(iv, sched), iv
         assert got == [ol.layoff_weight(j, sched)
                        for j in range(iv.lo, iv.hi + 1)], iv

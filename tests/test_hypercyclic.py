@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import orbitlab as ol
+from orbitlab import geometry as geo
 from orbitlab import hypercyclic as hyp
 from orbitlab.errors import PreconditionError, SupportError, TruncationError
 from orbitlab.polynet import ONE, ZETA, Poly
@@ -100,8 +101,8 @@ def test_b_identity_head_basis(r1):
 
 def test_b_identity_top_vector(r1):
     # j = xi: the image leaves the difference pattern; two small weighted terms
-    lam69 = r1.weight(69)
-    lam5 = r1.weight(5)
+    lam69 = geo.layoff_weight(69, r1.schedule)
+    lam5 = geo.layoff_weight(5, r1.schedule)
     expected = math.hypot(1 / (64 * lam69), 1 / lam5)
     _, per_vec = hyp.b_identity_constant(r1, 1)
     assert per_vec[4] == pytest.approx(expected, rel=1e-9)

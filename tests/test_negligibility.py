@@ -7,8 +7,9 @@ import orbitlab as ol
 from orbitlab import negligibility as neg
 from orbitlab.basis import vec_norm
 from orbitlab.errors import PreconditionError, ProfileError
-from orbitlab.profiles import (reference_schedule, reference_schedule_companion,
-                               statistical_schedule)
+from orbitlab.profiles import statistical_schedule
+
+from conftest import reference_schedule_companion
 
 SEED = 20250810
 

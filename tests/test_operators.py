@@ -9,6 +9,8 @@ from orbitlab import geometry as geo
 from orbitlab import operators as ops
 from orbitlab.report import FAIL, INFO, PASS, check
 
+from conftest import layoff_weights
+
 
 def _power(b, m):
     """The f-frame matrix of T^m, E S^m F."""
@@ -297,6 +299,7 @@ def test_conjugated_power_matches_shift_product(name, request):
 def test_layoff_action_interior_columns(r1):
     # T f_j = (w_j / w_{j+1}) f_{j+1} on interior lay-off columns, exactly
     T = ops.conjugated_power(r1)
+    w = layoff_weights(r1.schedule)[1]
     for j in (5, 40, 63, 300, 139_600):
         tag = ol.classify(j, r1.schedule)
         tag2 = ol.classify(j + 1, r1.schedule)
@@ -304,7 +307,7 @@ def test_layoff_action_interior_columns(r1):
         col = T[:, j].tocoo()
         assert col.nnz == 1
         assert int(col.row[0]) == j + 1
-        expected = r1.weight(j) / r1.weight(j + 1)
+        expected = w[j] / w[j + 1]
         assert col.data[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -312,13 +315,14 @@ def test_layoff_action_exact_rational(mini_rational):
     sched = mini_rational.schedule
     from orbitlab.basis import shift_e, vec_clean
 
+    w = layoff_weights(sched)[1]
     for j in range(3, 6):
         tag = ol.classify(j, sched)
         assert geo.is_layoff(tag)
         # conjugation route, exact: E (shift F col j)
         shifted = shift_e(mini_rational.f_col(j), 1, mini_rational.n_trunc)
         got = mini_rational.e_to_f(shifted)
-        expected = {j + 1: mini_rational.weight(j) / mini_rational.weight(j + 1)}
+        expected = {j + 1: w[j] / w[j + 1]}
         assert vec_clean(got) == expected
 
 
@@ -335,7 +339,7 @@ def test_boundary_column_matches_conjugation(r1):
     T = ops.conjugated_power(r1)
     col = {int(i): v for i, v in zip(T[:, 259].tocoo().row,
                                      T[:, 259].tocoo().data)}
-    lam = r1.weight(259)
+    lam = geo.layoff_weight(259, r1.schedule)
     expected = {260: lam, 196: 64 * lam, 132: 64 ** 2 * lam,
                 68: 64 ** 3 * lam, 4: 64 ** 4 * lam}
     assert set(col) == set(expected)
@@ -357,7 +361,8 @@ def test_pure_layoff_block_norm_is_max_ratio(mini):
     lo, hi = iv.lo + 1, iv.hi - 1
     blk = T[lo:hi + 1, lo:hi].tocsc()
     sigma = ops.op_norm(blk).value
-    ratios = [mini.weight(j) / mini.weight(j + 1) for j in range(lo, hi)]
+    w = geo.interval_weights(iv, mini.schedule, lo, hi).tolist()
+    ratios = [a / b for a, b in zip(w, w[1:])]
     assert sigma == pytest.approx(max(ratios), rel=1e-9)
 
 
@@ -412,7 +417,8 @@ def test_deep_layoff_tail_column_ratio(r1):
     j = 65_536 - 4096 - 100  # inside [8453, 65535], image inside as well
     col = P[:, j].tocoo()
     assert col.nnz == 1
-    ratio = r1.weight(j) / r1.weight(j + 4096)
+    w = layoff_weights(r1.schedule)[1]
+    ratio = w[j] / w[j + 4096]
     assert col.data[0] == pytest.approx(ratio, rel=1e-9)
     # lattice-periodic gaps [261, 4095] -> [4357, 8191]: congruent weights,
     # ratio exactly 1
@@ -819,8 +825,7 @@ def _diagonal_basis(f_diag, e_diag):
         return sparse.csc_matrix((np.asarray(d, dtype=float), np.arange(n),
                                   np.arange(n + 1)), shape=(n, n))
 
-    return BasisMap(None, (), "float", diag(f_diag), diag(e_diag),
-                    np.ones(n, dtype=bool), ())
+    return BasisMap(None, (), diag(f_diag), diag(e_diag), ())
 
 
 @pytest.mark.parametrize("f_diag, method", [
@@ -868,8 +873,7 @@ def test_power_norms_count_loose_pairs_in_the_drop_threshold():
     F = sparse.block_diag([lone, chain], format="csc")
     n = F.shape[0]
     assert F.nnz == n_pairs + 2 * width - 1
-    b = BasisMap(None, (), "float", F,
-                 sparse.identity(n, format="csc"), np.ones(n, dtype=bool), ())
+    b = BasisMap(None, (), F, sparse.identity(n, format="csc"), ())
     full = (slice(0, n), slice(0, n))
     with pytest.raises(ol.errors.OrbitLabError) as want:
         _reference_norm(b, 0, *full)
