@@ -9,7 +9,8 @@ from .geometry import (Seed, BLayOff, BWorking, CLayOff, CWorking, TailLayOff,
                        index_to_coord, is_layoff)
 from .polynet import (Poly, PolyNet, ZERO, ONE, ZETA, generate_net,
                       b_damped, ell1_distance, nearest_member,
-                      NO_CONSTRAINT, ZERO_CONSTANT_TERM)
+                      NO_CONSTRAINT, ZERO_CONSTANT_TERM, ToeplitzSystem,
+                      solve_poly, steer)
 from .basis import (BasisMap, assemble, lattice_descent, expand_e_structural,
                     solve_F, roundtrip_max_error, roundtrip_exact,
                     export_matrix_market)
@@ -18,9 +19,8 @@ from .operators import (conjugated_power, op_norm, OpNormResult,
 from .hypercyclic import (Certificate, certify_hypercyclic_step, fan_residual,
                           fan_residual_bound, shade_measurements,
                           modulus_reduction_chain)
-from .unicell import (ToeplitzSystem, solve_poly, large_coord_index,
-                      compare_orbits, LargeCoordIndex, ComparisonResult,
-                      X_CONTAINS_Y, Y_CONTAINS_X)
+from .unicell import (large_coord_index, compare_orbits, LargeCoordIndex,
+                      ComparisonResult, X_CONTAINS_Y, Y_CONTAINS_X)
 from .negligibility import (GaussianSampler, coord_tail_probability,
                             borel_cantelli_sum, porosity_witness,
                             e0_functional_structural)

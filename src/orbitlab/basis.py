@@ -49,6 +49,18 @@ def vec_add(acc: Vec, other: Vec, factor=1) -> None:
         acc[i] = acc.get(i, 0) + factor * v
 
 
+def vec_sub(x: Vec, y: Vec, factor=-1) -> Vec:
+    """x + factor * y as a new dict, summed as vec_add sums."""
+    out = dict(x)
+    vec_add(out, y, factor)
+    return out
+
+
+def vec_project(x: Vec, lo: int, hi: int) -> Vec:
+    """The nonzero coordinates of x with index in [lo, hi]."""
+    return {j: c for j, c in x.items() if lo <= j <= hi and c != 0}
+
+
 def vec_clean(v: Vec) -> Vec:
     return {i: x for i, x in v.items() if x != 0}
 
@@ -221,8 +233,9 @@ class BasisMap:
     def e_to_f(self, a: Vec) -> Vec:
         return _combine(self._E, self._E_exact, a)
 
-    def project_f(self, x: Vec, lo: int, hi: int) -> Vec:
-        return {j: c for j, c in x.items() if lo <= j <= hi and c != 0}
+    def e_norm(self, a: Vec) -> float:
+        """Ambient norm of the vector with e-coordinates a."""
+        return vec_norm(self.e_to_f(a))
 
     # -- scipy views -------------------------------------------------------
 

@@ -20,22 +20,17 @@ from scipy import sparse
 
 from . import geometry as geo
 from .basis import (BasisMap, column_norms, measure_frame_constant,
-                    poly_shift_apply, shift_e, shift_exits, solve_F, vec_add,
-                    vec_clean, vec_norm)
+                    poly_shift_apply, shift_e, shift_exits, solve_F, vec_clean,
+                    vec_norm, vec_project, vec_sub)
 from .errors import PreconditionError, SupportError, TruncationError
 from .operators import (op_norm, poly_image, power_norms, stage_gates,
                         sup_e_norm)
-from .polynet import Poly, b_damped, nearest_member
+from .polynet import Poly, b_damped, nearest_member, steer
 from .report import Entry, check
 from .schedule import RATIONAL
-from .unicell import solve_poly, ToeplitzSystem
 
 
 # -- elementary residuals ---------------------------------------------------------
-
-def support_max(x: dict) -> int:
-    return max((j for j, v in x.items() if v != 0), default=-1)
-
 
 def frame_constant(basis: BasisMap, n: int) -> float:
     """Measured equivalence constant between head-block e-coordinates and the
@@ -51,16 +46,15 @@ def fan_residual(basis: BasisMap, x_f: dict, n: int, k: int) -> float:
     """||T^{c_k} x - p_k(T) x|| for x supported in [0, nu_n], computed exactly
     in the e-frame."""
     st = basis.schedule.stage(n)
-    if support_max(x_f) > st.nu:
+    if any(j > st.nu for j, v in x_f.items() if v != 0):
         raise SupportError(f"vector must be supported in [0, {st.nu}]")
     ck = st.c[k - 1]
     p = basis.families[n - 1][k - 1]
     alpha = basis.f_to_e(x_f)
     if shift_exits(alpha, ck + max(p.degree, 0), basis.n_trunc):
         raise TruncationError("fan power would leave the truncation")
-    diff = shift_e(alpha, ck, basis.n_trunc)
-    vec_add(diff, poly_shift_apply(p, alpha, basis.n_trunc), -1)
-    return vec_norm(basis.e_to_f(diff))
+    return basis.e_norm(vec_sub(shift_e(alpha, ck, basis.n_trunc),
+                                poly_shift_apply(p, alpha, basis.n_trunc)))
 
 
 def fan_residual_norm(basis: BasisMap, n: int, k: int) -> float:
@@ -195,13 +189,13 @@ def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
     T^(c_k).
     """
     st = basis.schedule.stage(n)
-    mid = basis.project_f(x_f, st.xi + 1, st.nu)
-    body = basis.project_f(x_f, 0, st.nu)
+    mid = vec_project(x_f, st.xi + 1, st.nu)
+    body = vec_project(x_f, 0, st.nu)
     tail = {j: v for j, v in x_f.items() if j > st.nu}
 
     # mid-band leakage of the damped polynomial
     mid_e = basis.f_to_e(mid)
-    m_mid = vec_norm(basis.e_to_f(poly_shift_apply(q, mid_e, basis.n_trunc)))
+    m_mid = basis.e_norm(poly_shift_apply(q, mid_e, basis.n_trunc))
 
     # snap to the fan family
     family = basis.families[n - 1][: st.k]
@@ -210,9 +204,9 @@ def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
     ck = st.c[k0]
     body_e = basis.f_to_e(body)
     dq = q - pk
-    m_snap = vec_norm(basis.e_to_f(poly_shift_apply(dq, body_e, basis.n_trunc)))
+    m_snap = basis.e_norm(poly_shift_apply(dq, body_e, basis.n_trunc))
     snap_bound = float(sum(
-        abs(a) * vec_norm(basis.e_to_f(shift_e(body_e, u, basis.n_trunc)))
+        abs(a) * basis.e_norm(shift_e(body_e, u, basis.n_trunc))
         for u, a in enumerate(dq.coeffs) if a != 0))
 
     # fan residual on the body
@@ -224,7 +218,7 @@ def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
         tail_e = basis.f_to_e(tail)
         if shift_exits(tail_e, ck, basis.n_trunc):
             raise TruncationError("tail would be pushed past the truncation")
-        m_tail = vec_norm(basis.e_to_f(shift_e(tail_e, ck, basis.n_trunc)))
+        m_tail = basis.e_norm(shift_e(tail_e, ck, basis.n_trunc))
     else:
         m_tail = 0.0
 
@@ -258,7 +252,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
     if not x_f:
         raise PreconditionError("zero vector refused")
 
-    alpha = basis.f_to_e(basis.project_f(x_f, 0, st.xi))
+    alpha = basis.f_to_e(vec_project(x_f, 0, st.xi))
     a0 = alpha.get(0, 0)
     if abs(a0) < threshold:
         raise PreconditionError(
@@ -267,27 +261,18 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
 
     # solve p (zeta divides p automatically: the target has no e_0 component)
     target_e = {1: 1}
-    xi_range = list(range(0, st.xi + 1))
-    x_vec = [alpha.get(j, 0) for j in xi_range]
-    y_vec = [target_e.get(j, 0) for j in xi_range]
-    p = solve_poly(ToeplitzSystem(st.xi, 0, tuple(x_vec), tuple(y_vec)))
+    p = steer(alpha, target_e, 0, st.xi)
     head = poly_shift_apply(p, alpha, st.xi)
-    solve_vec = dict(head)
-    vec_add(solve_vec, target_e, -1)
-    m_solve = vec_norm(basis.e_to_f(solve_vec))
+    m_solve = basis.e_norm(vec_sub(head, target_e))
 
     # spill of the plain shift past the truncated one
     full = poly_shift_apply(p, alpha, basis.n_trunc)
-    spill = dict(full)
-    vec_add(spill, head, -1)
-    m_spill = vec_norm(basis.e_to_f(spill))
+    m_spill = basis.e_norm(vec_sub(full, head))
 
     # modulus damping through the b-fan
     q = b_damped(p, st.b, degree_cap=st.nu)
     q_vec = {i: v / st.b for i, v in shift_e(full, st.b, basis.n_trunc).items()}
-    damp = dict(q_vec)
-    vec_add(damp, full, -1)
-    m_damp = vec_norm(basis.e_to_f(damp))
+    m_damp = basis.e_norm(vec_sub(q_vec, full))
 
     k0, snap_dist, pk, final_e, fan_steps = fan_power_steps(basis, x_f, q, n)
     steps = (
@@ -303,12 +288,8 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
 
     # final residual, two routes
     target_f = {1: 1}
-    fin = basis.e_to_f(final_e)
-    vec_add(fin, target_f, -1)
-    final = vec_norm(fin)
-    fin2 = solve_F(basis, final_e)
-    vec_add(fin2, target_f, -1)
-    recomputed = vec_norm(fin2)
+    final = vec_norm(vec_sub(basis.e_to_f(final_e), target_f))
+    recomputed = vec_norm(vec_sub(solve_F(basis, final_e), target_f))
 
     return Certificate(
         stage=n, power=st.c[k0], k=k0 + 1,
@@ -350,37 +331,27 @@ def modulus_reduction_chain(basis: BasisMap, x_f: dict, p: Poly, n: int
     ell1 = float(p.ell1)
     j = max(0, math.ceil(math.log2(max(ell1, 1e-300))))
     x_e = basis.f_to_e(x_f)
-
-    def power_vec(ck):
-        return shift_e(x_e, ck, basis.n_trunc)
-
     links = []
     scale = 2.0 ** (-j) if basis.mode != RATIONAL else Fraction(1, 2 ** j)
     qj = p.scale(scale)
     kj, _ = nearest_member(family, qj)
-    prev = basis.e_to_f(power_vec(st.c[kj]))
+    prev = basis.e_to_f(shift_e(x_e, st.c[kj], basis.n_trunc))
     qv = basis.e_to_f(poly_shift_apply(qj, x_e, basis.n_trunc))
-    diff = dict(prev)
-    vec_add(diff, qv, -1)
-    links.append(ChainLink(j, kj + 1, st.c[kj], vec_norm(diff),
+    links.append(ChainLink(j, kj + 1, st.c[kj], vec_norm(vec_sub(prev, qv)),
                            "base level: fan power vs the scaled polynomial"))
     k_prev = kj
     composed = (2.0 ** j) * links[0].measured
     for level in range(j - 1, -1, -1):
         target = family[k_prev].scale(2)
         k_cur, _ = nearest_member(family, target)
-        cur = basis.e_to_f(power_vec(st.c[k_cur]))
-        diff = dict(cur)
-        vec_add(diff, prev, -2)
-        m = vec_norm(diff)
+        cur = basis.e_to_f(shift_e(x_e, st.c[k_cur], basis.n_trunc))
+        m = vec_norm(vec_sub(cur, prev, -2))
         links.append(ChainLink(level, k_cur + 1, st.c[k_cur], m,
                                "doubling link"))
         composed += (2.0 ** level) * m
         k_prev, prev = k_cur, cur
     pv = basis.e_to_f(poly_shift_apply(p, x_e, basis.n_trunc))
-    diff = dict(prev)
-    vec_add(diff, pv, -1)
-    final = vec_norm(diff)
+    final = vec_norm(vec_sub(prev, pv))
     return ChainCertificate(j, tuple(links), final, composed)
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry as geo
-from .basis import BasisMap, column_norms, shift_e, vec_add, vec_norm
+from .basis import BasisMap, column_norms, shift_e, vec_norm, vec_sub
 from .errors import OrbitLabError
 from .report import Entry, check
 
@@ -554,11 +554,6 @@ def orbit_distances(basis: BasisMap, x_f: dict, targets: Sequence[dict],
     rows = []
     for m in range(steps + 1):
         xf = basis.e_to_f(x_e)
-        row = []
-        for t in targets:
-            diff = dict(xf)
-            vec_add(diff, t, -1)
-            row.append(vec_norm(diff))
-        rows.append(row)
+        rows.append([vec_norm(vec_sub(xf, t)) for t in targets])
         x_e = shift_e(x_e, 1, basis.n_trunc)
     return rows

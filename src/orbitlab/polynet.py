@@ -6,6 +6,10 @@ complex case puts the lattice with step rho/sqrt(2) on real and imaginary
 parts so the per-coefficient covering error stays below rho).  Rounding each
 coefficient toward zero shows every |p| <= R of degree <= d is within
 (d+1) * rho of a member.
+
+Steering: for x with leading e-coordinate nonzero and any target y supported
+no lower than x, forward substitution on the lower-triangular Toeplitz system
+produces the unique polynomial p of degree <= xi - r with p(T_xi) x = y.
 """
 
 from __future__ import annotations
@@ -216,3 +220,42 @@ def b_damped(p: Poly, b: int, degree_cap: int) -> Poly:
 
 def _is_exact(p: Poly) -> bool:
     return all(isinstance(a, (int, Fraction)) for a in p.coeffs)
+
+
+@dataclass(frozen=True)
+class ToeplitzSystem:
+    """p(T_xi) x = y restricted to coordinates [r, xi]; x[0] is the leading
+    (nonzero) e_r coordinate of x."""
+
+    xi: int
+    r: int
+    x: tuple
+    y: tuple
+
+    def __post_init__(self):
+        m = self.xi - self.r + 1
+        if len(self.x) != m or len(self.y) != m:
+            raise ValueError(f"coordinate tuples must have length {m}")
+        if self.x[0] == 0:
+            raise ValueError("leading coefficient must be nonzero")
+
+
+def solve_poly(sys: ToeplitzSystem) -> Poly:
+    """Forward substitution; exact in exact arithmetic, degree <= xi - r."""
+    m = sys.xi - sys.r + 1
+    a = [0] * m
+    for u in range(m):
+        s = sys.y[u]
+        for i in range(1, u + 1):
+            if sys.x[i] != 0 and a[u - i] != 0:
+                s = s - sys.x[i] * a[u - i]
+        a[u] = s / sys.x[0]
+    return Poly(tuple(a))
+
+
+def steer(x_e: dict, y_e: dict, r: int, xi: int) -> Poly:
+    """The polynomial p with p(T_xi) x = y on coordinates [r, xi], x and y
+    given as e-coordinate dicts; coordinates outside [r, xi] are ignored."""
+    span = range(r, xi + 1)
+    return solve_poly(ToeplitzSystem(xi, r, tuple(x_e.get(j, 0) for j in span),
+                                     tuple(y_e.get(j, 0) for j in span)))

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .basis import BasisMap, shift_e, vec_add, vec_norm
+from .basis import BasisMap, shift_e, vec_norm, vec_sub
 from .errors import ProfileError
 from .hypercyclic import certify_hypercyclic_step
 from .operators import conjugated_power, op_norm, poly_image, shift_power_csc
@@ -102,11 +102,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
     # at truncation: record the certified point's distance to a basis sample
     x_e = basis.f_to_e(x_f)
     point = basis.e_to_f(shift_e(x_e, cert.power, basis.n_trunc))
-    sample_dists = {}
-    for j in (1, 2, 5):
-        diff = dict(point)
-        diff[j] = diff.get(j, 0) - 1
-        sample_dists[j] = vec_norm(diff)
+    sample_dists = {j: vec_norm(vec_sub(point, {j: 1})) for j in (1, 2, 5)}
     return MembershipCertificate(
         "power-certificate", certificate=cert,
         image_f0_component=float(abs(ax[0])),
@@ -134,12 +130,10 @@ def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
         asserted=True))
     ta, at = noncommutation_witness(basis, A)
     ta_norm = vec_norm(ta)
-    at_err = dict(at)
-    vec_add(at_err, {2: 1}, -1)
     entries.append(check(
         "companion.witness",
         "T A e_0 = 0 and A T e_0 = e_2, both exact",
-        max(ta_norm, vec_norm(at_err)), 0.0, asserted=True))
+        max(ta_norm, vec_norm(vec_sub(at, {2: 1}))), 0.0, asserted=True))
     nT = op_norm(T)
     nA = op_norm(A)
     entries.append(check(

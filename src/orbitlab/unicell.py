@@ -1,8 +1,5 @@
-"""Triangular Toeplitz steering and orbit comparison.
-
-Steering: for x with leading e-coordinate nonzero and any target y supported
-no lower than x, forward substitution on the lower-triangular Toeplitz system
-produces the unique polynomial p of degree <= xi - r with p(T_xi) x = y.
+"""Orbit comparison, and the report rows of the Toeplitz steering solve
+(``polynet.steer``).
 
 Comparison: the vector whose first sufficiently large head coordinate appears
 earlier can be steered onto the other; the chosen direction plus a measured
@@ -17,11 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
-from .polynet import Poly, ZETA, b_damped
-from .report import Entry, check
-from .basis import shift_e, vec_add, vec_norm, poly_shift_apply
+from .basis import poly_shift_apply, shift_e, vec_norm, vec_project, vec_sub
+from .errors import OrbitLabError, PreconditionError
+from .hypercyclic import PipelineStep, fan_power_steps
 from .operators import sup_e_norm
+from .polynet import (Poly, ToeplitzSystem, ZETA, b_damped, solve_poly,
+                      steer)
+from .report import Entry, check
 
 X_CONTAINS_Y = "x-contains-y"
 Y_CONTAINS_X = "y-contains-x"
@@ -30,37 +29,6 @@ COMPARISON_BASE = 4.0  # the constant C of the large-coordinate ladder
 STEER_SYSTEMS = 200    # random Toeplitz systems of the steer.random row
 STEER_SAMPLES = 200    # random head pairs of the steering-constant estimate
 COMPARE_PAIRS = 30     # random head pairs of the compare.* rows
-
-
-@dataclass(frozen=True)
-class ToeplitzSystem:
-    """p(T_xi) x = y restricted to coordinates [r, xi]; x[0] is the leading
-    (nonzero) e_r coordinate of x."""
-
-    xi: int
-    r: int
-    x: tuple
-    y: tuple
-
-    def __post_init__(self):
-        m = self.xi - self.r + 1
-        if len(self.x) != m or len(self.y) != m:
-            raise ValueError(f"coordinate tuples must have length {m}")
-        if self.x[0] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-
-def solve_poly(sys: ToeplitzSystem) -> Poly:
-    """Forward substitution; exact in exact arithmetic, degree <= xi - r."""
-    m = sys.xi - sys.r + 1
-    a = [0] * m
-    for u in range(m):
-        s = sys.y[u]
-        for i in range(1, u + 1):
-            if sys.x[i] != 0 and a[u - i] != 0:
-                s = s - sys.x[i] * a[u - i]
-        a[u] = s / sys.x[0]
-    return Poly(tuple(a))
 
 
 def steering_residual(sys: ToeplitzSystem, p: Poly) -> float:
@@ -89,7 +57,7 @@ def large_coord_index(basis, x_f: dict, n: int) -> Optional[LargeCoordIndex]:
     nx = vec_norm(x_f)
     if nx == 0:
         return None
-    alpha = basis.f_to_e(basis.project_f(x_f, 0, st.xi))
+    alpha = basis.f_to_e(vec_project(x_f, 0, st.xi))
     side_ok = math.sqrt(COMPARISON_BASE) >= sup_e_norm(basis, st.xi)
     for j in range(st.xi + 1):
         thr = COMPARISON_BASE ** -(st.xi - j + 1)
@@ -117,8 +85,6 @@ class ComparisonResult:
 def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
     """Decide which orbit closure contains the other at this truncation scale
     and certify the steering chain; ties keep the first argument in front."""
-    from .hypercyclic import PipelineStep, fan_power_steps
-
     nx, ny = vec_norm(x_f), vec_norm(y_f)
     if nx == 0 or ny == 0:
         raise PreconditionError("orbit comparison needs nonzero vectors")
@@ -136,35 +102,24 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
 
     st = basis.schedule.stage(n)
     xi = st.xi
-    head_u = basis.project_f(lead, 0, xi)
-    head_v = basis.project_f(follow, 0, xi)
-    au = basis.f_to_e(head_u)
-    av = basis.f_to_e(head_v)
+    au = basis.f_to_e(vec_project(lead, 0, xi))
+    av = basis.f_to_e(vec_project(follow, 0, xi))
     js = j_lead.j
-    xs = tuple(au.get(j, 0) for j in range(js, xi + 1))
-    ys = tuple(av.get(j, 0) for j in range(js, xi + 1))
-    p = solve_poly(ToeplitzSystem(xi, js, xs, ys))
+    p = steer(au, av, js, xi)
 
     # steering error on the full heads (small-coordinate tails of both sides)
-    t1_vec = poly_shift_apply(p, au, xi)
-    vec_add(t1_vec, av, -1)
-    t1 = vec_norm(basis.e_to_f(t1_vec))
+    t1 = basis.e_norm(vec_sub(poly_shift_apply(p, au, xi), av))
 
     p_shift = ZETA * p
     target = shift_e(av, 1, basis.n_trunc)
-    t2_vec = poly_shift_apply(p_shift, au, basis.n_trunc)
-    vec_add(t2_vec, target, -1)
-    t2 = vec_norm(basis.e_to_f(t2_vec))
+    t2 = basis.e_norm(vec_sub(poly_shift_apply(p_shift, au, basis.n_trunc),
+                              target))
 
     q = b_damped(p_shift, st.b, degree_cap=st.nu)
-    t3_vec = poly_shift_apply(q, au, basis.n_trunc)
-    vec_add(t3_vec, target, -1)
-    t3 = vec_norm(basis.e_to_f(t3_vec))
+    t3 = basis.e_norm(vec_sub(poly_shift_apply(q, au, basis.n_trunc), target))
 
     k0, snap_dist, _, lead_e, fan_steps = fan_power_steps(basis, lead, q, n)
-    fin_vec = basis.e_to_f(lead_e)
-    vec_add(fin_vec, basis.e_to_f(target), -1)
-    final = vec_norm(fin_vec)
+    final = vec_norm(vec_sub(basis.e_to_f(lead_e), basis.e_to_f(target)))
 
     steps = (
         PipelineStep("steer", t1, max(t1, 1e-300), "head steering residual"),
@@ -235,7 +190,7 @@ def unicell_entries(basis, n: int, rng) -> list[Entry]:
         try:
             r1 = compare_orbits(basis, x, y, n)
             r2 = compare_orbits(basis, y, x, n)
-        except Exception:
+        except OrbitLabError:
             failures += 1
             continue
         if jx.j != jy.j:
@@ -270,12 +225,9 @@ def steering_constant_estimate(basis, n: int, rng) -> float:
         x = _random_unit_head(basis, xi, rng)
         y = _random_unit_head(basis, xi, rng)
         ax = basis.f_to_e(x)
-        ay = basis.f_to_e(y)
         j = min(i for i, v in ax.items() if abs(v) > 1e-12)
-        xs = tuple(ax.get(i, 0) for i in range(j, xi + 1))
-        ys = tuple(ay.get(i, 0) for i in range(j, xi + 1))
-        p = solve_poly(ToeplitzSystem(xi, j, xs, ys))
-        worst = max(worst, float(p.ell1) * abs(xs[0]) ** (xi - j + 1))
+        p = steer(ax, basis.f_to_e(y), j, xi)
+        worst = max(worst, float(p.ell1) * abs(ax[j]) ** (xi - j + 1))
     return worst
 
 

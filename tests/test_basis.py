@@ -8,7 +8,8 @@ import pytest
 import orbitlab as ol
 from orbitlab import geometry as geo
 from orbitlab.basis import (_ROUNDTRIP_BLOCK, column_norms, expand_e_structural,
-                            solve_F, vec_add, vec_clean, vec_norm)
+                            solve_F, vec_add, vec_clean, vec_norm, vec_project,
+                            vec_sub)
 
 from orbitlab.profiles import doubled_layoffs, mini_schedule, reference_schedule
 
@@ -392,6 +393,32 @@ def test_solve_F_random_vectors(mini_rational, rng):
         assert vec_clean(acc) == {}
 
 
+def test_vec_sub_sums_as_vec_add(rng):
+    x = dict(enumerate(rng.standard_normal(30).tolist()))
+    y = dict(zip(range(20, 45), rng.standard_normal(25).tolist()))
+    x0 = dict(x)
+    for factor in (-1, -2):
+        want = dict(x)
+        vec_add(want, y, factor)
+        got = vec_sub(x, y, factor)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    assert x == x0
+    assert set(vec_sub(x, y)) == set(range(45))  # keys only in y are kept
+    fx = {0: Fraction(1, 3), 2: Fraction(5, 7)}
+    fy = {2: Fraction(5, 7), 9: Fraction(1, 2 ** 60)}
+    assert vec_sub(fx, fy) == {0: Fraction(1, 3), 2: 0, 9: -Fraction(1, 2 ** 60)}
+    assert vec_sub(fx, fy, -2) == {0: Fraction(1, 3), 2: -Fraction(5, 7),
+                                   9: -Fraction(2, 2 ** 60)}
+
+
+def test_vec_project_keeps_nonzero_coordinates_in_range():
+    x = {0: 1.0, 3: 0.0, 4: Fraction(0), 5: -2.0, 9: Fraction(4), 10: 1.0}
+    assert vec_project(x, 3, 9) == {5: -2.0, 9: Fraction(4)}
+    assert vec_project(x, 0, 0) == {0: 1.0}
+    assert vec_project(x, 11, 20) == {}
+
+
 def test_matrix_market_roundtrip(mini, tmp_path):
     from scipy import sparse
     from scipy.io import mmread
@@ -631,6 +658,10 @@ def test_column_norms_match_vec_norm(which, request):
     assert [x.hex() for x in column_norms(b.E_csc, 0, b.n_trunc + 1).tolist()] == want
     assert [x.hex() for x in column_norms(b.E_csc, 77, 900).tolist()] == want[77:900]
     assert len(column_norms(b.E_csc, 5, 5)) == 0
+    # and the e-frame norm of a combination of columns
+    for a in ({0: 1, 5: 3, 40: -2, 900: 1}, {u: 0.5 for u in range(17, 300)},
+              {b.n_trunc: 1, 2: Fraction(1, 3)}):
+        assert b.e_norm(a).hex() == vec_norm(b.e_to_f(a)).hex()
 
 
 def test_column_norms_rescaled_complex_and_empty_columns(rng):

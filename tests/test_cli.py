@@ -351,6 +351,37 @@ def _shipped_cfg_variant(tmp_path, name, old, new):
     return str(path)
 
 
+# rational mini.cfg: the count and sha256 of the hypercyclic and unicell
+# report rows (runtime_s left out) and the sha256 of the stage-1 certificate;
+# these suites run the exact route of the certificate pipelines
+RATIONAL_MINI_ROWS = {
+    "hypercyclic":
+        (3, "9152703e8afbb5b4dc58128a56cf444f367a28bded3c223fee54b5fda2ebd2e9"),
+    "unicell":
+        (6, "1353a5366b6cb92f523d0ce2faf3ee6a3c345a2ece37d1a86d7996295c210c7e"),
+}
+RATIONAL_MINI_CERTIFICATE = \
+    "a2f1fcaa84c4d8157d7ad99597225a1fd23a8e54d5b7c86d6809bc2d70ad90ed"
+
+
+def test_rational_mini_cfg_certificate_reports_are_pinned(tmp_path):
+    import hashlib
+
+    cfg = _shipped_cfg_variant(tmp_path, "mini", "weight_mode = float",
+                               "weight_mode = rational")
+    build = tmp_path / "build"
+    _cli_one_thread("build", "--config", cfg, "--out", build)
+    for suite, pin in RATIONAL_MINI_ROWS.items():
+        _cli_one_thread("verify", "--build", build, "--suite", suite)
+        rows = json.load(open(build / f"report_{suite}.json"))
+        for r in rows:
+            del r["runtime_s"]
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode())
+        assert (len(rows), digest.hexdigest()) == pin
+    cert = (build / "certificate_stage1.json").read_bytes()
+    assert hashlib.sha256(cert).hexdigest() == RATIONAL_MINI_CERTIFICATE
+
+
 def test_complex_field_build_verifies(tmp_path):
     cfg = _shipped_cfg_variant(tmp_path, "mini", "scalar_field = real",
                                "scalar_field = complex")

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import orbitlab as ol
 from orbitlab import unicell as uni
-from orbitlab.errors import PreconditionError
-from orbitlab.polynet import Poly
+from orbitlab.errors import PreconditionError, TruncationError
+from orbitlab.polynet import Poly, steer
 
 
 def test_solve_examples_by_hand():
@@ -23,6 +23,10 @@ def test_solve_examples_by_hand():
     p = uni.solve_poly(sysm)
     assert p == Poly((2.0,))
     assert float(p.ell1) == 2.0 == (1 / 0.5) ** (0 - 0 + 1)
+    # steer reads the first two systems off e-coordinate dicts and ignores
+    # every coordinate outside [r, xi]
+    assert steer({0: 1, 1: 1, 3: 7}, {2: 1, 4: 5}, 0, 2) == Poly((0, 0, 1))
+    assert steer({0: 9, 1: 1}, {0: 4, 2: 1, 3: 1}, 1, 2) == Poly((0, 1))
 
 
 def test_solve_zero_leading_rejected():
@@ -40,6 +44,9 @@ def test_solve_random_battery(rng):
         y = rng.standard_normal(xi - r + 1)
         sysm = uni.ToeplitzSystem(xi, r, tuple(x), tuple(y))
         p = uni.solve_poly(sysm)
+        y_e = dict(zip(range(r, xi + 1), y))
+        y_e[r - 1] = y_e[xi + 1] = 1.0  # outside [r, xi]
+        assert steer(dict(zip(range(r, xi + 1), x)), y_e, r, xi) == p
         ny = math.sqrt(float(np.dot(y, y)))
         worst = max(worst, uni.steering_residual(sysm, p) / max(ny, 1e-300))
     assert worst <= 1e-10
@@ -173,6 +180,26 @@ def test_unicell_entries_pass(r1, rng):
     assert by_id["compare.antisym"].status == "pass"
     assert by_id["compare.stages"].status == "informational"
     assert "run at stage 1;" in by_id["compare.stages"].details["note"]
+
+
+def test_unicell_entries_count_only_refusals_as_failed_comparisons(
+        r1, rng, monkeypatch):
+    def raising(exc):
+        def compare_orbits(*args):
+            raise exc("raised by the test")
+        return compare_orbits
+
+    # a programming error surfaces instead of reading as a failed comparison
+    monkeypatch.setattr(uni, "compare_orbits", raising(TypeError))
+    with pytest.raises(TypeError):
+        uni.unicell_entries(r1, 1, rng)
+    # a documented refusal is counted
+    monkeypatch.setattr(uni, "compare_orbits", raising(TruncationError))
+    by_id = {e.claim_id: e for e in uni.unicell_entries(r1, 1, rng)}
+    total = by_id["compare.total"]
+    assert total.status == "fail" and total.measured > 0
+    assert f"failed on {int(total.measured)} of {int(total.measured)} " \
+        in total.description
 
 
 def test_theil_sen_slope_equals_scipy_theilslopes(rng):
