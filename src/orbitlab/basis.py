@@ -22,7 +22,17 @@ beside them as two numpy object arrays of Python ints, ``num`` and ``den``,
 aligned with ``data``: each pair in lowest terms with ``den > 0``.  The index
 arrays are shared, so there is one layout for both modes.  Fractions are
 built only where a single scalar or column is read (``f_col``, ``e_col``,
-``e0_functional``, frame conversion and ``F_cols``/``E_cols``).
+``e0_functional`` and ``F_cols``/``E_cols``), and frame conversion of an
+exact vector builds one per output entry.
+
+One exact pair kernel serves assembly, frame conversion and the roundtrip.
+A product of a pair array by a scalar pair is reduced by Henrici's rule
+(``_scaled_pairs``): with both factors in lowest terms, dividing out the two
+cross gcds leaves the product in lowest terms.  Sums group the terms by key
+(``_group``) and ``_pair_sums`` adds each group: a lone term passes through
+as given, a pair is cross-multiplied, and a longer group is summed over the
+lcm of its denominators; only a surviving sum of two or more terms is reduced,
+by one gcd.
 """
 
 from __future__ import annotations
@@ -142,14 +152,45 @@ def _column(M: sparse.csc_matrix, exact, j: int) -> tuple[list, list]:
 
 
 def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
-    """sum_j x_j * (column j of M), accumulated column by column in the
-    order of x."""
+    """sum_j x_j * (column j of M), its keys in order of first appearance
+    when accumulated column by column in the order of x.  A rational-mode
+    vector whose nonzero coefficients are all ints or Fractions is summed
+    exactly on the stored pairs (_combine_pairs); otherwise, a float
+    coefficient included, term by term as vec_add sums."""
+    if exact is not None:
+        nonzero = {j: c for j, c in x.items() if c != 0}
+        if all(isinstance(c, (int, Fraction)) for c in nonzero.values()):
+            return _combine_pairs(M, exact, nonzero)
     out: Vec = {}
     for j, c in x.items():
         if c != 0:
             for i, v in zip(*_column(M, exact, j)):
                 out[i] = out.get(i, 0) + c * v
     return vec_clean(out)
+
+
+def _combine_pairs(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
+    """_combine of nonzero int or Fraction coefficients x on the exact pairs:
+    one unreduced product pair per term, summed per row by _pair_sums, and
+    one Fraction (which reduces it) per nonzero output entry."""
+    if not x:
+        return {}
+    num, den = exact
+    if len(x) == 1:  # one column: its rows are distinct, so nothing is summed
+        (j, c), = x.items()
+        s, e = M.indptr[j], M.indptr[j + 1]
+        vals = map(Fraction, num[s:e] * c.numerator, den[s:e] * c.denominator)
+        return {i: v for i, v in zip(M.indices[s:e].tolist(), vals) if v}
+    owner, pos = _positions(M.indptr, np.fromiter(x, np.int64, len(x)))
+    coef = np.array([(c.numerator, c.denominator) for c in x.values()], dtype=object)
+    order, starts, sizes = _group(M.indices[pos])
+    owner, pos = owner[order], pos[order]
+    keep, (num, den) = _pair_sums(num[pos] * coef[owner, 0], den[pos] * coef[owner, 1],
+                                  starts, sizes)
+    first = order[starts[keep]]  # each surviving row's first term
+    by_first = np.argsort(first)
+    rows = M.indices[pos[starts[keep]]][by_first]
+    return dict(zip(rows.tolist(), map(Fraction, num[by_first], den[by_first])))
 
 
 _DICT_BLOCK = 4096  # columns converted to dicts per block (bounds the transient lists)
@@ -268,7 +309,9 @@ class _Columns:
 
     Values travel as a tuple of arrays aligned with the rows: (data,) of
     floats or complex numbers, or in rational mode (num, den), two object
-    arrays of Python ints with every pair in lowest terms and den > 0.
+    arrays of Python ints with every pair in lowest terms and den > 0.  In
+    rational mode `images` lists (start, floats) runs of entries whose float
+    image the caller already knows exactly; matrix() divides the others.
     """
 
     def __init__(self, n_cols: int, dtype):
@@ -278,11 +321,15 @@ class _Columns:
         self.indices = np.empty(cap, dtype=np.int64)
         self.values = tuple(np.empty(cap, dtype=dtype)
                             for _ in range(2 if dtype == object else 1))
+        self.images: list[tuple[int, np.ndarray]] = []
 
-    def append(self, counts, rows, vals) -> None:
+    def append(self, counts, rows, vals, images=None) -> None:
         """Append len(counts) columns holding `counts` entries each, given
-        column after column with rows ascending."""
+        column after column with rows ascending; `images`, in rational mode,
+        are the entries' float images, NaN where matrix() is to divide."""
         start = self.indptr[self.n_cols]
+        if images is not None:
+            self.images.append((start, images))
         end = start + len(rows)
         if end > len(self.indices):
             cap = max(end, len(self.indices) * 3 // 2)
@@ -300,10 +347,11 @@ class _Columns:
     def gather(self, src: np.ndarray, factor):
         """The entries of the columns src, column after column, as
         (position of the column in src, row, value * factor); factor is a
-        value tuple of scalars, and an exact pair multiplies num and den."""
+        value tuple of scalars, and exact pairs stay in lowest terms."""
         owner, pos = _positions(self.indptr, src)
-        return owner, self.indices[pos], tuple(a[pos] * f
-                                               for a, f in zip(self.values, factor))
+        vals = tuple(a[pos] for a in self.values)
+        return owner, self.indices[pos], (_scaled_pairs(*vals, *factor) if len(vals) == 2
+                                          else (vals[0] * factor[0],))
 
     def matrix(self, n_rows: int):
         """(CSC matrix of the columns so far with float or complex data, its
@@ -313,11 +361,16 @@ class _Columns:
         exact = len(values) == 2
         data = values[0]
         if exact:
+            data = np.full(nnz, np.nan)
+            for start, images in self.images:
+                data[start:start + len(images)] = images
+            todo = np.flatnonzero(np.isnan(data))
+            num, den = (v[todo] for v in values)
             # int / int is correctly rounded: the same float as float(Fraction)
             try:
-                data = np.true_divide(*values).astype(float)
+                data[todo] = np.true_divide(num, den).astype(float)
             except OverflowError:
-                data = np.frompyfunc(_float_or_inf, 2, 1)(*values).astype(float)
+                data[todo] = np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
@@ -331,6 +384,19 @@ def _positions(indptr: np.ndarray, src: np.ndarray):
     owner = np.repeat(np.arange(len(src)), counts)
     pos = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     return owner, pos
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _layoff_images(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float images of the weights mant * 2^s (mant < 2^41) and of their
+    reciprocals, NaN where an image is not a normal float.  Both are exact
+    there: the mantissa is a double, and scaling the correctly rounded
+    1 / mant by 2^-s rounds nothing more."""
+    with np.errstate(over="ignore", under="ignore"):
+        images = np.ldexp(mant.astype(float), s), np.ldexp(1.0 / mant, -s)
+    return tuple(np.where((v >= _TINY) & (v < np.inf), v, np.nan) for v in images)
 
 
 def _float_or_inf(num: int, den: int) -> float:
@@ -349,22 +415,81 @@ def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
     return new
 
 
-def _sum_in_order(owner, rows, vals, n_rows: int):
-    """Entries sharing (owner, row) summed, with exact zeros dropped and the
-    result ordered by (owner, row).  Float values are summed left to right in
-    the given order, as vec_add accumulates them; exact pairs are summed by
-    cross-multiplying and reduced once, with one gcd per sum.
+def _scaled_pairs(num, den, fnum: int, fden: int):
+    """(num / den) * (fnum / fden) for lowest-terms pairs with positive
+    denominators (an array of them times one), in lowest terms by Henrici's
+    rule: dividing out gcd(num, fden) and gcd(fnum, den) first leaves the
+    product reduced.  The second gcd may take den already times fden, which
+    shares no factor with fnum.  A unit factor costs no gcd and no product."""
+    if fden != 1:
+        g = np.gcd(num, fden)
+        num, den = num // g, den * (fden // g)
+    if abs(fnum) != 1:
+        g = np.gcd(den, fnum)
+        num, den = num * (fnum // g), den // g
+    elif fnum == -1:
+        num = -num
+    return num, den
 
-    Assembly on the shipped schedules gathers no two entries onto one key;
-    roundtrip_exact sums groups of two on every shipped rational basis (the
-    two product terms of an off-diagonal entry, which cancel)."""
-    key = owner * n_rows + rows
+
+def _group(key: np.ndarray):
+    """(order, starts, sizes): the stable sort of key, and where each run of
+    equal keys starts in key[order] and how long it is."""
     order = np.argsort(key, kind="stable")
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
-    sizes = np.diff(np.append(starts, len(key)))
+    return order, starts, np.diff(np.append(starts, len(key)))
+
+
+def _pair_sums(num, den, starts, sizes):
+    """(keep, (num, den)): the sums of the groups num[s:s + z] / den[s:s + z]
+    (positive denominators) that are not 0, and which groups those are.
+
+    A lone term passes through as given.  A pair is cross-multiplied, and
+    its denominator product is formed only if it survives, so a cancelling
+    pair costs two big products.  A longer group is summed over the lcm of
+    its denominators, which stays small when they share their factors, as
+    the dyadic ones of frame conversion do.  Exact zeros are dropped before
+    any reduction, and each surviving sum of two or more terms is reduced by
+    one gcd; so lowest-terms terms give lowest-terms sums."""
+    if len(starts) == len(num):  # lone terms only, as in assembly
+        keep = num != 0
+        return keep, (num[keep], den[keep])
+    an, ad = num[starts], den[starts]
+    two = np.flatnonzero(sizes == 2)
+    s = starts[two]
+    an[two] = num[s] * den[s + 1] + num[s + 1] * den[s]
+    long = sizes > 2
+    if long.any():
+        terms = np.repeat(long, sizes)
+        lo = np.cumsum(sizes[long]) - sizes[long]
+        common = np.lcm.reduceat(den[terms], lo)
+        an[long] = np.add.reduceat(
+            num[terms] * (np.repeat(common, sizes[long]) // den[terms]), lo)
+        ad[long] = common
+    keep = an != 0
+    two = two[keep[two]]
+    ad[two] = den[starts[two]] * den[starts[two] + 1]
+    summed = np.flatnonzero(keep & (sizes > 1))
+    g = np.gcd(an[summed], ad[summed])
+    an[summed] //= g
+    ad[summed] //= g
+    return keep, (an[keep], ad[keep])
+
+
+def _sum_in_order(owner, rows, vals, n_rows: int):
+    """Entries sharing (owner, row) summed, with exact zeros dropped and the
+    result ordered by (owner, row).  Float values are summed left to right in
+    the given order, as vec_add accumulates them; exact pairs by _pair_sums.
+
+    Assembly on the shipped schedules gathers no two entries onto one key;
+    roundtrip_exact sums groups of two on every shipped rational basis (the
+    two product terms of an off-diagonal entry, which cancel)."""
+    key = owner * n_rows + rows
+    order, starts, sizes = _group(key)
+    key = key[order]
     if len(vals) == 1:
         data = vals[0][order]
         acc = data[starts]
@@ -374,17 +499,7 @@ def _sum_in_order(owner, rows, vals, n_rows: int):
         keep = acc != 0
         acc = (acc[keep],)
     else:
-        num, den = (v[order] for v in vals)
-        an, ad = num[starts], den[starts]
-        for p in range(1, sizes.max(initial=1)):
-            more = sizes > p
-            at = starts[more] + p
-            an[more] = an[more] * den[at] + num[at] * ad[more]
-            ad[more] = ad[more] * den[at]
-        keep = an != 0
-        an, ad = an[keep], ad[keep]
-        g = np.gcd(an, ad)
-        acc = (an // g, ad // g)
+        keep, acc = _pair_sums(*(v[order] for v in vals), starts, sizes)
     key = key[starts[keep]]
     return key // n_rows, key % n_rows, acc
 
@@ -476,11 +591,11 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
             return tuple(np.array(v, dtype=object) for v in zip(*map(scalar, xs)))
         return (np.array(xs, dtype=dtype),)
 
-    def add_diagonal(j_lo, f_vals, e_vals):
+    def add_diagonal(j_lo, f_vals, e_vals, images=(None, None)):
         ones = np.ones(len(f_vals[0]), dtype=np.int64)
         rows = np.arange(j_lo, j_lo + len(ones))
-        F.append(ones, rows, f_vals)
-        E.append(ones, rows, e_vals)
+        F.append(ones, rows, f_vals, images[0])
+        E.append(ones, rows, e_vals, images[1])
 
     def add_layoffs(iv):
         top = 0 if exact else geo.max_abs_exponent(iv, schedule)
@@ -492,8 +607,9 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
         for lo in range(iv.lo, iv.hi + 1, _LAYOFF_BLOCK):
             hi = min(lo + _LAYOFF_BLOCK - 1, iv.hi)
             if exact:  # positive weights: a reciprocal is the swapped pair
-                num, den = geo.interval_weight_pairs(iv, schedule, lo, hi)
-                add_diagonal(lo, (num, den), (den, num))
+                mant, s = geo.interval_dyadics(iv, schedule, lo, hi)
+                num, den = geo.dyadic_pairs(mant, s)
+                add_diagonal(lo, (num, den), (den, num), _layoff_images(mant, s))
             else:
                 lam = geo.interval_weights(iv, schedule, lo, hi)
                 add_diagonal(lo, (lam,), (one / lam,))
@@ -704,12 +820,15 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     column's entries v.  The inner columns are walked in blocks of about
     _ROUNDTRIP_BLOCK product terms: a block's terms (column m, row i,
     c.num * v.num, c.den * v.den) are gathered by index arithmetic, two
-    object-int products per term, and summed per (m, i) by _sum_in_order,
-    the exact summation assembly uses (cross-multiplied sums, exact zeros
-    dropped, one gcd per survivor).  So transient memory is bounded per
-    block.  A block passes iff exactly one (m, m, 1, 1) survives in each of
-    its columns.  Only the first failing column is converted to Fractions,
-    and worst_value is the largest |residual| of that column.
+    object-int products per term and no gcd, and summed per (m, i) by
+    _sum_in_order, the exact summation assembly uses (see _pair_sums).  So
+    transient memory is bounded per block.  Both maps are triangular, so
+    each diagonal entry (m, m) of the product is a lone term, which passes
+    through unreduced; it is 1 iff num == den.  A block passes iff in each
+    of its columns exactly one entry survives, the diagonal, and it is 1;
+    on a passing basis every other sum cancels, and nothing is reduced.
+    Only the first failing column is converted to Fractions, and
+    worst_value is the largest |residual| of that column.
 
     A float basis raises ValueError: its roundtrip holds only up to rounding,
     which roundtrip_max_error measures.
@@ -734,7 +853,7 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
         owner, rows, (num, den) = _sum_in_order(
             owner, outer.indices[pos], (inum[at] * onum[pos], iden[at] * oden[pos]),
             outer.shape[0])
-        unit = (rows == owner + lo) & (num == 1) & (den == 1)
+        unit = (rows == owner + lo) & (num == den)
         ok = ((np.bincount(owner, minlength=hi - lo) == 1)
               & (np.bincount(owner[unit], minlength=hi - lo) == 1))
         if not ok.all():

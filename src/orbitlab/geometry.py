@@ -16,9 +16,10 @@ shade estimate independent of the gap position.  ``_exponent_line`` is the
 one home of that formula; ``_exponents`` gives it as one array over a run of
 indices of one stage-table interval, and ``max_abs_exponent`` its largest
 magnitude on the interval.  ``interval_weights`` raises 2 to it entrywise,
-as floats only; ``interval_weight_pairs`` gives the rational-mode weights as
-integer pairs from ``pow2_dyadic_pairs``.  ``layoff_weight`` is the
-one-index case of either, per weight mode.
+as floats only; ``interval_dyadics`` gives the rational-mode weights as
+mantissa/exponent arrays (``pow2_dyadics``), and ``interval_weight_pairs``
+as the integer pairs ``dyadic_pairs`` makes of them.  ``layoff_weight`` is
+the one-index case of either, per weight mode.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def _pow2(e: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.pow, repeat(2.0), e.tolist()), float, len(e))
 
 
-def _shifted(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def dyadic_pairs(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """mant * 2^s entrywise (int64 arrays, mant != 0) as coprime (numerator,
     denominator) object arrays of Python ints: for s < 0 the mantissa's
     trailing zero bits cancel against the denominator."""
@@ -243,14 +244,20 @@ def _shifted(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num, np.left_shift(1, (np.maximum(-s, 0) - tz).astype(object))
 
 
-def pow2_dyadic_pairs(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2^e entrywise as exact dyadics with DYADIC_BITS significant bits, any
-    exponent size, as coprime (numerator, denominator) object arrays: the
-    nearest dyadic (ties to even) of 2^frac(e), shifted by floor(e)."""
+def pow2_dyadics(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2^e entrywise as exact dyadics mant * 2^s with DYADIC_BITS significant
+    bits (int64 arrays, 0 < mant <= 2^DYADIC_BITS): the nearest dyadic (ties
+    to even) of 2^frac(e), shifted by floor(e)."""
     ip = np.floor(e)
     m, k = np.frexp(_pow2(e - ip))
     mant = np.rint(m * (1 << DYADIC_BITS)).astype(np.int64)
-    return _shifted(mant, k + ip.astype(np.int64) - DYADIC_BITS)
+    return mant, k + ip.astype(np.int64) - DYADIC_BITS
+
+
+def pow2_dyadic_pairs(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pow2_dyadics as coprime (numerator, denominator) object arrays, any
+    exponent size."""
+    return dyadic_pairs(*pow2_dyadics(e))
 
 
 def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
@@ -261,11 +268,18 @@ def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
     return _pow2(_exponents(iv, schedule, j_lo, j_hi))
 
 
+def interval_dyadics(iv: _Interval, schedule: StageSchedule, j_lo: int,
+                     j_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 40-bit dyadic weights mant * 2^s of the indices j_lo..j_hi of iv
+    as (mant, s) int64 arrays (see pow2_dyadics)."""
+    return pow2_dyadics(_exponents(iv, schedule, j_lo, j_hi))
+
+
 def interval_weight_pairs(iv: _Interval, schedule: StageSchedule, j_lo: int,
                           j_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """The 40-bit dyadic weights of the indices j_lo..j_hi of iv as coprime
     (numerators, denominators) object arrays, built without a Fraction."""
-    return pow2_dyadic_pairs(_exponents(iv, schedule, j_lo, j_hi))
+    return dyadic_pairs(*interval_dyadics(iv, schedule, j_lo, j_hi))
 
 
 def dyadic(x: float) -> Fraction:
@@ -274,8 +288,8 @@ def dyadic(x: float) -> Fraction:
     if x == 0:
         return Fraction(0)
     m, e = math.frexp(x)  # x = m * 2^e, 0.5 <= |m| < 1
-    num, den = _shifted(np.array([math.floor(m * (1 << DYADIC_BITS))]),
-                        np.array([e - DYADIC_BITS]))
+    num, den = dyadic_pairs(np.array([math.floor(m * (1 << DYADIC_BITS))]),
+                            np.array([e - DYADIC_BITS]))
     return Fraction(num[0], den[0])
 
 

@@ -68,6 +68,21 @@ class StageSchedule:
     scalar_field: str = REAL
     weight_mode: str = FLOAT
 
+    def __hash__(self) -> int:
+        """The dataclass hash of the fields, computed once per instance: a
+        schedule keys geometry's lru_caches, and rehashing every stage's
+        fields costs more than a lookup.  The cache is kept out of
+        __getstate__, since str hashes differ between processes."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.stages, self.xi_end, self.scalar_field, self.weight_mode))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def n_stages(self) -> int:
         return len(self.stages)

@@ -58,6 +58,18 @@ def layoff_weights(schedule):
     return mask, weights
 
 
+def combine_by_terms(col, x):
+    """Reference frame conversion: sum_j x_j * col(j) accumulated one term
+    at a time in the order of x, each column read through f_col or e_col
+    (Fractions in rational mode), zeros dropped at the end."""
+    out = {}
+    for j, c in x.items():
+        if c != 0:
+            for i, v in col(j).items():
+                out[i] = out.get(i, 0) + c * v
+    return {i: v for i, v in out.items() if v != 0}
+
+
 @pytest.fixture(scope="session")
 def r1():
     sched, fams = reference_schedule()

@@ -13,7 +13,7 @@ from orbitlab.basis import (_ROUNDTRIP_BLOCK, column_norms, expand_e_structural,
 
 from orbitlab.profiles import doubled_layoffs, mini_schedule, reference_schedule
 
-from conftest import layoff_weights
+from conftest import combine_by_terms, layoff_weights
 
 
 def test_f0_is_e0(r1):
@@ -616,6 +616,133 @@ def test_sum_in_order_on_repeated_keys():
     o, r, (acc,) = _sum_in_order(owner, rows, (data,), 8)
     assert list(zip(o.tolist(), r.tolist())) == list(got)
     assert acc.tolist() == list(got.values())
+
+    # a lone term passes through as given, unreduced (the roundtrip's
+    # diagonal products), and a lone zero is dropped; a pair that cancels is
+    # dropped, and one that survives is reduced
+    terms = [(0, 0, 6, 4), (0, 1, 0, 5), (1, 0, 3, 8), (1, 0, -6, 16),
+             (1, 2, 1, 6), (1, 2, 1, 3), (2, 0, -10, 15)]
+    o, r, n, d = (np.array(c, dtype=object if k > 1 else np.int64)
+                  for k, c in enumerate(zip(*terms)))
+    o, r, (num, den) = _sum_in_order(o, r, (n, d), 3)
+    assert list(zip(o.tolist(), r.tolist(), num.tolist(), den.tolist())) == [
+        (0, 0, 6, 4), (1, 2, 1, 2), (2, 0, -10, 15)]
+
+
+def test_scaled_pairs_are_reduced_products():
+    # seeded lowest-terms pairs (negative numerators, den = 1, factors of 2,
+    # 3, 5 and 7 shared with the factors) times scalar pairs, against
+    # Fraction products: the same lowest-terms pairs with den > 0
+    from orbitlab.basis import _scaled_pairs
+
+    rng = np.random.default_rng(11)
+    n = 300
+    fr = [Fraction(int(a) * 3 ** int(i), int(c) * 2 ** int(k)) for a, i, c, k in
+          zip(rng.integers(-40, 41, n), rng.integers(0, 4, n),
+              rng.choice([1, 5, 7, 35, 9], n), rng.integers(0, 70, n))]
+    fr[:3] = Fraction(-5), Fraction(7), Fraction(1)
+    assert any(v < 0 for v in fr) and sum(v.denominator == 1 for v in fr) > 3
+    num, den = (np.array(x, dtype=object)
+                for x in zip(*((v.numerator, v.denominator) for v in fr)))
+    for f in (Fraction(1), Fraction(-1), Fraction(7), Fraction(178), Fraction(1, 6),
+              Fraction(-12, 35), Fraction(3, 2 ** 50), Fraction(-45, 14)):
+        got_num, got_den = _scaled_pairs(num, den, f.numerator, f.denominator)
+        want = [v * f for v in fr]
+        assert list(zip(got_num.tolist(), got_den.tolist())) == \
+            [(w.numerator, w.denominator) for w in want], f
+
+
+def _assert_same_vector(got, want):
+    """The same dict, in the same key order, with the same value types."""
+    assert got == want
+    assert list(got) == list(want)
+    assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+
+def test_frame_conversion_matches_the_term_loop_on_a_fan_sample(mini_rational, rng,
+                                                                 monkeypatch):
+    # both conversions of one exact stage-2 fan_residual sample, where the
+    # e_to_f input's head chains cancel in groups of up to about a thousand
+    # terms, against the per-term Fraction loop
+    from orbitlab import hypercyclic as hyp
+    from orbitlab.basis import BasisMap
+
+    seen = []
+    for name in ("f_to_e", "e_to_f"):
+        def spy(self, v, _convert=getattr(BasisMap, name), _name=name):
+            seen.append((_name, v, _convert(self, v)))
+            return seen[-1][2]
+        monkeypatch.setattr(BasisMap, name, spy)
+    st = mini_rational.schedule.stage(2)
+    x = dict(enumerate(map(Fraction, rng.standard_normal(st.nu + 1).tolist())))
+    assert hyp.fan_residual(mini_rational, x, 2, 1) / vec_norm(x) <= st.delta
+    assert [name for name, *_ in seen] == ["f_to_e", "e_to_f"]
+    for name, v, got in seen:
+        col = mini_rational.f_col if name == "f_to_e" else mini_rational.e_col
+        _assert_same_vector(got, combine_by_terms(col, v))
+
+
+@pytest.mark.parametrize("name", ["mini", "mini_rational"])
+def test_frame_conversion_matches_the_term_loop_on_random_vectors(name, request):
+    # seeded all-exact vectors (ints, Fractions and zeros of both, on
+    # overlapping columns) and all-float vectors, and one-column vectors of
+    # each kind, both directions
+    b = request.getfixturevalue(name)
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        support = rng.choice(b.n_trunc + 1, 400, replace=False).tolist()
+        support += list(range(15800, 15900))  # working columns sharing rows
+        if trial % 2:
+            vals = rng.standard_normal(len(support)).tolist()
+            vals[::17] = [0.0] * len(vals[::17])
+        else:
+            vals = [Fraction(int(a), int(d)) if k % 3 else int(a) for k, (a, d) in
+                    enumerate(zip(rng.integers(-9, 10, len(support)),
+                                  rng.choice([1, 3, 2 ** 45, 7 * 2 ** 9], len(support))))]
+        x = dict(zip(support, vals))
+        assert any(v == 0 for v in vals)
+        one = {15850: vals[-1] or 1}  # one column, which needs no sums
+        for convert, col in ((b.f_to_e, b.f_col), (b.e_to_f, b.e_col)):
+            for v in (x, one):
+                _assert_same_vector(convert(v), combine_by_terms(col, v))
+
+
+@pytest.mark.parametrize("name", ["mini_rational", "r1_rational", "mini_rational_twin"])
+def test_rational_float_data_are_the_divided_pairs(name, request):
+    # the float data of a rational basis, lay-off images included, bit for
+    # bit num / den, or +-inf beyond the float range, which the doubled-gap
+    # twin of mini holds
+    from orbitlab.basis import _float_or_inf
+
+    if name == "mini_rational_twin":
+        b0 = request.getfixturevalue("mini_rational")
+        b = ol.assemble(doubled_layoffs(b0.schedule), b0.families)
+    else:
+        b = request.getfixturevalue(name)
+    for M, (num, den) in ((b.F_csc, b._F_exact), (b.E_csc, b._E_exact)):
+        want = np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
+        assert M.data.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert np.isinf(b.E_csc.data).any() == (name == "mini_rational_twin")
+
+
+def test_layoff_images_are_exact_where_normal():
+    # weights mant * 2^s with 41-bit mantissas around both ends of the
+    # normal range: each image is num / den bit for bit where that is a
+    # normal float, and NaN (left to the division) where it is subnormal or
+    # beyond the range
+    from orbitlab.basis import _float_or_inf, _layoff_images
+
+    rng = np.random.default_rng(3)
+    mant = rng.integers(1, 2 ** 41, 400)
+    mant[:3] = 1, 2 ** 40, 2 ** 41 - 1
+    s = np.concatenate([rng.integers(-1120, -1000, 200), rng.integers(960, 1030, 200)])
+    num, den = geo.dyadic_pairs(mant, s)
+    for images, pairs in zip(_layoff_images(mant, s), ((num, den), (den, num))):
+        want = np.frompyfunc(_float_or_inf, 2, 1)(*pairs).astype(float)
+        normal = (want >= np.finfo(float).tiny) & (want < np.inf)
+        assert normal.any() and not normal.all()
+        assert images[normal].tolist() == want[normal].tolist()
+        assert np.isnan(images[~normal]).all()
 
 
 def test_rational_basis_memory_stays_pairs():

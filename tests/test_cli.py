@@ -215,7 +215,7 @@ def test_orbit_bad_spec(built, capsys, x, targets, steps):
 def test_shipped_profiles_load():
     root = os.path.join(os.path.dirname(__file__), "..", "configs")
     for name in ("thm1.cfg", "orbit_reflexive.cfg", "mini.cfg",
-                 "mini_reflexive.cfg"):
+                 "mini_reflexive.cfg", "mini_rational.cfg"):
         sched, fams = ol.load_config(os.path.join(root, name))
         assert ol.validate(sched) == []
 
@@ -351,7 +351,16 @@ def _shipped_cfg_variant(tmp_path, name, old, new):
     return str(path)
 
 
-# rational mini.cfg: the count and sha256 of the hypercyclic and unicell
+def test_mini_rational_cfg_is_mini_cfg_in_exact_mode():
+    root = os.path.join(os.path.dirname(__file__), "..", "configs")
+    mini, rational = (open(os.path.join(root, f"{name}.cfg")).read().splitlines()
+                      for name in ("mini", "mini_rational"))
+    assert len(mini) == len(rational)
+    assert [(a, b) for a, b in zip(mini, rational) if a != b] == [
+        ("weight_mode = float", "weight_mode = rational")]
+
+
+# configs/mini_rational.cfg: the count and sha256 of the hypercyclic and unicell
 # report rows (runtime_s left out) and the sha256 of the stage-1 certificate;
 # these suites run the exact route of the certificate pipelines
 RATIONAL_MINI_ROWS = {
@@ -367,8 +376,7 @@ RATIONAL_MINI_CERTIFICATE = \
 def test_rational_mini_cfg_certificate_reports_are_pinned(tmp_path):
     import hashlib
 
-    cfg = _shipped_cfg_variant(tmp_path, "mini", "weight_mode = float",
-                               "weight_mode = rational")
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "mini_rational.cfg")
     build = tmp_path / "build"
     _cli_one_thread("build", "--config", cfg, "--out", build)
     for suite, pin in RATIONAL_MINI_ROWS.items():

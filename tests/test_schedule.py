@@ -193,3 +193,24 @@ def test_config_stage_count_comes_from_the_stage_sections(tmp_path):
     path.write_text(text.partition("[stage 1]")[0])
     with pytest.raises(ConfigError, match="no stages"):
         ol.load_config(path)
+
+
+def test_schedule_hash_is_cached_per_instance():
+    # the hash is the dataclass hash of the fields, computed once per
+    # instance: equal schedules hash equal, a replace() copy is rehashed,
+    # and a pickled copy does not carry the cached value along
+    import pickle
+
+    sched, _ = ol.load_config(CONFIGS / "mini.cfg")
+    fields = (sched.stages, sched.xi_end, sched.scalar_field, sched.weight_mode)
+    assert hash(sched) == hash(fields) == hash(sched)
+    same, _ = ol.load_config(CONFIGS / "mini.cfg")
+    assert same == sched and same is not sched and hash(same) == hash(sched)
+    for copy in (replace(sched, xi_end=40000), sched.with_gammas([0.5, 0.25]),
+                 replace(sched, weight_mode=ol.RATIONAL)):
+        assert copy != sched
+        assert hash(copy) == hash((copy.stages, copy.xi_end, copy.scalar_field,
+                                   copy.weight_mode))
+    assert hash(replace(sched)) == hash(sched)
+    thawed = pickle.loads(pickle.dumps(sched))
+    assert "_hash" not in vars(thawed) and thawed == sched
