@@ -323,26 +323,55 @@ class _Columns:
                             for _ in range(2 if dtype == object else 1))
         self.images: list[tuple[int, np.ndarray]] = []
 
-    def append(self, counts, rows, vals, images=None) -> None:
-        """Append len(counts) columns holding `counts` entries each, given
-        column after column with rows ascending; `images`, in rational mode,
-        are the entries' float images, NaN where matrix() is to divide."""
+    def _extend(self, counts) -> int:
+        """Room for len(counts) more columns of `counts` entries each (column
+        pointers set, arrays grown); returns where their entries start."""
         start = self.indptr[self.n_cols]
-        if images is not None:
-            self.images.append((start, images))
-        end = start + len(rows)
+        ptr = self.indptr[self.n_cols + 1:self.n_cols + 1 + len(counts)]
+        np.cumsum(counts, out=ptr)
+        ptr += start
+        self.n_cols += len(counts)
+        end = self.indptr[self.n_cols]
         if end > len(self.indices):
             cap = max(end, len(self.indices) * 3 // 2)
             self.indices, *values = (_grown(a, start, cap)
                                      for a in (self.indices, *self.values))
             self.values = tuple(values)
-        self.indices[start:end] = rows
+        return start
+
+    def append(self, counts, rows, vals, images=None) -> None:
+        """Append len(counts) columns holding `counts` entries each, given
+        column after column with rows ascending; `images`, in rational mode,
+        are the entries' float images, NaN where matrix() is to divide."""
+        start = self._extend(counts)
+        if images is not None:
+            self.images.append((start, images))
+        self.indices[start:start + len(rows)] = rows
         for a, v in zip(self.values, vals):
-            a[start:end] = v
-        ptr = self.indptr[self.n_cols + 1:self.n_cols + 1 + len(counts)]
-        np.cumsum(counts, out=ptr)
-        ptr += start
-        self.n_cols += len(counts)
+            a[start:start + len(rows)] = v
+
+    def append_working(self, js, parts, diagonal, n_rows: int) -> None:
+        """Append the columns js, column i holding the entries of the gathers
+        `parts` (see gather) owned by i, summed per row with exact zeros
+        dropped, then its diagonal (js[i], the scalars `diagonal`).  A lone
+        gather (a monomial's) has distinct keys in (owner, row) order, so only
+        its zeros are dropped; more are merged by _sum_in_order.  Every row is
+        less than js[i], so one scatter puts each diagonal at its column's end."""
+        if len(parts) == 1:
+            (owner, rows, vals), = parts
+            keep = vals[0] != 0
+            owner, rows, vals = owner[keep], rows[keep], tuple(v[keep] for v in vals)
+        else:
+            owner, rows, vals = zip(*parts)
+            owner, rows, vals = _sum_in_order(
+                np.concatenate(owner), np.concatenate(rows),
+                tuple(map(np.concatenate, zip(*vals))), n_rows)
+        start = self._extend(np.bincount(owner, minlength=len(js)) + 1)
+        at = np.arange(start, start + len(owner)) + owner  # after `owner` diagonals
+        last = self.indptr[self.n_cols + 1 - len(js):self.n_cols + 1] - 1
+        self.indices[at], self.indices[last] = rows, js
+        for a, v, x in zip(self.values, vals, diagonal):
+            a[at], a[last] = v, x
 
     def gather(self, src: np.ndarray, factor):
         """The entries of the columns src, column after column, as
@@ -454,7 +483,7 @@ def _pair_sums(num, den, starts, sizes):
     the dyadic ones of frame conversion do.  Exact zeros are dropped before
     any reduction, and each surviving sum of two or more terms is reduced by
     one gcd; so lowest-terms terms give lowest-terms sums."""
-    if len(starts) == len(num):  # lone terms only, as in assembly
+    if len(starts) == len(num):  # lone terms only, as in roundtrip blocks of lay-offs
         keep = num != 0
         return keep, (num[keep], den[keep])
     an, ad = num[starts], den[starts]
@@ -484,9 +513,10 @@ def _sum_in_order(owner, rows, vals, n_rows: int):
     result ordered by (owner, row).  Float values are summed left to right in
     the given order, as vec_add accumulates them; exact pairs by _pair_sums.
 
-    Assembly on the shipped schedules gathers no two entries onto one key;
-    roundtrip_exact sums groups of two on every shipped rational basis (the
-    two product terms of an off-diagonal entry, which cancel)."""
+    Assembly calls it only for multi-term working polynomials, which no
+    shipped config has; roundtrip_exact sums groups of two on every shipped
+    rational basis (the two product terms of an off-diagonal entry, which
+    cancel)."""
     key = owner * n_rows + rows
     order, starts, sizes = _group(key)
     key = key[order]
@@ -554,15 +584,16 @@ _FLOAT_EXPONENT_CAP = 1022  # 2^e and 2^-e are normal floats for |e| < 1022
 def assemble(schedule: StageSchedule, families) -> BasisMap:
     """Build both triangular maps on [0, xi_end], the schedule's truncation.
 
-    Each stage-table interval is appended to F and E as one block of
+    Each stage-table interval is appended to F and E in blocks of
     columns, in one walk over each stage's table.  Working vectors read
     f_j = scale (e_j - p(T) e_{j - shift}) (b-working: scale 1, p = b,
     shift b), so E's column j is e_j / scale plus the earlier E columns
-    j - shift + u weighted by p's coefficients.  A stage whose gamma is None
-    is calibrated on the fly (see _calibrate) when the walk reaches nu_n + 1,
-    the first column above its b-part.  In float mode a lay-off interval
-    whose weights or their reciprocals leave the normal float range is
-    refused with a ScheduleError before it is formed.
+    j - shift + u weighted by p's coefficients: one gather per term of p,
+    summed only when p has two or more (see _Columns.append_working).  A
+    stage whose gamma is None is calibrated on the fly (see _calibrate) when
+    the walk reaches nu_n + 1, the first column above its b-part.  In float
+    mode a lay-off interval whose weights or their reciprocals leave the
+    normal float range is refused with a ScheduleError before it is formed.
     """
     mode = schedule.weight_mode
     if mode == RATIONAL and schedule.scalar_field == COMPLEX:
@@ -629,13 +660,7 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
             with np.errstate(over="ignore", invalid="ignore"):  # as Python floats
                 parts = ([E.gather(js + d, f) for (d, _), f in zip(terms, factors)]
                          or [E.gather(js[:0], scalar(1))])
-                owner, rows, vals = zip(*parts)
-                owner, rows, vals = _sum_in_order(
-                    np.concatenate(owner), np.concatenate(rows),
-                    tuple(map(np.concatenate, zip(*vals))), size)
-            ends = np.searchsorted(owner, np.arange(len(js)), side="right")
-            E.append(np.diff(ends, prepend=0) + 1, np.insert(rows, ends, js),
-                     tuple(np.insert(v, ends, x) for v, x in zip(vals, inverse)))
+                E.append_working(js, parts, inverse, size)
 
     seeds = values([one] * (schedule.xi(1) + 1))
     add_diagonal(0, seeds, seeds)

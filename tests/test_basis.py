@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -811,3 +813,166 @@ def test_column_norms_rescaled_complex_and_empty_columns(rng):
         want = [vec_norm(dict(enumerate(vals[indptr[u]:indptr[u + 1]].tolist()))).hex()
                 for u in range(len(lens))]
         assert [x.hex() for x in column_norms(M, 0, len(lens)).tolist()] == want
+
+
+# -- assembly pins and the working-block step -----------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ("thm1.cfg", "orbit_reflexive.cfg", "mini.cfg", "mini_reflexive.cfg",
+           "mini_rational.cfg")
+
+# float gammas frozen at calibrated values, so that the float pins below do
+# not depend on the BLAS build (calibration reads a singular value)
+R1_GAMMAS = ("0x1.f99465fcd4f72p-9",)
+R1_TWIN_GAMMAS = ("0x1.068a835ebe931p-9",)
+MINI_GAMMAS = ("0x1.0e34a7b312931p-5", "0x1.60d41e5d3addep-11")
+
+
+def _frozen(schedule, gammas):
+    return schedule.with_gammas([float.fromhex(g) for g in gammas])
+
+
+def _digest(M, exact) -> str:
+    """sha256 of a stored matrix: indptr, indices and data, then in rational
+    mode its num and den arrays as decimal text."""
+    h = hashlib.sha256()
+    for a in (M.indptr, M.indices):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(M.data).tobytes())
+    for a in exact or ():
+        h.update(",".join(map(str, a.tolist())).encode())
+    return h.hexdigest()
+
+
+def _r1_frozen():
+    sched, fams = reference_schedule()
+    return ol.assemble(_frozen(sched, R1_GAMMAS), fams)
+
+
+def _r1_twin_frozen():
+    sched, fams = reference_schedule()
+    return ol.assemble(_frozen(doubled_layoffs(sched), R1_TWIN_GAMMAS), fams)
+
+
+# (F, E) digests of the assembled maps
+ASSEMBLY_DIGESTS = {
+    "r1": ("5048e815ac9f6201aa527e949d938f7fe52c71ac506f2977bc46e3c44b099e71",
+           "389ccefc26621921221cfb40e3892262360e0d019ca74c444e378dca348afab2"),
+    "r1_twin": ("83dbe118c552208e3b6144434fca8ed7027d43c01697ef5284e5dfa1bc00b504",
+                "5f544cf20c7e930947e5da625dfafeb14d4cacc32613d1bf8c9d9a9bd4f33c99"),
+    "mini_rational": ("86c58b66bb9650ec634f34a32bcdfaccdbcd7ec47af3262bacb3641ddec310cd",
+                      "d14ecb526d75ec8bcb87b9f29710efeea01d4e39ddba4441727fd9cd906eea95"),
+    "r1_rational": ("abb709dd66bd049e90b0a14448f6d253e0f59684cec6aab8a4a1934b4697c5e1",
+                    "d869fb3910fe2927417542b9f14fa9e4729f76955fabd8595a0a1975662c023f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSEMBLY_DIGESTS))
+def test_assembled_maps_are_pinned(name, request):
+    builders = {"r1": _r1_frozen, "r1_twin": _r1_twin_frozen}
+    b = builders[name]() if name in builders else request.getfixturevalue(name)
+    assert (_digest(b.F_csc, b._F_exact), _digest(b.E_csc, b._E_exact)) == \
+        ASSEMBLY_DIGESTS[name]
+
+
+def _two_term_fan(tmp_path, mode):
+    """mini.cfg with the stage-2 fan `2 -1` (2 - zeta) in weight mode `mode`:
+    the one schedule here whose assembly sums gathered entries."""
+    text = (CONFIGS / "mini.cfg").read_text()
+    assert text.count("fan = 1\n") == 1  # stage 2's line
+    path = tmp_path / f"two_term_{mode}.cfg"
+    path.write_text(text.replace("fan = 1\n", "fan = 2 -1\n")
+                    .replace("weight_mode = float", f"weight_mode = {mode}"))
+    return ol.load_config(path)
+
+
+# E digests of the two-term schedule: float with MINI_GAMMAS, rational at
+# gamma = auto
+TWO_TERM_E = {
+    ol.FLOAT: "b2169202c6bf2c109211ac2b8c3ddf219edd4c3ef21b39809ab1d65aaf8057a3",
+    ol.RATIONAL: "42703f4c0bb7dc455d9fe0e519a72b35b2d3a5a3a0f92ec489d341c5ab824a10",
+}
+
+
+@pytest.mark.parametrize("mode", [ol.FLOAT, ol.RATIONAL])
+def test_two_term_fan_assembly(mode, tmp_path):
+    sched, fams = _two_term_fan(tmp_path, mode)
+    if mode == ol.FLOAT:
+        sched = _frozen(sched, MINI_GAMMAS)
+    b = ol.assemble(sched, fams)
+    assert b.E_csc.nnz == 430_124
+    assert _digest(b.E_csc, b._E_exact) == TWO_TERM_E[mode]
+    for m in range(b.n_trunc + 1):
+        got, col = expand_e_structural(b, m), b.e_col(m)
+        if mode == ol.RATIONAL:
+            assert got == col, m
+            continue
+        # the structural route leaves rounding residues (|v| ~ 1e-16 scale)
+        # where E cancels exactly
+        scale = max(abs(v) for v in col.values())
+        for k in set(got) | set(col):
+            assert abs(got.get(k, 0) - col.get(k, 0)) <= 1e-12 * scale, (m, k)
+
+
+def test_sum_in_order_runs_only_for_multi_term_blocks(monkeypatch, tmp_path):
+    # every shipped working polynomial is a monomial, whose blocks drop zeros
+    # without the sort; a two-term fan is summed once per block of columns
+    from orbitlab import basis
+
+    calls = []
+    summed = basis._sum_in_order
+    monkeypatch.setattr(basis, "_sum_in_order", lambda *a: calls.append(1) or summed(*a))
+    for name in SHIPPED:
+        ol.assemble(*ol.load_config(CONFIGS / name))
+        assert not calls, name
+
+    sched, fams = _two_term_fan(tmp_path, ol.FLOAT)
+    ol.assemble(_frozen(sched, MINI_GAMMAS), fams)
+    blocks = 0
+    for n, st in enumerate(sched.stages, start=1):
+        for iv in geo.stage_table(sched, n):
+            if isinstance(iv.tag, geo.CWorking):
+                t = iv.tag.coord.t
+                p = fams[n - 1][t - 1]
+                if sum(a != 0 for a in p.coeffs) > 1:
+                    blocks += -(-(iv.hi - iv.lo + 1) // (st.c[t - 1] - p.degree))
+    assert blocks > 0 and len(calls) == blocks
+
+
+@pytest.mark.parametrize("dtype", [float, complex, object])
+def test_append_working_block_step(dtype):
+    # synthetic gathers into the columns 3, 4, 5 and 6 of a small matrix
+    from orbitlab.basis import _Columns
+
+    def values(xs):
+        if dtype is object:
+            xs = list(map(Fraction, xs))
+            return (np.array([x.numerator for x in xs], dtype=object),
+                    np.array([x.denominator for x in xs], dtype=object))
+        return (np.array(xs, dtype=dtype),)
+
+    def gathered(owner, rows, xs):
+        return np.array(owner, dtype=np.int64), np.array(rows, dtype=np.int64), values(xs)
+
+    diagonal = tuple(v[0] for v in values([Fraction(9, 2)]))
+    C = _Columns(8, dtype)
+    C.append(np.array([1, 1, 2]), np.array([0, 1, 0, 2]), values([1, 2, 3, 4]))
+    # one gather: its exact zero (column 3, row 2) is dropped, and column 4
+    # gathers nothing
+    C.append_working(np.array([3, 4, 5]), [gathered([0, 0, 2], [0, 2, 1], [5, 0, 7])],
+                     diagonal, 8)
+    # an empty block appends nothing
+    C.append_working(np.arange(0), [gathered([], [], [])], diagonal, 8)
+    # two gathers, summed per row: row 0 cancels, row 1 sums
+    C.append_working(np.array([6]), [gathered([0, 0], [0, 1], [1, 2]),
+                                      gathered([0, 0], [0, 1], [-1, Fraction(1, 2)])],
+                     diagonal, 8)
+    M, exact = C.matrix(8)
+    assert M.indptr.tolist() == [0, 1, 2, 4, 6, 7, 9, 11]
+    assert M.indices.tolist() == [0, 1, 0, 2, 0, 3, 4, 1, 5, 1, 6]
+    want = [1, 2, 3, 4, 5, 4.5, 4.5, 7, 4.5, 2.5, 4.5]
+    if dtype is object:
+        want = [(Fraction(x).numerator, Fraction(x).denominator) for x in want]
+        assert list(zip(*(v.tolist() for v in exact))) == want
+    else:
+        assert M.data.tolist() == want
