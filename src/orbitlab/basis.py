@@ -76,16 +76,16 @@ def vec_clean(v: Vec) -> Vec:
 
 
 def vec_norm(v: Vec) -> float:
-    """l2 norm, safe against squares overflowing the float range (difference
-    chains reach b^xi, whose square can pass 1e308 on deep stages)."""
-    if not v:
-        return 0.0
-    m = max(float(abs(x)) for x in v.values())
+    """l2 norm of the magnitudes, each converted to float once, safe against
+    squares overflowing the float range (difference chains reach b^xi, whose
+    square can pass 1e308 on deep stages)."""
+    a = [float(abs(x)) for x in v.values()]
+    m = max(a, default=0.0)
     if m == 0.0:
         return 0.0
     if m > 1e150 or m < 1e-150:
-        return m * math.sqrt(sum((float(abs(x)) / m) ** 2 for x in v.values()))
-    return math.sqrt(sum(float(abs(x)) ** 2 for x in v.values()))
+        return m * math.sqrt(sum((x / m) ** 2 for x in a))
+    return math.sqrt(sum(x ** 2 for x in a))
 
 
 def column_norms(M: sparse.csc_matrix, lo: int, hi: int) -> np.ndarray:
@@ -155,8 +155,8 @@ def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
     """sum_j x_j * (column j of M), its keys in order of first appearance
     when accumulated column by column in the order of x.  A rational-mode
     vector whose nonzero coefficients are all ints or Fractions is summed
-    exactly on the stored pairs (_combine_pairs); otherwise, a float
-    coefficient included, term by term as vec_add sums."""
+    exactly on the stored pairs (_combine_pairs); any other term by term as
+    vec_add sums, on the float images (±inf beyond the float range)."""
     if exact is not None:
         nonzero = {j: c for j, c in x.items() if c != 0}
         if all(isinstance(c, (int, Fraction)) for c in nonzero.values()):
@@ -164,7 +164,7 @@ def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
     out: Vec = {}
     for j, c in x.items():
         if c != 0:
-            for i, v in zip(*_column(M, exact, j)):
+            for i, v in zip(*_column(M, None, j)):
                 out[i] = out.get(i, 0) + c * v
     return vec_clean(out)
 

@@ -254,12 +254,6 @@ def pow2_dyadics(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mant, k + ip.astype(np.int64) - DYADIC_BITS
 
 
-def pow2_dyadic_pairs(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pow2_dyadics as coprime (numerator, denominator) object arrays, any
-    exponent size."""
-    return dyadic_pairs(*pow2_dyadics(e))
-
-
 def interval_weights(iv: _Interval, schedule: StageSchedule, j_lo: int,
                      j_hi: int) -> np.ndarray:
     """Float weights 2^e_j of the indices j_lo..j_hi of the lay-off interval

@@ -88,8 +88,10 @@ def shade_measurements(basis: BasisMap, n: int):
     """(sigma, interior_ratios): norm of the (b+1)-st power restricted to the
     f-span of (xi_n, nu_n], plus the exact per-column ratios on interior
     shade columns (both j and j + b + 1 inside b-lay-offs): for each such j,
-    the power's (j + b + 1, j) entry (0.0 where none is stored) and the
-    number of entries in its column j."""
+    the power's (j + b + 1, j) entry and the number of entries in its column
+    j.  Both columns hold only their diagonal, so that entry is the product
+    E[j+b+1, j+b+1] F[j, j] of stored diagonals, alone in its column and
+    stored unless it is 0; it is read without forming the power."""
     st = basis.schedule.stage(n)
     shift = st.b + 1
     sigma, = power_norms(basis, shift, [(slice(0, basis.n_trunc + 1),
@@ -100,13 +102,9 @@ def shade_measurements(basis: BasisMap, n: int):
         if isinstance(iv.tag, geo.BLayOff):
             gap[iv.lo:iv.hi + 1] = True
     js = np.flatnonzero(gap[:-shift] & gap[shift:])
-    P = poly_image(basis, ((shift, 1),), basis.F_csc[:, js])
-    nnz = np.diff(P.indptr)
-    col = np.repeat(np.arange(len(js)), nnz)
-    hit = P.indices == js[col] + shift
-    vals = np.zeros(len(js), dtype=P.dtype)
-    vals[col[hit]] = P.data[hit]
-    return sigma, list(zip(js.tolist(), vals, nnz.tolist()))
+    F, E = basis.F_csc, basis.E_csc
+    vals = E.data[E.indptr[js + shift + 1] - 1] * F.data[F.indptr[js + 1] - 1]
+    return sigma, list(zip(js.tolist(), vals, (vals != 0).astype(int).tolist()))
 
 
 # -- the certificate pipeline ------------------------------------------------------

@@ -96,15 +96,9 @@ def doubled_layoffs(schedule: StageSchedule) -> StageSchedule:
         nu_old, c_old = st.nu, st.c
         c2: list[int] = []
         run_old, run_new = 0, 0
-        first = True
         for ci in c_old:
-            if first:
-                gap = ci - nu_old - 1
-                c2.append(nu2 + 1 + 2 * gap)
-                first = False
-            else:
-                gap = ci - st.h * run_old - nu_old - 1
-                c2.append(st.h * run_new + nu2 + 1 + 2 * gap)
+            gap = ci - st.h * run_old - nu_old - 1
+            c2.append(st.h * run_new + nu2 + 1 + 2 * gap)
             run_old += ci
             run_new += c2[-1]
         fan_end_old = st.h * run_old + nu_old

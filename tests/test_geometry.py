@@ -276,8 +276,8 @@ def _fraction_power_dyadic(x, rounding):
 
 
 def _fraction_power_pow2(e):
-    """geometry.pow2_dyadic_pairs of one exponent as a product of Fraction
-    powers."""
+    """geometry.dyadic_pairs(*pow2_dyadics(e)) of one exponent as a product
+    of Fraction powers."""
     ip = math.floor(e)
     frac = e - ip
     return _fraction_power_dyadic(2.0 ** frac, round) * Fraction(2) ** ip
@@ -286,7 +286,7 @@ def _fraction_power_pow2(e):
 def test_dyadics_match_fraction_power_formula():
     # the integer-shift dyadics against the Fraction-power formula, on a
     # seeded grid: both signs, subnormals and the float range's ends for
-    # dyadic, and exponents far past +-1074 for pow2_dyadic_pairs
+    # dyadic, and exponents far past +-1074 for dyadic_pairs of pow2_dyadics
     assert geo.DYADIC_BITS == 40
     rng = np.random.default_rng(20261018)
     xs = [0.0, 1.0, -1.0, 0.5, -0.75, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -299,7 +299,7 @@ def test_dyadics_match_fraction_power_formula():
     es = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1074.0, -1074.0, 1075.25, -1075.25,
           -1e-17, 1 - 1e-16, 3000.0, -3000.0]
     es += rng.uniform(-3000, 3000, 400).tolist() + rng.uniform(-2, 2, 100).tolist()
-    nums, dens = geo.pow2_dyadic_pairs(np.array(es))
+    nums, dens = geo.dyadic_pairs(*geo.pow2_dyadics(np.array(es)))
     assert nums.dtype == dens.dtype == object
     for e, p, q in zip(es, nums, dens):
         assert type(p) is int and type(q) is int and q > 0
@@ -307,10 +307,10 @@ def test_dyadics_match_fraction_power_formula():
         assert Fraction(p, q) == _fraction_power_pow2(e), e
     # the one-element case and a run starting anywhere give the same pairs
     for k in (0, 7, 413):
-        assert [x.tolist() for x in geo.pow2_dyadic_pairs(np.array(es[k:k + 1]))] == \
-            [[nums[k]], [dens[k]]]
-        assert [x.tolist() for x in geo.pow2_dyadic_pairs(np.array(es[k:]))] == \
-            [nums[k:].tolist(), dens[k:].tolist()]
+        assert [x.tolist() for x in geo.dyadic_pairs(
+            *geo.pow2_dyadics(np.array(es[k:k + 1])))] == [[nums[k]], [dens[k]]]
+        assert [x.tolist() for x in geo.dyadic_pairs(
+            *geo.pow2_dyadics(np.array(es[k:])))] == [nums[k:].tolist(), dens[k:].tolist()]
 
 
 def _is_dyadic_pair_of(e, p, q, bits=40):

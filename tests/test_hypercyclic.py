@@ -154,13 +154,23 @@ def test_shade_bcal_bound(r1b):
 
 
 @pytest.mark.parametrize("name, n", [("mini", 1), ("mini", 2),
-                                     ("mini_rational", 2), ("r1b", 1)])
+                                     ("mini_rational", 2), ("r1b", 1),
+                                     ("mini_complex", 2), ("mini_twin", 2),
+                                     ("mini_rational_twin", 2)])
 def test_shade_ratios_match_column_loop(name, n, request):
-    # the column-by-column read of the formed power, kept as the reference
+    # the column-by-column read of the formed power, kept as the reference;
+    # the doubled-gap twins of mini hold infinite entries in E
     from orbitlab import geometry as geo
     from orbitlab.operators import poly_image
+    from orbitlab.profiles import doubled_layoffs, mini_schedule
 
-    b = request.getfixturevalue(name)
+    if name == "mini_complex":
+        b = ol.assemble(*mini_schedule(field=ol.COMPLEX))
+    elif name.endswith("_twin"):
+        b0 = request.getfixturevalue(name.removesuffix("_twin"))
+        b = ol.assemble(doubled_layoffs(b0.schedule), b0.families)
+    else:
+        b = request.getfixturevalue(name)
     st = b.schedule.stage(n)
     shift = st.b + 1
     P = poly_image(b, ((shift, 1),), b.F_csc)
@@ -174,8 +184,29 @@ def test_shade_ratios_match_column_loop(name, n, request):
         at = np.flatnonzero(P.indices[lo:hi] == j + shift)
         want.append((j, P.data[lo + at[0]] if len(at) else 0.0, int(hi - lo)))
     _, got = hyp.shade_measurements(b, n)
-    assert [(j, float(v).hex(), k) for j, v, k in got] == [
-        (j, float(v).hex(), k) for j, v, k in want]
+    assert all(v.dtype == P.dtype for _, v, _ in got)
+    assert [(j, float(v.real).hex(), float(v.imag).hex(), k) for j, v, k in got] == [
+        (j, float(v.real).hex(), float(v.imag).hex(), k) for j, v, k in want]
+
+
+def test_bfan_suite_forms_two_products_per_stage(mini, monkeypatch):
+    # per stage, the damping identity's residual map and the shade norm's
+    # non-pair columns; the interior shade ratios are read from the stored
+    # diagonals, with no product of their own
+    from orbitlab import operators as ops
+    from orbitlab import suites
+
+    calls = []
+    poly_image = ops.poly_image
+
+    def spy(basis, terms, X):
+        calls.append(terms)
+        return poly_image(basis, terms, X)
+
+    monkeypatch.setattr(ops, "poly_image", spy)
+    monkeypatch.setattr(hyp, "poly_image", spy)
+    suites.run_suite(mini, "bfan", 0)
+    assert len(calls) == 4
 
 
 def test_shade_kills_outside_support(r1):

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import orbitlab as ol
 from orbitlab.errors import ConfigError
-from orbitlab.profiles import (doubled_layoffs, mini_schedule, reference_schedule,
-                               statistical_schedule)
+from orbitlab.profiles import (COMPANION_FAMILY, doubled_layoffs, mini_schedule,
+                               reference_schedule, statistical_schedule)
 from orbitlab.schedule import StageParams, StageSchedule
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -88,8 +88,27 @@ def test_config_roundtrip(tmp_path):
 
 
 def test_doubled_layoffs_of_loaded_config_is_valid():
-    sched, _ = ol.load_config(CONFIGS / "mini.cfg")
-    assert ol.validate(doubled_layoffs(sched)) == []
+    twins = {"mini.cfg": ([(2, 12, (29, 90)), (149, 300, (44944,))], 89_889),
+             "thm1.cfg": ([(4, 124, (8171, 131009))], 799_812)}
+    for name, (stages, xi_end) in twins.items():
+        sched, _ = ol.load_config(CONFIGS / name)
+        twin = doubled_layoffs(sched)
+        assert ol.validate(twin) == []
+        assert [(st.xi, st.b, st.c) for st in twin.stages] == stages, name
+        assert twin.xi_end == xi_end, name
+
+
+@pytest.mark.parametrize("name, profile", [
+    ("mini.cfg", lambda: mini_schedule()),
+    ("mini_rational.cfg", lambda: mini_schedule(weight_mode=ol.RATIONAL)),
+    ("mini_reflexive.cfg", lambda: mini_schedule(companion=True)),
+    ("thm1.cfg", lambda: reference_schedule()),
+    ("orbit_reflexive.cfg", lambda: (reference_schedule()[0], (COMPANION_FAMILY,))),
+], ids=["mini", "mini_rational", "mini_reflexive", "thm1", "orbit_reflexive"])
+def test_shipped_configs_equal_their_profiles(name, profile):
+    # the benchmark measures the same schedules through the library
+    # profiles and through the CLI configs only while these agree
+    assert ol.load_config(CONFIGS / name) == profile()
 
 
 def test_config_rejects_bad_nu(tmp_path):
