@@ -48,7 +48,7 @@ from scipy import sparse
 
 from . import geometry as geo
 from .errors import ScheduleError
-from .polynet import ONE, Poly
+from .polynet import ONE, Poly, left_sum
 from .schedule import COMPLEX, FLOAT, RATIONAL, StageSchedule
 
 Vec = dict[int, object]  # sparse coordinate vector {index: scalar}
@@ -76,16 +76,17 @@ def vec_clean(v: Vec) -> Vec:
 
 
 def vec_norm(v: Vec) -> float:
-    """l2 norm of the magnitudes, each converted to float once, safe against
-    squares overflowing the float range (difference chains reach b^xi, whose
-    square can pass 1e308 on deep stages)."""
+    """l2 norm of the magnitudes, each converted to float once, squared by
+    the C library's pow (as ``x ** 2`` squares) and summed left to right,
+    safe against squares overflowing the float range (difference chains
+    reach b^xi, whose square can pass 1e308 on deep stages)."""
     a = [float(abs(x)) for x in v.values()]
     m = max(a, default=0.0)
     if m == 0.0:
         return 0.0
     if m > 1e150 or m < 1e-150:
-        return m * math.sqrt(sum((x / m) ** 2 for x in a))
-    return math.sqrt(sum(x ** 2 for x in a))
+        return m * math.sqrt(left_sum((x / m) ** 2 for x in a))
+    return math.sqrt(left_sum(map(math.pow, a, repeat(2.0))))
 
 
 def column_norms(M: sparse.csc_matrix, lo: int, hi: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .basis import (BasisMap, column_norms, measure_frame_constant,
 from .errors import PreconditionError, SupportError, TruncationError
 from .operators import (op_norm, poly_image, power_norms, stage_gates,
                         sup_e_norm)
-from .polynet import Poly, b_damped, nearest_member, steer
+from .polynet import Poly, b_damped, left_sum, nearest_member, steer
 from .report import Entry, check
 from .schedule import RATIONAL
 
@@ -203,7 +203,7 @@ def fan_power_steps(basis: BasisMap, x_f: dict, q: Poly, n: int):
     body_e = basis.f_to_e(body)
     dq = q - pk
     m_snap = basis.e_norm(poly_shift_apply(dq, body_e, basis.n_trunc))
-    snap_bound = float(sum(
+    snap_bound = float(left_sum(
         abs(a) * basis.e_norm(shift_e(body_e, u, basis.n_trunc))
         for u, a in enumerate(dq.coeffs) if a != 0))
 
@@ -282,7 +282,7 @@ def certify_hypercyclic_step(basis: BasisMap, x_f: dict, n: int) -> Certificate:
                      "modulus reduction through the b-fan"),
         *fan_steps,
     )
-    composed = float(sum(s.bound for s in steps))
+    composed = float(left_sum(s.bound for s in steps))
 
     # final residual, two routes
     target_f = {1: 1}

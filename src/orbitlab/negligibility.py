@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import vec_norm
 from .errors import PreconditionError, ProfileError
-from .polynet import ONE
+from .polynet import ONE, left_sum
 from .report import Entry, check
 from .schedule import COMPLEX, StageSchedule
 
@@ -55,7 +55,7 @@ def e0_functional_structural(schedule: StageSchedule, families,
 
 
 def apply_functional(phi: dict, x_f: dict):
-    return sum(phi[j] * x_f.get(j, 0) for j in phi)
+    return left_sum(phi[j] * x_f.get(j, 0) for j in phi)
 
 
 def functional_gamma_identity(schedule: StageSchedule, families, k: int):
@@ -119,7 +119,7 @@ class CoordStat:
 def head_moments(phi: dict, x0_f: dict, sampler: GaussianSampler):
     """Closed-form mean and standard deviation of the sampled head coordinate."""
     supp = sorted(phi)
-    m0 = sum(phi[j] * x0_f.get(j, 0) for j in supp)
+    m0 = left_sum(phi[j] * x0_f.get(j, 0) for j in supp)
     c = sampler.coefficients(supp)
     w = np.array([phi[j] for j in supp], dtype=float)
     sigma = float(np.sqrt(np.sum((np.abs(c) * np.abs(w)) ** 2)))
@@ -164,11 +164,12 @@ def borel_cantelli_sum(c0_abs: float, M: float, n_stages: int, field: str
     if n_stages < 2:
         raise ValueError("at least 2 stages required")
     if field == COMPLEX:
-        partial = sum(2.0 ** (-2 * n) * M ** 2 / (2 * c0_abs ** 2)
-                      for n in range(1, n_stages + 1))
+        partial = left_sum(2.0 ** (-2 * n) * M ** 2 / (2 * c0_abs ** 2)
+                           for n in range(1, n_stages + 1))
         tail = (M ** 2 / (2 * c0_abs ** 2)) * (4.0 ** -n_stages) / 3
     else:
-        partial = sum(2.0 ** (-n) * M / c0_abs for n in range(1, n_stages + 1))
+        partial = left_sum(2.0 ** (-n) * M / c0_abs
+                           for n in range(1, n_stages + 1))
         tail = (M / c0_abs) * 2.0 ** -n_stages
     return partial, tail
 

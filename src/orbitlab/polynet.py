@@ -15,8 +15,10 @@ produces the unique polynomial p of degree <= xi - r with p(T_xi) x = y.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .errors import NetSizeError
@@ -24,6 +26,14 @@ from .schedule import COMPLEX, REAL
 
 NO_CONSTRAINT = "none"
 ZERO_CONSTANT_TERM = "zero-constant-term"
+
+
+def left_sum(xs: Iterable):
+    """0 + x_0 + x_1 + ..., added strictly left to right.  The built-in
+    sum of floats is compensated (Neumaier) from Python 3.12 on, so report
+    values sum through this instead, the same on every version; column_norms
+    copies this order."""
+    return reduce(operator.add, xs, 0)
 
 
 def _trim(coeffs: Sequence) -> tuple:
@@ -44,7 +54,7 @@ class Poly:
 
     @property
     def ell1(self):
-        return sum(abs(a) for a in self.coeffs)
+        return left_sum(abs(a) for a in self.coeffs)
 
     @property
     def degree(self) -> int:

@@ -18,8 +18,8 @@ from .basis import poly_shift_apply, shift_e, vec_norm, vec_project, vec_sub
 from .errors import OrbitLabError, PreconditionError
 from .hypercyclic import PipelineStep, fan_power_steps
 from .operators import sup_e_norm
-from .polynet import (Poly, ToeplitzSystem, ZETA, b_damped, solve_poly,
-                      steer)
+from .polynet import (Poly, ToeplitzSystem, ZETA, b_damped, left_sum,
+                      solve_poly, steer)
 from .report import Entry, check
 
 X_CONTAINS_Y = "x-contains-y"
@@ -34,8 +34,8 @@ COMPARE_PAIRS = 30     # random head pairs of the compare.* rows
 def steering_residual(sys: ToeplitzSystem, p: Poly) -> float:
     """l2 residual of p(T_xi) x = y on [r, xi] (plain coordinates)."""
     out = poly_shift_apply(p, dict(enumerate(sys.x)), sys.xi - sys.r)
-    return math.sqrt(sum(abs(out.get(i, 0) - yv) ** 2
-                         for i, yv in enumerate(sys.y)))
+    return math.sqrt(left_sum(abs(out.get(i, 0) - yv) ** 2
+                              for i, yv in enumerate(sys.y)))
 
 
 # -- large head coordinates ---------------------------------------------------------
@@ -128,7 +128,7 @@ def compare_orbits(basis, x_f: dict, y_f: dict, n: int) -> ComparisonResult:
         PipelineStep("damped-target", t3, t3, "after modulus damping"),
         *fan_steps,
     )
-    composed = float(sum((s.bound for s in fan_steps), t3))
+    composed = float(left_sum((t3, *(s.bound for s in fan_steps))))
     return ComparisonResult(
         direction=direction, j_lead=js, poly=p, k=k0 + 1, power=st.c[k0], steps=steps,
         final_residual=final, composed_bound=composed,
@@ -157,7 +157,7 @@ def unicell_entries(basis, n: int, rng) -> list[Entry]:
         sysm = ToeplitzSystem(xi, r, tuple(x), tuple(y))
         p = solve_poly(sysm)
         worst = max(worst, steering_residual(sysm, p) /
-                    max(math.sqrt(float(sum(y * y))), 1e-300))
+                    max(math.sqrt(float(left_sum(y * y))), 1e-300))
     entries.append(check(
         "steer.random",
         f"worst steering residual over {STEER_SYSTEMS} random systems",
@@ -265,5 +265,5 @@ def theil_sen_slope(x, y) -> float:
 
 def _random_unit_head(basis, xi: int, rng) -> dict:
     v = rng.standard_normal(xi + 1)
-    v /= math.sqrt(float(sum(v * v)))
+    v /= math.sqrt(float(left_sum(v * v)))
     return {j: float(c) for j, c in enumerate(v)}

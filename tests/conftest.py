@@ -6,6 +6,7 @@ import pytest
 
 import orbitlab as ol
 from orbitlab import geometry as geo
+from orbitlab import operators as ops
 from orbitlab.profiles import COMPANION_FAMILY, mini_schedule, reference_schedule
 
 
@@ -68,6 +69,26 @@ def combine_by_terms(col, x):
             for i, v in col(j).items():
                 out[i] = out.get(i, 0) + c * v
     return {i: v for i, v in out.items() if v != 0}
+
+
+def max_block_norm_by_svd(blocks, fro2, best):
+    """Reference candidate loop of op_norm: one dense SVD per candidate
+    block, in component order, the largest kept (fro2 is not read)."""
+    for data, r, c, shape in blocks:
+        block = np.zeros(shape, dtype=data.dtype)
+        block[r, c] = data
+        best = max(best, float(np.linalg.svd(block, compute_uv=False)[0]))
+    return best
+
+
+def op_norm_by_svd(M):
+    """op_norm(M) through the reference candidate loop."""
+    pruned = ops._max_block_norm
+    ops._max_block_norm = max_block_norm_by_svd
+    try:
+        return ops.op_norm(M)
+    finally:
+        ops._max_block_norm = pruned
 
 
 @pytest.fixture(scope="session")

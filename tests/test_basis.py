@@ -815,6 +815,22 @@ def test_column_norms_rescaled_complex_and_empty_columns(rng):
         assert [x.hex() for x in column_norms(M, 0, len(lens)).tolist()] == want
 
 
+
+def test_vec_norm_sums_left_to_right():
+    # the squares 1e16, 1, 1, 1, 1 add up to 1e16 left to right: each 1 is
+    # half an ulp of 1e16 and rounds away.  A compensated sum, as the
+    # built-in sum of floats is from Python 3.12 on, keeps the 4 and gives
+    # sqrt(1e16 + 4) = 100000000.00000001.
+    from scipy import sparse
+
+    from orbitlab.polynet import left_sum
+
+    x = [1e8, 1.0, 1.0, 1.0, 1.0]
+    assert left_sum([v * v for v in x]) == 1e16
+    assert vec_norm(dict(enumerate(x))) == 1e8
+    assert column_norms(sparse.csc_matrix(np.array([x]).T), 0, 1).tolist() == [1e8]
+    assert left_sum([]) == 0 and left_sum([Fraction(1, 3)] * 3) == 1
+
 # -- assembly pins and the working-block step -----------------------------------
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 import orbitlab as ol
@@ -9,7 +11,7 @@ from orbitlab import geometry as geo
 from orbitlab import operators as ops
 from orbitlab.report import FAIL, INFO, PASS, check
 
-from conftest import layoff_weights
+from conftest import layoff_weights, max_block_norm_by_svd, op_norm_by_svd
 
 
 def _power(b, m):
@@ -260,6 +262,173 @@ def test_op_norm_does_not_import_csgraph():
             "assert 'scipy.sparse.csgraph' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
+
+
+# -- candidates certified below the running maximum -------------------------------
+
+def _count_svds(monkeypatch):
+    """A list that grows by one entry (the block's shape) per dense SVD."""
+    shapes, svd = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
+def _sigma(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def _near_tie(gap, complex_, scale):
+    """A 40 x 40 winner block and a 24 x 20 runner-up whose largest singular
+    value is the winner's times (1 - gap), as dense SVD measures them, with
+    two small distractors, rows and columns shuffled.  The runner-up is
+    nearly rank one, so its Frobenius norm is below the winner's and it is
+    visited second."""
+    rng = np.random.default_rng(17)
+
+    def dense(r, c):
+        a = rng.standard_normal((r, c))
+        return a + 1j * rng.standard_normal((r, c)) if complex_ else a
+
+    W = dense(40, 40)
+    R = dense(24, 1) @ dense(1, 20) + 1e-3 * dense(24, 20)
+    R *= _sigma(W) * (1 - gap) / _sigma(R)
+    assert np.linalg.norm(R) < np.linalg.norm(W)
+    B = sparse.block_diag([W, R, dense(3, 2), 0.1 * dense(20, 20)], format="coo")
+    pr, pc = rng.permutation(B.shape[0]), rng.permutation(B.shape[1])
+    return scale * sparse.csc_matrix((B.data, (pr[B.row], pc[B.col])),
+                                     shape=B.shape)
+
+
+# runner-up gaps below the winner (negative: above it); 2^-53 is one ulp
+# of the relative gap, 2^-30 the certificate's margin
+TIE_GAPS = [2.0 ** -53, 1e-12, 1e-9, 1e-6, -1e-12, -1e-6]
+
+
+@pytest.mark.parametrize("gap", TIE_GAPS)
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e150])
+def test_near_ties_give_the_svd_of_every_candidate(gap, complex_, scale,
+                                                   monkeypatch):
+    M = _near_tie(gap, complex_, scale)
+    want = op_norm_by_svd(M)
+    shapes = _count_svds(monkeypatch)
+    got = ops.op_norm(M)
+    assert got == want
+    # the winner is measured; the runner-up is skipped only when it sits
+    # clearly below the margin, never when it is within it or above
+    assert shapes[0] == (40, 40)
+    assert shapes[1:] == ([] if gap > ops.CERT_MARGIN else [(24, 20)])
+
+
+def test_certificate_margin_sits_below_the_running_maximum():
+    # a block at 1e-12 below M is inside the margin: not certified; at 1e-9
+    # (past 2^-30 = 9.3e-10) it is
+    rng = np.random.default_rng(4)
+    B = rng.standard_normal((30, 20))
+    s = _sigma(B)
+    assert not ops._certified_below(B, s * (1 + 1e-12))
+    assert ops._certified_below(B, s * (1 + 1e-9))
+    assert ops._certified_below(B.T.copy(), s * (1 + 1e-9))
+    assert not ops._certified_below(B, s)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                       min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1), complex_=st.booleans(),
+       tie=st.sampled_from([0.0, 2.0 ** -52, 1e-12, 1e-9, 1e-6, -1e-12]),
+       scale=st.sampled_from([1.0, 1e150]))
+def test_op_norm_equals_the_svd_of_every_candidate(shapes, seed, complex_,
+                                                   tie, scale):
+    # permuted block-diagonal matrices, each with a twin of its first block
+    # scaled by (1 - tie), so near-ties are common
+    rng = np.random.default_rng(seed)
+    M = _permuted_block_diag(rng, shapes, complex_)
+    twin = _permuted_block_diag(np.random.default_rng(seed), shapes[:1],
+                                complex_, pad=0)
+    M = (scale * sparse.block_diag([M, (1 - tie) * twin])).tocsc()
+    assert ops.op_norm(M) == op_norm_by_svd(M)
+
+
+@pytest.fixture()
+def checked_block_norms(monkeypatch):
+    """Every candidate loop op_norm runs during the test, checked against the
+    reference loop: a list of (value, reference value), one per call."""
+    calls = []
+    pruned = ops._max_block_norm
+
+    def both(blocks, fro2, best):
+        got = pruned(blocks, fro2, best)
+        calls.append((got, max_block_norm_by_svd(blocks, fro2, best)))
+        return got
+
+    monkeypatch.setattr(ops, "_max_block_norm", both)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["mini", "mini_reflexive", "thm1",
+                                  "mini_rational", "mini_complex"])
+def test_every_op_norm_of_verify_all_is_the_reference(name, checked_block_norms,
+                                                      monkeypatch):
+    from orbitlab import hypercyclic as hyp
+    from orbitlab import suites
+
+    if name == "mini_complex":
+        sched, fams = ol.profiles.mini_schedule(field=ol.COMPLEX)
+    else:
+        sched, fams = ol.load_config(
+            Path(__file__).resolve().parents[1] / "configs" / f"{name}.cfg")
+    if sched.weight_mode == ol.RATIONAL:
+        # the exact fan.sampled residuals take about 13 s here and call no
+        # op_norm: each reads 0
+        monkeypatch.setattr(hyp, "fan_residual", lambda *args: 0.0)
+    b = ol.assemble(sched, fams)
+    suites.run_suite(b, "all", 0)
+    assert len(checked_block_norms) >= 20
+    assert [got for got, _ in checked_block_norms] == \
+        [want for _, want in checked_block_norms]
+
+
+def test_every_op_norm_of_the_boundedness_library_route_is_the_reference(
+        checked_block_norms):
+    # the operations of the benchmark's r1-lib workload
+    sched, fams = ol.profiles.reference_schedule()
+    b = ol.assemble(sched, fams)
+    ops.full_norm_entry(b)
+    ops.block_estimates(b, 1)
+    ops.full_norm_entry(ol.assemble(ol.profiles.doubled_layoffs(sched), fams))
+    assert len(checked_block_norms) >= 15
+    assert [got for got, _ in checked_block_norms] == \
+        [want for _, want in checked_block_norms]
+
+
+def test_mini_frame_constant_takes_one_svd(mini, monkeypatch):
+    # stage 2's frame block splits into 35 candidate components; the one
+    # holding the maximum is measured, the rest are certified below it
+    from orbitlab.basis import measure_frame_constant
+
+    shapes = _count_svds(monkeypatch)
+    C = measure_frame_constant(mini.F_csc, mini.schedule.stage(2).nu)
+    assert C == mini.frame_constants[2]
+    assert len(shapes) <= 2
+
+
+def test_mini_verify_fan_svd_count(tmp_path, monkeypatch):
+    from orbitlab.cli import main
+
+    sched, fams = ol.profiles.mini_schedule()
+    cfg = tmp_path / "mini.cfg"
+    ol.save_config(cfg, sched, fams)
+    out = str(tmp_path / "build")
+    assert main(["build", "--config", str(cfg), "--out", out]) == 0
+    shapes = _count_svds(monkeypatch)
+    assert main(["verify", "--build", out, "--suite", "fan"]) == 0
+    assert len(shapes) <= 10
 
 
 def test_shift_power_matrix():
