@@ -1,6 +1,7 @@
 """Index geometry: region classification, lay-off weights, lattice coordinates.
 
-Every index j of a truncation [0, xi_{N+1}] belongs to exactly one region:
+Every index j of [0, xi_{N+1}] lies in exactly one region; above xi_1, in an
+interval of the one table ``locate`` bisects (every ``stage_table`` in order):
 
     Seed          j <= xi_1, the basis is left untouched (f_j = e_j)
     BWorking      [r(b+1), r*b + xi] for r = 1..xi, difference vectors
@@ -119,8 +120,6 @@ def stage_table(schedule: StageSchedule, n: int) -> tuple[_Interval, ...]:
         lo, hi = r * (b + 1), r * b + xi
         if lo > pos:
             out.append(_Interval(pos, lo - 1, BLayOff(n, r - 1)))
-        if lo > hi:
-            raise ScheduleError([f"empty b-working interval at stage {n}, r={r}"])
         out.append(_Interval(lo, hi, BWorking(n, r)))
         pos = hi + 1
     if pos != nu + 1:
@@ -154,22 +153,17 @@ def stage_table(schedule: StageSchedule, n: int) -> tuple[_Interval, ...]:
 
 
 @lru_cache(maxsize=64)
-def _stage_starts(schedule: StageSchedule, n: int) -> tuple[int, ...]:
-    return tuple(iv.lo for iv in stage_table(schedule, n))
+def _intervals(schedule: StageSchedule) -> tuple[tuple[int, ...], tuple[_Interval, ...]]:
+    """(starts, table) of every stage table in stage order, tiling (xi_1, xi_end]."""
+    table = tuple(iv for n in range(1, schedule.n_stages + 1)
+                  for iv in stage_table(schedule, n))
+    return tuple(iv.lo for iv in table), table
 
 
 def locate(j: int, schedule: StageSchedule) -> _Interval:
-    """The stage-table interval containing index j > xi_1."""
-    # stage n owns (xi_n, xi_{n+1}]
-    lo, hi = 1, schedule.n_stages
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if j <= schedule.xi(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    i = bisect.bisect_right(_stage_starts(schedule, lo), j) - 1
-    iv = stage_table(schedule, lo)[i]
+    """The interval holding index j > xi_1: one bisection of the one table."""
+    starts, table = _intervals(schedule)
+    iv = table[bisect.bisect_right(starts, j) - 1]
     assert iv.lo <= j <= iv.hi
     return iv
 

@@ -94,10 +94,20 @@ def conjugated_power(basis: BasisMap) -> sparse.csc_matrix:
 
 @dataclass(frozen=True)
 class OpNormResult:
+    """An op_norm value and the method that gave it: "dense_svd" (the
+    components' dense SVDs), "empty" (no nonzero entry, value 0) or
+    "nonfinite" (an inf or nan entry, value nan).  No method iterates, so
+    converged and iterations follow from the method."""
     value: float
     method: str
-    converged: bool
-    iterations: int
+
+    @property
+    def converged(self) -> bool:
+        return self.method != "nonfinite"
+
+    @property
+    def iterations(self) -> int:
+        return 0
 
 
 def _rank(idx: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -336,17 +346,16 @@ def _norm(C: sparse.csc_matrix, top: float = 0.0, n_loose: int = 0
     entries, each alone in its row and its column, top the largest of their
     magnitudes."""
     if not (np.isfinite(C.data).all() and math.isfinite(top)):
-        return OpNormResult(math.nan, "nonfinite", False, 0)
+        return OpNormResult(math.nan, "nonfinite")
     scale = max(float(np.abs(C.data).max(initial=0.0)), top)
     if scale == 0.0:
-        return OpNormResult(0.0, "empty", True, 0)
+        return OpNormResult(0.0, "empty")
     if 1e-100 <= scale <= 1e100:
         scale = 1.0
     else:  # keep the squared entries inside the float range
         C.data *= 1 / scale
         top *= 1 / scale
-    return OpNormResult(_split_norm(C, top * top, n_loose) * scale,
-                        "dense_svd", True, 0)
+    return OpNormResult(_split_norm(C, top * top, n_loose) * scale, "dense_svd")
 
 
 def sigma_max_block(M: sparse.spmatrix, rows: slice, cols: slice) -> OpNormResult:

@@ -170,6 +170,10 @@ def validate(schedule: StageSchedule) -> list[str]:
 # INI layout: one [schedule] section plus one [stage N] section per stage.
 # Fan polynomials live next to their stage as `fan = a0 a1 ... | a0 a1 ...`.
 
+SCHEDULE_KEYS = ("scalar_field", "weight_mode", "xi_end", "n_stages")
+STAGE_KEYS = ("xi", "b", "nu", "c", "h", "k", "d", "gamma", "delta", "eps", "fan")
+
+
 def _format_scalar(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -238,20 +242,33 @@ def load_config(path):
     Raises ConfigError carrying the validator's violation list when the file
     encodes an invalid schedule, or when an optional echo line disagrees with
     what it echoes: n_stages with the number of [stage N] sections, nu with
-    xi * (b + 1), k with len(c).  In rational weight mode, fan and gamma
-    scalars are parsed exactly.
+    xi * (b + 1), k with len(c).  A section other than [schedule] and
+    [stage 1] .. [stage N], and a key outside SCHEDULE_KEYS or STAGE_KEYS,
+    is refused by name, so that a misspelling cannot fall back to a default.
+    In rational weight mode, fan and gamma scalars are parsed exactly.
     """
     cp = configparser.ConfigParser()
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    n_stages = sum(name.startswith("stage ") for name in cp.sections())
+    allowed = {"schedule": SCHEDULE_KEYS,
+               **{f"stage {n}": STAGE_KEYS for n in range(1, n_stages + 1)}}
+    unknown = []
+    for name in cp.sections():
+        if name not in allowed:
+            unknown.append(f"section [{name}]")
+            continue
+        unknown += [f"key {key!r} in [{name}]" for key in cp[name]
+                    if key not in allowed[name]]
+    if unknown:
+        raise ConfigError(f"unknown {', '.join(unknown)} in config {path}")
     try:
         sect = cp["schedule"]
         field = sect.get("scalar_field", REAL)
         mode = sect.get("weight_mode", FLOAT)
         exact = mode == RATIONAL
         xi_end = int(sect["xi_end"])
-        n_stages = sum(name.startswith("stage ") for name in cp.sections())
         stages = []
         families = []
         violations = []

@@ -409,3 +409,17 @@ def test_build_refuses_weights_beyond_the_float_range(tmp_path, capsys):
     assert rc == 2
     assert err.startswith("error:") and "lay-off interval" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, line, typo, named", [
+    ("mini.cfg", "weight_mode = float\n", "weight_mod = rational\n", "'weight_mod'"),
+    ("thm1.cfg", "gamma = auto\n", "gama = 0.001\n", "'gama'")])
+def test_build_refuses_misspelled_keys(name, line, typo, named, tmp_path, capsys):
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    text = open(os.path.join(configs, name)).read()
+    path = tmp_path / name
+    path.write_text(text.replace(line, typo))
+    rc = main(["build", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"unknown key {named}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "o")

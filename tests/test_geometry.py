@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,35 @@ def test_partition_against_bruteforce_mini(minis):
     got = [(iv.lo, iv.hi) for iv in geo.stage_table(minis, 1)
            if not geo.is_layoff(iv.tag)]
     assert got == [(lo, hi) for lo, hi, _ in sorted(expected)]
+
+
+@pytest.mark.parametrize("profile", [
+    lambda: mini_schedule()[0],
+    lambda: mini_schedule(weight_mode=ol.RATIONAL)[0],
+    lambda: reference_schedule()[0]], ids=["mini", "mini_rational", "r1"])
+def test_locate_is_one_search_of_the_concatenated_tables(profile):
+    # locate(j) is the interval np.searchsorted picks from the starts of
+    # every stage table laid end to end, at each j in (xi_1, xi_end]
+    sched = profile()
+    table = [iv for n in range(1, sched.n_stages + 1)
+             for iv in geo.stage_table(sched, n)]
+    js = np.arange(sched.xi(1) + 1, sched.xi_end + 1)
+    at = np.searchsorted([iv.lo for iv in table], js, side="right") - 1
+    for j, i in zip(js.tolist(), at.tolist()):
+        assert geo.locate(j, sched) == table[i], j
+    for j in (0, sched.xi(1), sched.xi_end + 1, sched.xi_end + 10**6):
+        with pytest.raises(AssertionError):
+            geo.locate(j, sched)
+
+
+def test_b_fan_end_check_fires_on_a_hand_built_stage():
+    # assemble does not validate, so a stage with xi < 0 reaches stage_table,
+    # whose b-fan loop then never runs and cannot end at nu = xi (b + 1)
+    sched = mini_schedule()[0]
+    bad = ol.StageSchedule(stages=(replace(sched.stages[0], xi=-1),),
+                           xi_end=sched.xi_end)
+    with pytest.raises(ol.errors.ScheduleError, match="b-fan does not end at nu"):
+        geo.stage_table(bad, 1)
 
 
 def test_coord_roundtrip_examples(r1s):

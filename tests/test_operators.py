@@ -22,7 +22,7 @@ def _power(b, m):
 def test_op_norm_identity():
     for M in (sparse.identity(40, format="csc"),
               sparse.identity(40, dtype=complex, format="csr")):
-        assert ops.op_norm(M) == ops.OpNormResult(1.0, "dense_svd", True, 0)
+        assert ops.op_norm(M) == ops.OpNormResult(1.0, "dense_svd")
 
 
 def test_op_norm_diagonal():
@@ -86,7 +86,7 @@ def test_op_norm_prunes_wide_component_below_lower_bound():
     M = sparse.block_diag([chain, column, sparse.identity(7)]).tocsc()
     assert math.sqrt((chain.data ** 2).sum()) < math.sqrt(14)
     res = ops.op_norm(M)
-    assert res == ops.OpNormResult(math.sqrt(14), "dense_svd", True, 0)
+    assert res == ops.OpNormResult(math.sqrt(14), "dense_svd")
 
 
 def _permuted_block_diag(rng, shapes, complex_=False, pad=3):
@@ -908,7 +908,7 @@ def test_power_norms_edge_blocks(mini):
         for (rows, cols), res in zip(blocks, got):
             _assert_same(res, _reference_norm(mini, m, rows, cols))
     assert ops.power_norms(mini, n + 3, [(full, full)]) == [
-        ops.OpNormResult(0.0, "empty", True, 0)]
+        ops.OpNormResult(0.0, "empty")]
 
 
 def _lone_pairs(b, m):
@@ -1019,9 +1019,9 @@ def test_power_norms_of_pairs_only(f_diag, method):
 def test_op_norm_of_explicit_zeros_is_empty():
     M = sparse.csc_matrix(([0.0, 0.0], [0, 1], [0, 1, 2]), shape=(2, 2))
     assert M.nnz == 2
-    assert ops.op_norm(M) == ops.OpNormResult(0.0, "empty", True, 0)
+    assert ops.op_norm(M) == ops.OpNormResult(0.0, "empty")
     assert ops.op_norm(sparse.csc_matrix((3, 4))) == ops.OpNormResult(
-        0.0, "empty", True, 0)
+        0.0, "empty")
 
 
 def test_power_norms_count_loose_pairs_in_the_drop_threshold():

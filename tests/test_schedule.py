@@ -233,3 +233,43 @@ def test_schedule_hash_is_cached_per_instance():
     assert hash(replace(sched)) == hash(sched)
     thawed = pickle.loads(pickle.dumps(sched))
     assert "_hash" not in vars(thawed) and thawed == sched
+
+
+# the two misspellings a config once loaded without a word: mini.cfg as a
+# float schedule, thm1.cfg with gamma auto-calibrated
+MISSPELLED = [("mini.cfg", "weight_mode = float\n", "weight_mod = rational\n",
+               "key 'weight_mod' in [schedule]"),
+              ("thm1.cfg", "gamma = auto\n", "gama = 0.001\n",
+               "key 'gama' in [stage 1]")]
+
+
+@pytest.mark.parametrize("name, line, typo, named", MISSPELLED,
+                         ids=["weight_mod", "gama"])
+def test_config_refuses_unknown_keys(name, line, typo, named, tmp_path):
+    text = (CONFIGS / name).read_text()
+    assert text.count(line) == 1
+    path = tmp_path / name
+    path.write_text(text.replace(line, typo))
+    with pytest.raises(ConfigError) as exc:
+        ol.load_config(path)
+    assert f"unknown {named}" in str(exc.value)
+
+
+def test_config_refuses_unknown_sections(tmp_path):
+    path, text = _mini_cfg_text(tmp_path)
+    for extra, named in (("[shedule]\nxi_end = 5\n", "section [shedule]"),
+                         ("[stage 4]\nxi = 2\n", "section [stage 4]")):
+        path.write_text(text.replace("[stage 2]", extra + "\n[stage 2]"))
+        with pytest.raises(ConfigError) as exc:
+            ol.load_config(path)
+        assert f"unknown {named}" in str(exc.value)
+
+
+def test_config_names_every_unknown_key(tmp_path):
+    path, text = _mini_cfg_text(tmp_path)
+    path.write_text(text.replace("eps = 0.25\n", "eps = 0.25\nepsilon = 1\n")
+                    .replace("xi_end = 31600\n", "xi_end = 31600\nseed = 3\n"))
+    with pytest.raises(ConfigError) as exc:
+        ol.load_config(path)
+    assert "key 'seed' in [schedule]" in str(exc.value)
+    assert "key 'epsilon' in [stage 1]" in str(exc.value)

@@ -1,0 +1,171 @@
+"""Construction identities on drawn admissible schedules.
+
+The strategy grows 1-2 stages the way ``profiles.statistical_schedule``
+does, at minimal admissible growth (b = 2 xi + d + 1, c_1 = nu + 1,
+c_i = h (c_1 + ... + c_{i-1}) + nu + 1, xi_{n+1} = fan end + 1), plus drawn
+slack on each of those, and keeps every schedule at or below MAX_COLUMNS
+columns.  A second stage is drawn only where its minimal growth fits.
+Fans are Polys of degree <= d with coefficients in {-2, ..., 2}, so
+multi-term, zero-constant and zero polynomials all occur; gammas are
+declared dyadics or auto.
+"""
+
+import hashlib
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import orbitlab as ol
+from orbitlab import geometry as geo
+from orbitlab.polynet import Poly
+
+MAX_COLUMNS = 5_000
+PROPERTY_SETTINGS = dict(derandomize=True, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+FIELD_MODES = [(ol.REAL, ol.FLOAT), (ol.COMPLEX, ol.FLOAT),
+               (ol.REAL, ol.RATIONAL)]
+
+
+def _fan(nu: int, h: int, k: int, slack) -> tuple[int, ...]:
+    """c_1 .. c_k at minimal growth plus slack[i] on c_{i+1}."""
+    c = []
+    for i in range(k):
+        c.append(h * sum(c) + nu + 1 + slack[i])
+    return tuple(c)
+
+
+def _xi_next(xi: int, b: int, h: int, k: int, slack=(0, 0), tail: int = 0) -> int:
+    nu = xi * (b + 1)
+    return h * sum(_fan(nu, h, k, slack)) + nu + 1 + tail
+
+
+# the largest xi_2 from which every drawn d and b fit a minimal (h, k) = (1, 1)
+# stage below MAX_COLUMNS
+SEED_ROOM = max(xi for xi in range(1, 100)
+                if _xi_next(xi, 2 * xi + 5, 1, 1) < MAX_COLUMNS)
+
+
+@st.composite
+def _stage(draw, xi, limit, scale, mode):
+    """(StageParams, family, xi_next) of a stage grown from xi with
+    xi_next < limit, or None when no drawn shape fits; scale holds the
+    exponents of its dyadic gamma, delta and eps.  Slack that would overrun
+    the limit is dropped."""
+    d = draw(st.integers(0, 2))
+    b = 2 * xi + d + 1 + draw(st.integers(0, 2))
+    shapes = [(h, k) for h in (1, 2) for k in (1, 2)
+              if _xi_next(xi, b, h, k) < limit]
+    if not shapes:
+        return None
+    h, k = draw(st.sampled_from(shapes))
+    slack = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    tail = draw(st.integers(0, 5))
+    if _xi_next(xi, b, h, k, slack, tail) >= limit:
+        slack, tail = (0, 0), 0
+    gamma, delta, eps = (Fraction(1, 1 << e) for e in scale)
+    if mode == ol.FLOAT:
+        gamma = float(gamma)
+    params = ol.StageParams(xi=xi, b=b, c=_fan(xi * (b + 1), h, k, slack), h=h,
+                            d=d, gamma=gamma if draw(st.booleans()) else None,
+                            delta=float(delta), eps=float(eps))
+    coeffs = st.lists(st.integers(-2, 2), min_size=1, max_size=d + 1)
+    family = tuple(Poly(tuple(a)) for a in
+                   draw(st.lists(coeffs, min_size=k, max_size=k + 1)))
+    return params, family, _xi_next(xi, b, h, k, slack, tail)
+
+
+@st.composite
+def admissible(draw, modes=FIELD_MODES):
+    """(schedule, families) with validate(schedule) == []: on half the draws
+    two stages, the first one grown small enough for the second to fit."""
+    field, mode = draw(st.sampled_from(modes))
+    two = draw(st.booleans())
+    xi, scale = draw(st.integers(1, 2 if two else 3)), [0, 0, 0]
+    stages, families = [], []
+    limits = [SEED_ROOM + 1, MAX_COLUMNS] if two else [MAX_COLUMNS]
+    while limits:
+        # gamma, delta and eps strictly decrease: 2^-e with e growing
+        scale = [e + 1 + draw(st.integers(0, 2)) for e in scale]
+        grown = draw(_stage(xi, limits.pop(0), scale, mode))
+        if grown is None:  # no first stage of two fits: grow one stage only
+            grown, limits = draw(_stage(xi, MAX_COLUMNS, scale, mode)), []
+        params, family, xi = grown
+        stages.append(params)
+        families.append(family)
+    sched = ol.StageSchedule(stages=tuple(stages), xi_end=xi,
+                             scalar_field=field, weight_mode=mode)
+    assert ol.validate(sched) == [], ol.validate(sched)
+    assert sched.xi_end < MAX_COLUMNS
+    return sched, tuple(families)
+
+
+def _table(sched):
+    return [iv for n in range(1, sched.n_stages + 1)
+            for iv in geo.stage_table(sched, n)]
+
+
+def _digests(basis):
+    """sha256 of F and of E: indptr, indices, data and any exact pairs."""
+    out = []
+    for M, exact in ((basis.F_csc, basis._F_exact), (basis.E_csc, basis._E_exact)):
+        h = hashlib.sha256()
+        for a in (M.indptr, M.indices):
+            h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(M.data).tobytes())
+        for a in exact or ():
+            h.update(",".join(map(str, a.tolist())).encode())
+        out.append(h.hexdigest())
+    return out
+
+
+def _reload(sched, fams):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.cfg"
+        ol.save_config(path, sched, fams)
+        return ol.load_config(path)
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_stage_tables_tile_each_stage(drawn):
+    sched, _ = drawn
+    for n, stage in enumerate(sched.stages, start=1):
+        table = geo.stage_table(sched, n)
+        assert table[0].lo == sched.xi(n) + 1
+        assert table[-1].hi == sched.xi(n + 1)
+        assert all(iv.lo <= iv.hi for iv in table)
+        assert all(a.hi + 1 == b.lo for a, b in zip(table, table[1:]))
+        b_fan = [iv for iv in table if isinstance(iv.tag, (geo.BLayOff, geo.BWorking))]
+        assert list(table[:len(b_fan)]) == b_fan
+        assert b_fan[-1].hi == stage.nu
+        assert [iv.tag.r for iv in b_fan if isinstance(iv.tag, geo.BWorking)] == \
+            list(range(1, stage.xi + 1))
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_locate_equals_a_scan_of_the_tables(drawn):
+    sched, _ = drawn
+    for iv in _table(sched):  # a linear scan of the tables laid end to end
+        for j in range(iv.lo, iv.hi + 1):
+            assert geo.locate(j, sched) == iv
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_config_roundtrip_reassembles_the_same_maps(drawn):
+    sched, fams = drawn
+    loaded = _reload(sched, fams)
+    assert loaded == (sched, fams)
+    assert _digests(ol.assemble(*loaded)) == _digests(ol.assemble(sched, fams))
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(admissible(modes=[(ol.REAL, ol.RATIONAL)]))
+def test_rational_roundtrip_is_exact_both_ways(drawn):
+    b = ol.assemble(*drawn)
+    assert ol.roundtrip_exact(b, "FE")[0]
+    assert ol.roundtrip_exact(b, "EF")[0]
