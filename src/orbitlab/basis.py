@@ -25,14 +25,16 @@ built only where a single scalar or column is read (``f_col``, ``e_col``,
 ``e0_functional`` and ``F_cols``/``E_cols``), and frame conversion of an
 exact vector builds one per output entry.
 
-One exact pair kernel serves assembly, frame conversion and the roundtrip.
-A product of a pair array by a scalar pair is reduced by Henrici's rule
-(``_scaled_pairs``): with both factors in lowest terms, dividing out the two
-cross gcds leaves the product in lowest terms.  Sums group the terms by key
-(``_group``) and ``_pair_sums`` adds each group: a lone term passes through
-as given, a pair is cross-multiplied, and a longer group is summed over the
-lcm of its denominators; only a surviving sum of two or more terms is reduced,
-by one gcd.
+One exact pair kernel serves assembly, frame conversion, the roundtrip and
+operator images.  A product of a pair array by a scalar pair is reduced by
+Henrici's rule (``_scaled_pairs``): with both factors in lowest terms,
+dividing out the two cross gcds leaves the product in lowest terms.  Sums
+group the terms by key (``_group``) and ``_pair_sums`` adds each group: a
+lone term passes through as given, a pair is cross-multiplied, and a longer
+group is summed over a common multiple of its denominators; only a surviving
+sum of two or more terms is reduced, by one gcd.  Matrix products run one
+gather-and-sum loop (``_product_blocks``), whose one-column case is frame
+conversion.
 """
 
 from __future__ import annotations
@@ -172,26 +174,24 @@ def _combine(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
 
 def _combine_pairs(M: sparse.csc_matrix, exact, x: Vec) -> Vec:
     """_combine of nonzero int or Fraction coefficients x on the exact pairs:
-    one unreduced product pair per term, summed per row by _pair_sums, and
-    one Fraction (which reduces it) per nonzero output entry."""
+    the exact product kernel (_product_blocks) on the one column x, its
+    entries in the order of x, or for one term the scaled column, and one
+    Fraction (which reduces it) per nonzero output entry, the keys in order
+    of first appearance."""
     if not x:
         return {}
-    num, den = exact
     if len(x) == 1:  # one column: its rows are distinct, so nothing is summed
         (j, c), = x.items()
         s, e = M.indptr[j], M.indptr[j + 1]
-        vals = map(Fraction, num[s:e] * c.numerator, den[s:e] * c.denominator)
+        vals = map(Fraction, exact[0][s:e] * c.numerator, exact[1][s:e] * c.denominator)
         return {i: v for i, v in zip(M.indices[s:e].tolist(), vals) if v}
-    owner, pos = _positions(M.indptr, np.fromiter(x, np.int64, len(x)))
-    coef = np.array([(c.numerator, c.denominator) for c in x.values()], dtype=object)
-    order, starts, sizes = _group(M.indices[pos])
-    owner, pos = owner[order], pos[order]
-    keep, (num, den) = _pair_sums(num[pos] * coef[owner, 0], den[pos] * coef[owner, 1],
-                                  starts, sizes)
-    first = order[starts[keep]]  # each surviving row's first term
+    coef = tuple(np.array(v, dtype=object)
+                 for v in zip(*(c.as_integer_ratio() for c in x.values())))
+    column = np.array([0, len(x)]), np.fromiter(x, np.int64, len(x)), coef
+    (_, _, _, rows, first, (num, den)), = _product_blocks(
+        (M.indptr, M.indices, exact), column, M.shape[0])
     by_first = np.argsort(first)
-    rows = M.indices[pos[starts[keep]]][by_first]
-    return dict(zip(rows.tolist(), map(Fraction, num[by_first], den[by_first])))
+    return dict(zip(rows[by_first].tolist(), map(Fraction, num[by_first], den[by_first])))
 
 
 _DICT_BLOCK = 4096  # columns converted to dicts per block (bounds the transient lists)
@@ -266,6 +266,25 @@ class BasisMap:
     @property
     def E_cols(self):
         return _column_dicts(self._E, self._E_exact)
+
+    def f_columns(self, cols=None):
+        """F's columns cols (a slice or ascending indices, all when None) as
+        poly_image takes X: the CSC block, in rational mode with its pairs."""
+        F = self._F if cols is None else self._F[:, cols]
+        if self._F_exact is None:
+            return F
+        keep = np.zeros(self._F.shape[1], dtype=bool)
+        keep[slice(None) if cols is None else cols] = True
+        return F, tuple(a[np.repeat(keep, np.diff(self._F.indptr))] for a in self._F_exact)
+
+    def diagonal_products(self, m: int, js: np.ndarray) -> np.ndarray:
+        """E[j+m, j+m] F[j, j] for each j in js from the stored diagonals, in
+        rational mode exact and rounded once, as exact_product rounds it."""
+        f, e = self._F.indptr[js + 1] - 1, self._E.indptr[js + m + 1] - 1
+        if self._F_exact is None:
+            return self._E.data[e] * self._F.data[f]
+        (fn, fd), (en, ed) = self._F_exact, self._E_exact
+        return _float_images(fn[f] * en[e], fd[f] * ed[e])
 
     # -- frame conversion --------------------------------------------------
 
@@ -395,12 +414,7 @@ class _Columns:
             for start, images in self.images:
                 data[start:start + len(images)] = images
             todo = np.flatnonzero(np.isnan(data))
-            num, den = (v[todo] for v in values)
-            # int / int is correctly rounded: the same float as float(Fraction)
-            try:
-                data[todo] = np.true_divide(num, den).astype(float)
-            except OverflowError:
-                data[todo] = np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
+            data[todo] = _float_images(*(v[todo] for v in values))
         M = sparse.csc_matrix((data, self.indices[:nnz], self.indptr[: self.n_cols + 1]),
                               shape=(n_rows, self.n_cols))
         return M, (values if exact else None)
@@ -427,6 +441,15 @@ def _layoff_images(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     with np.errstate(over="ignore", under="ignore"):
         images = np.ldexp(mant.astype(float), s), np.ldexp(1.0 / mant, -s)
     return tuple(np.where((v >= _TINY) & (v < np.inf), v, np.nan) for v in images)
+
+
+def _float_images(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per pair (den > 0), correctly rounded as int / int is (the
+    same float as float(Fraction)), +-inf beyond the float range."""
+    try:
+        return np.true_divide(num, den).astype(float)
+    except OverflowError:
+        return np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
 
 
 def _float_or_inf(num: int, den: int) -> float:
@@ -479,11 +502,13 @@ def _pair_sums(num, den, starts, sizes):
 
     A lone term passes through as given.  A pair is cross-multiplied, and
     its denominator product is formed only if it survives, so a cancelling
-    pair costs two big products.  A longer group is summed over the lcm of
-    its denominators, which stays small when they share their factors, as
-    the dyadic ones of frame conversion do.  Exact zeros are dropped before
-    any reduction, and each surviving sum of two or more terms is reduced by
-    one gcd; so lowest-terms terms give lowest-terms sums."""
+    pair costs two big products.  A longer group is summed over a common
+    multiple of its denominators: the largest one where it is one, as when
+    they are all powers of two (97 % of the long-group denominators of a
+    rational-mini frame conversion), else their lcm, which stays small when
+    they share their factors.  Exact zeros are dropped before any reduction,
+    and each surviving sum of two or more terms is reduced by one gcd; so
+    lowest-terms terms give lowest-terms sums."""
     if len(starts) == len(num):  # lone terms only, as in roundtrip blocks of lay-offs
         keep = num != 0
         return keep, (num[keep], den[keep])
@@ -494,10 +519,12 @@ def _pair_sums(num, den, starts, sizes):
     long = sizes > 2
     if long.any():
         terms = np.repeat(long, sizes)
-        lo = np.cumsum(sizes[long]) - sizes[long]
-        common = np.lcm.reduceat(den[terms], lo)
-        an[long] = np.add.reduceat(
-            num[terms] * (np.repeat(common, sizes[long]) // den[terms]), lo)
+        d, z = den[terms], sizes[long]
+        lo = np.cumsum(z) - z
+        common = np.maximum.reduceat(d, lo)
+        bad = np.logical_or.reduceat(np.repeat(common, z) % d != 0, lo)
+        common[bad] = np.lcm.reduceat(d[np.repeat(bad, z)], np.cumsum(z[bad]) - z[bad])
+        an[long] = np.add.reduceat(num[terms] * (np.repeat(common, z) // d), lo)
         ad[long] = common
     keep = an != 0
     two = two[keep[two]]
@@ -515,9 +542,7 @@ def _sum_in_order(owner, rows, vals, n_rows: int):
     the given order, as vec_add accumulates them; exact pairs by _pair_sums.
 
     Assembly calls it only for multi-term working polynomials, which no
-    shipped config has; roundtrip_exact sums groups of two on every shipped
-    rational basis (the two product terms of an off-diagonal entry, which
-    cancel)."""
+    shipped config has; exact_product on every shifted block."""
     key = owner * n_rows + rows
     order, starts, sizes = _group(key)
     key = key[order]
@@ -576,6 +601,17 @@ def _calibrate(schedule: StageSchedule, F: sparse.csc_matrix, n: int):
     if schedule.weight_mode == RATIONAL:
         g = geo.dyadic(g)
     return g, C
+
+
+def _check_decrease(stages, n: int) -> None:
+    """Refuse a calibrated gamma_n that does not strictly decrease against
+    gamma_(n-1) or a declared gamma_(n+1): validate skips auto gammas."""
+    lo = max(n - 2, 0)
+    for i, (a, b) in enumerate(zip(stages[lo:n], stages[lo + 1:n + 1]), start=lo + 1):
+        if b.gamma is not None and not b.gamma < a.gamma:
+            raise ScheduleError([f"calibrated gamma of stage {n} breaks gamma strictly "
+                                 f"decreasing: stage {i} has {a.gamma}, stage {i + 1} "
+                                 f"has {b.gamma}"])
 
 
 _LAYOFF_BLOCK = 1 << 16  # lay-off weights computed per block (bounds the transient lists)
@@ -671,6 +707,7 @@ def assemble(schedule: StageSchedule, families) -> BasisMap:
             if iv.lo == st.nu + 1 and st.gamma is None:
                 g, frame_constants[n] = _calibrate(schedule, F.matrix(F.n_cols)[0], n)
                 st = stages[n - 1] = replace(st, gamma=g)
+                _check_decrease(stages, n)
             if geo.is_layoff(iv.tag):
                 add_layoffs(iv)
             elif isinstance(iv.tag, geo.BWorking):
@@ -837,24 +874,73 @@ def roundtrip_max_error(basis: BasisMap, order: str = "FE") -> float:
 _ROUNDTRIP_BLOCK = 1 << 16  # product terms summed per block (bounds the transient arrays)
 
 
+def _product_blocks(outer, inner, n_rows: int):
+    """The exact product of two (indptr, indices, (num, den)) matrices in
+    blocks of about _ROUNDTRIP_BLOCK product terms: per block of inner
+    columns [lo, hi), (lo, hi, owner, rows, first, pairs), its nonzero sums
+    ordered by (owner = column - lo, row) and first the position of each
+    one's first term in gather order (inner entries in stored order, each
+    times the outer column it selects).  The terms (c.num * v.num,
+    c.den * v.den) are gathered by index arithmetic, sorted by key before
+    they are formed, and summed by _pair_sums (lone terms unreduced)."""
+    (o_ptr, o_rows, (onum, oden)), (i_ptr, i_rows, (inum, iden)) = outer, inner
+    before = np.concatenate(([0], np.cumsum(np.diff(o_ptr)[i_rows])))[i_ptr]
+    lo, n_cols = 0, len(i_ptr) - 1
+    while lo < n_cols:
+        hi = int(np.searchsorted(before, before[lo] + _ROUNDTRIP_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        col, at = _positions(i_ptr, np.arange(lo, hi))
+        src, pos = _positions(o_ptr, i_rows[at])
+        key = col[src] * n_rows + o_rows[pos]
+        order, starts, sizes = _group(key)
+        at, pos = at[src[order]], pos[order]
+        keep, pairs = _pair_sums(inum[at] * onum[pos], iden[at] * oden[pos], starts, sizes)
+        first = order[starts[keep]]
+        yield (lo, hi, *np.divmod(key[first], n_rows), first, pairs)
+        lo = hi
+
+
+def exact_product(outer, inner, terms):
+    """(M, (num, den)): outer (sum_u a_u S^u) inner for (CSC, (num, den))
+    matrices and int or Fraction a_u, each term shifting inner's rows up by
+    u (past outer's columns they drop).  M holds the nonzero entries, rows
+    sorted, each rounded once (per block, so only a block beyond the float
+    range takes _float_images' slow path); (num, den) the exact values."""
+    (O, o_exact), (I, (num, den)) = outer, inner
+    n, n_cols = O.shape[1], I.shape[1]
+    cols = np.repeat(np.arange(n_cols), np.diff(I.indptr))
+    shifted = []
+    for u, a in terms:
+        a, live = Fraction(a), I.indices + u < n
+        shifted.append((cols[live], I.indices[live] + u,
+                        *_scaled_pairs(num[live], den[live], a.numerator, a.denominator)))
+    cols, rows, *pairs = map(np.concatenate, zip(*shifted))
+    cols, rows, pairs = _sum_in_order(cols, rows, pairs, n)
+    D = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols)))), rows, pairs
+    blocks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0),
+               np.zeros(0, object), np.zeros(0, object))]
+    blocks += [(lo + owner, rows, _float_images(*pairs), *pairs)
+               for lo, _, owner, rows, _, pairs in
+               _product_blocks((O.indptr, O.indices, o_exact), D, O.shape[0])]
+    cols, rows, data, *pairs = map(np.concatenate, zip(*blocks))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n_cols))))
+    M = sparse.csc_matrix((data, rows, indptr), shape=(O.shape[0], n_cols))
+    return M, tuple(pairs)
+
+
 def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     """Exact columnwise roundtrip F E = I (order "FE") or E F = I ("EF") of a
     rational-mode basis; returns (ok, worst_column, worst_value).
 
-    Integer arithmetic only, on the stored (num, den) pairs.  Column m of
-    the product sums c * v over the inner column's entries c and the outer
-    column's entries v.  The inner columns are walked in blocks of about
-    _ROUNDTRIP_BLOCK product terms: a block's terms (column m, row i,
-    c.num * v.num, c.den * v.den) are gathered by index arithmetic, two
-    object-int products per term and no gcd, and summed per (m, i) by
-    _sum_in_order, the exact summation assembly uses (see _pair_sums).  So
-    transient memory is bounded per block.  Both maps are triangular, so
-    each diagonal entry (m, m) of the product is a lone term, which passes
-    through unreduced; it is 1 iff num == den.  A block passes iff in each
-    of its columns exactly one entry survives, the diagonal, and it is 1;
-    on a passing basis every other sum cancels, and nothing is reduced.
-    Only the first failing column is converted to Fractions, and
-    worst_value is the largest |residual| of that column.
+    The product's columns come from the exact product kernel, block by block
+    (_product_blocks), so transient memory is bounded per block.  Both maps
+    are triangular, so each diagonal entry (m, m) of the product is a lone
+    term, which passes through unreduced; it is 1 iff num == den.  A block
+    passes iff in each of its columns exactly one entry survives, the
+    diagonal, and it is 1; on a passing basis every other sum cancels, and
+    nothing is reduced.  The check stops at the first failing block: only
+    its first failing column is converted to Fractions, and worst_value is
+    the largest |residual| of that column.
 
     A float basis raises ValueError: its roundtrip holds only up to rounding,
     which roundtrip_max_error measures.
@@ -862,23 +948,11 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
     if basis.mode != RATIONAL:
         raise ValueError(f"roundtrip_exact needs a rational-mode basis, not "
                          f"{basis.mode!r}; use roundtrip_max_error")
-    F = basis.F_csc, basis._F_exact
-    E = basis.E_csc, basis._E_exact
-    (outer, (onum, oden)), (inner, (inum, iden)) = (F, E) if order == "FE" else (E, F)
-    # product terms before each inner column: one per entry of the outer
-    # column that each inner entry reads
-    terms = np.concatenate(([0], np.cumsum(np.diff(outer.indptr)[inner.indices])))
-    terms = terms[inner.indptr]
-    lo, n = 0, inner.shape[1]
-    while lo < n:
-        hi = int(np.searchsorted(terms, terms[lo] + _ROUNDTRIP_BLOCK, side="right")) - 1
-        hi = max(hi, lo + 1)
-        col, at = _positions(inner.indptr, np.arange(lo, hi))
-        src, pos = _positions(outer.indptr, inner.indices[at])
-        owner, at = col[src], at[src]
-        owner, rows, (num, den) = _sum_in_order(
-            owner, outer.indices[pos], (inum[at] * onum[pos], iden[at] * oden[pos]),
-            outer.shape[0])
+    F = basis.F_csc.indptr, basis.F_csc.indices, basis._F_exact
+    E = basis.E_csc.indptr, basis.E_csc.indices, basis._E_exact
+    outer, inner = (F, E) if order == "FE" else (E, F)
+    n = basis.n_trunc + 1
+    for lo, hi, owner, rows, _, (num, den) in _product_blocks(outer, inner, n):
         unit = (rows == owner + lo) & (num == den)
         ok = ((np.bincount(owner, minlength=hi - lo) == 1)
               & (np.bincount(owner[unit], minlength=hi - lo) == 1))
@@ -889,7 +963,6 @@ def roundtrip_exact(basis: BasisMap, order: str = "FE"):
             m = lo + k
             resid[m] = resid.get(m, Fraction(0)) - 1
             return (False, m, max(abs(v) for v in resid.values() if v != 0))
-        lo = hi
     return (True, None, 0)
 
 

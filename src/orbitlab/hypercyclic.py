@@ -61,10 +61,9 @@ def fan_residual_norm(basis: BasisMap, n: int, k: int) -> float:
     """Measured operator norm of x -> T^{c_k} x - p_k(T) x on span f_[0, nu_n]:
     op_norm of E (S^{c_k} - p_k(S)) F[:, 0..nu_n]."""
     st = basis.schedule.stage(n)
-    F = basis.F_csc[:, : st.nu + 1]
     terms = [(st.c[k - 1], 1)] + [(u, -a) for u, a in enumerate(
         basis.families[n - 1][k - 1].coeffs) if a != 0]
-    return op_norm(poly_image(basis, terms, F)).value
+    return op_norm(poly_image(basis, terms, basis.f_columns(slice(0, st.nu + 1)))).value
 
 
 def fan_residual_bound(basis: BasisMap, n: int) -> float:
@@ -80,7 +79,9 @@ def b_identity_constant(basis: BasisMap, n: int) -> tuple[float, list[float]]:
     st = basis.schedule.stage(n)
     X = sparse.eye(basis.n_trunc + 1, st.xi + 1, format="csc",
                    dtype=basis.F_csc.dtype)
-    M = poly_image(basis, ((st.b + 1, 1 / st.b), (1, -1)), X)
+    if basis.mode == RATIONAL:
+        X = X, (np.ones(st.xi + 1, dtype=object),) * 2
+    M = poly_image(basis, ((st.b + 1, Fraction(1, st.b)), (1, -1)), X)
     return st.b * op_norm(M).value, column_norms(M, 0, M.shape[1]).tolist()
 
 
@@ -102,8 +103,7 @@ def shade_measurements(basis: BasisMap, n: int):
         if isinstance(iv.tag, geo.BLayOff):
             gap[iv.lo:iv.hi + 1] = True
     js = np.flatnonzero(gap[:-shift] & gap[shift:])
-    F, E = basis.F_csc, basis.E_csc
-    vals = E.data[E.indptr[js + shift + 1] - 1] * F.data[F.indptr[js + 1] - 1]
+    vals = basis.diagonal_products(shift, js)
     return sigma, list(zip(js.tolist(), vals, (vals != 0).astype(int).tolist()))
 
 

@@ -16,9 +16,12 @@ of the power.  That is one rounded product, which is exactly what the
 sparse product stores for a one-term sum, and a real value stays real (a
 zero imaginary part) in a complex product, so the pair entries are bit for
 bit those of the formed power; a product that rounds to 0 is not stored,
-as there.  Only the other columns go through `poly_image`, once per power,
-and each block's pairs enter `op_norm`'s drop-and-split stage as two
-numbers: their largest magnitude and their count.
+as there.  In rational mode a pair entry is the exact product of the two
+diagonal pairs rounded once, as the exact power stores it
+(`BasisMap.diagonal_products`).  Only the other columns go through
+`poly_image`, once per power, and each block's pairs enter `op_norm`'s
+drop-and-split stage as two numbers: their largest magnitude and their
+count.
 
 Cost: per power, one pass over the columns marks the pairs and forms their
 entries from the diagonals of F and E, read once per basis; per block, a
@@ -37,9 +40,10 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry as geo
-from .basis import BasisMap, column_norms, shift_e, vec_norm, vec_sub
+from .basis import BasisMap, column_norms, exact_product, shift_e, vec_norm, vec_sub
 from .errors import OrbitLabError
 from .report import Entry, check
+from .schedule import RATIONAL
 
 # Widest component (rows or columns) op_norm solves by dense SVD; a wider
 # one that can hold the norm makes op_norm raise.
@@ -61,10 +65,19 @@ def shift_power_csc(n_dim: int, m: int, dtype=float) -> sparse.csc_matrix:
     return sparse.eye(n_dim, n_dim, k=-m, format="csc", dtype=dtype)
 
 
-def poly_image(basis: BasisMap, terms, X: sparse.spmatrix) -> sparse.csc_matrix:
+def poly_image(basis: BasisMap, terms, X) -> sparse.csc_matrix:
     """f-frame matrix E (sum_u a_u S^u) X for a block X of e-frame columns
     and terms (u, a_u): each term shifts X's row indices up by u, and rows
-    past the truncation drop.  The product has sorted indices."""
+    past the truncation drop.  The product has sorted indices.  In rational
+    mode X carries its exact values, as (block, (num, den)) from
+    BasisMap.f_columns, and the product is the exact one with each entry
+    rounded once (basis.exact_product; a bare matrix X raises ValueError)."""
+    if basis.mode == RATIONAL:
+        if sparse.issparse(X):
+            raise ValueError("a rational basis takes X as (block, (num, den))")
+        P = exact_product((basis.E_csc, basis._E_exact), X, terms)[0]
+        P.eliminate_zeros()  # an image that underflows, as the float product drops it
+        return P
     X = X.tocoo()
     n = basis.n_trunc + 1
     rows, cols, vals = [], [], []
@@ -84,9 +97,9 @@ def poly_image(basis: BasisMap, terms, X: sparse.spmatrix) -> sparse.csc_matrix:
 def conjugated_power(basis: BasisMap) -> sparse.csc_matrix:
     """f-frame matrix of the operator, E S F, built once per basis and
     shared, so callers must not modify it.  A power E S^m F is
-    poly_image(basis, ((m, 1),), basis.F_csc)."""
+    poly_image(basis, ((m, 1),), basis.f_columns())."""
     if basis._T is None:
-        basis._T = poly_image(basis, ((1, 1),), basis.F_csc)
+        basis._T = poly_image(basis, ((1, 1),), basis.f_columns())
     return basis._T
 
 
@@ -406,12 +419,14 @@ def power_norms(basis: BasisMap, m: int,
     pair = f_one[:k] & e_one[m:] & rest[:k]
     rest[:k] &= ~pair
     cols = np.flatnonzero(rest)
-    R = poly_image(basis, ((m, 1),),
-                   basis.F_csc[:, cols] if len(cols) < n else basis.F_csc)
+    R = poly_image(basis, ((m, 1),), basis.f_columns(cols if len(cols) < n else None))
     # the magnitude of column j's pair entry, 0 where none is stored (the
-    # sparse product stores no zero sums)
+    # product stores no zero)
     v = np.zeros(k)
-    np.multiply(e_diag[m:], f_diag[:k], out=v, where=pair)
+    if basis.mode == RATIONAL:  # the exact product, rounded once
+        v[pair] = basis.diagonal_products(m, np.flatnonzero(pair))
+    else:
+        np.multiply(e_diag[m:], f_diag[:k], out=v, where=pair)
     np.abs(v, out=v)
 
     out = []

@@ -20,7 +20,7 @@ from .errors import ProfileError
 from .hypercyclic import certify_hypercyclic_step
 from .operators import conjugated_power, op_norm, poly_image, shift_power_csc
 from .report import Entry, check
-from .schedule import COMPLEX
+from .schedule import COMPLEX, RATIONAL
 
 
 def zero_constant_profile(basis: BasisMap) -> bool:
@@ -35,7 +35,11 @@ def build_A(basis: BasisMap) -> sparse.csc_matrix:
     if not zero_constant_profile(basis):
         raise ProfileError(
             "companion operator needs fan polynomials with zero constant term")
-    F = basis.F_csc.copy()
+    F = basis.f_columns()
+    if basis.mode == RATIONAL:  # exact zeros in row 0, which the product drops
+        F, (num, den) = F
+        return poly_image(basis, ((1, 1),), (F, (np.where(F.indices == 0, 0, num), den)))
+    F = F.copy()
     F.data[F.indices == 0] = 0
     F.eliminate_zeros()
     return poly_image(basis, ((1, 1),), F)
@@ -43,9 +47,21 @@ def build_A(basis: BasisMap) -> sparse.csc_matrix:
 
 def build_A_independent(basis: BasisMap) -> sparse.csc_matrix:
     """Independent route: conjugate the e-frame matrix (shift after killing
-    the e_0 component)."""
-    dtype = complex if basis.schedule.scalar_field == COMPLEX else float
+    the e_0 component); in rational mode column by column in Fractions
+    through f_col and e_col, each entry rounded once, apart from the kernel."""
     n = basis.n_trunc + 1
+    if basis.mode == RATIONAL:
+        cols = []
+        for j in range(n):
+            acc = {}
+            for i, v in basis.f_col(j).items():
+                for r, w in (basis.e_col(i + 1).items() if 0 < i < n - 1 else ()):
+                    acc[r] = acc.get(r, 0) + v * w
+            cols.append(sorted((r, float(x)) for r, x in acc.items() if x))
+        rows, data = zip(*(e for c in cols for e in c))
+        indptr = np.cumsum([0] + list(map(len, cols)))
+        return sparse.csc_matrix((data, rows, indptr), shape=(n, n))
+    dtype = complex if basis.schedule.scalar_field == COMPLEX else float
     S = shift_power_csc(n, 1, dtype)
     diag = np.ones(n, dtype=dtype)
     diag[0] = 0

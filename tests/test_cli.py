@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 import orbitlab as ol
@@ -243,6 +244,12 @@ BUILD_HASHES = {
         "T_f.mtx": "aad8faf4992d0d257607598e5af2a160a1bdcde58c3332e501ec769ca1bff005",
         "schedule.cfg": "f273a45d0e8771b9ea6a5281eb59c0e5ca3129288a669d86f8df8b6029b051bb",
     },
+    "mini_rational": {
+        "E_in_F.mtx": "0f731f4fd57b2c17d475f2397a53211692ea5f525603a04d2b6dd65576392be3",
+        "F_in_E.mtx": "d6ce816440eb867ff1c5cb85c9f359b9047f51c84467d215e50eef209f300d9b",
+        "T_f.mtx": "a2c3457bde1abc909a0ff39a3ee5c99be2ddd1756eff444466ba098dc2d6222e",
+        "schedule.cfg": "54cfa5085a4978431dcd524a6b3f07f179cd7e518769a9be3a48a6a963577271",
+    },
     "orbit_reflexive": {
         "A_f.mtx": "01a1c47c95b039cc51fbcd598bd7718121a0927b7350fdf8f6f5102d2a261e04",
         "E_in_F.mtx": "a6df22b02f5b7f28f0354583f096aae0bb880db696d3c927d8cbd3e0b26ac24d",
@@ -324,9 +331,88 @@ def test_mini_cfg_build_hashes_are_pinned(cfg_build):
     _assert_build_pinned(cfg_build, "mini")
 
 
-@pytest.mark.parametrize("name", ["thm1", "mini_reflexive", "orbit_reflexive"])
+@pytest.mark.parametrize("name", ["thm1", "mini_reflexive", "orbit_reflexive",
+                                  "mini_rational"])
 def test_shipped_cfg_build_hashes_are_pinned(cfg_build, name):
     _assert_build_pinned(cfg_build, name)
+
+
+def test_rational_mini_operator_is_the_rounded_exact_product(cfg_build):
+    # T_f.mtx of the rational build: the float build's positions, no stored
+    # zero, and each sampled entry the float of the exact value, T f_j taken
+    # in Fractions through the e-frame
+    from fractions import Fraction
+
+    from scipy.io import mmread
+
+    from orbitlab.basis import shift_e
+
+    T, T_float = (mmread(str(cfg_build(name) / "T_f.mtx")).tocsc()
+                  for name in ("mini_rational", "mini"))
+    T.sort_indices()
+    T_float.sort_indices()
+    assert T.nnz == 35_702
+    assert np.array_equal(T.indptr, T_float.indptr)
+    assert np.array_equal(T.indices, T_float.indices)
+    assert np.count_nonzero(T.data) == T.nnz
+    b = ol.assemble(*ol.load_config(cfg_build("mini_rational") / "schedule.cfg"))
+    n = b.n_trunc
+    multi = np.flatnonzero(np.diff(b.F_csc.indptr) > 1)
+    for j in sorted(set(range(0, n + 1, 397)) | set(multi[::7].tolist())):
+        col = b.e_to_f(shift_e(b.f_col(j), 1, n))
+        assert all(type(v) is Fraction for v in col.values())
+        rows = sorted(col)
+        lo, hi = T.indptr[j], T.indptr[j + 1]
+        assert T.indices[lo:hi].tolist() == rows, j
+        assert T.data[lo:hi].tolist() == [float(col[i]) for i in rows], j
+
+
+@pytest.mark.parametrize("suite", ["bfan", "boundedness"])
+def test_float_and_rational_mini_reports_agree(cfg_build, suite):
+    # every row of both reports, none exempt: the same status, and the same
+    # measurement within 1e-9 relative (nan equal to nan)
+    import math
+
+    reports = {}
+    for name in ("mini", "mini_rational"):
+        _cli_one_thread("verify", "--build", cfg_build(name), "--suite", suite)
+        rows = json.load(open(cfg_build(name) / f"report_{suite}.json"))
+        reports[name] = {r["claim_id"]: r for r in rows}
+    exact, rounded = reports["mini_rational"], reports["mini"]
+    assert set(exact) == set(rounded) and len(exact) > 5
+    for cid, row in rounded.items():
+        a, b = row["measured"], exact[cid]["measured"]
+        if a == b:
+            continue
+        if isinstance(a, float) and math.isnan(a):
+            assert math.isnan(b), cid
+        else:
+            assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), (cid, a, b)
+        assert row["status"] == exact[cid]["status"], cid
+
+
+@pytest.mark.parametrize("first, second, named", [
+    ("gamma = auto", "gamma = 0.25", "stage 1 has 0.0758"),  # declared later gamma
+    ("gamma = 0.01", "gamma = auto", "stage 2 has 0.0170")])  # declared earlier gamma
+def test_build_refuses_a_calibrated_gamma_that_breaks_the_decrease(
+        tmp_path, capsys, first, second, named):
+    # validate skips auto gammas, so calibration checks its result against its
+    # neighbours; before, build wrote a schedule.cfg its own verify refused
+    deltas = (0.5, 0.25) if first == "gamma = auto" else (4, 2)
+    stages = [(1, 2, 6, 15, first, deltas[0]), (2, 30, 61, 1861, second, deltas[1])]
+    text = "[schedule]\nscalar_field = real\nweight_mode = float\nxi_end = 3722\n"
+    for n, xi, b, c, gamma, delta in stages:
+        text += (f"\n[stage {n}]\nxi = {xi}\nb = {b}\nc = {c}\nh = 1\nd = 0\n"
+                 f"{gamma}\ndelta = {delta}\neps = {delta}\nfan = 0\n")
+    path = tmp_path / "schedule.cfg"
+    path.write_text(text)
+    assert ol.validate(ol.load_config(path)[0]) == []
+    rc = main(["build", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "gamma strictly decreasing" in err and named in err
+    assert "stage 1 has" in err and "stage 2 has" in err
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_mini_cfg_verify_all_report_is_pinned(cfg_build):

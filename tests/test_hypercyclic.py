@@ -158,8 +158,9 @@ def test_shade_bcal_bound(r1b):
                                      ("mini_complex", 2), ("mini_twin", 2),
                                      ("mini_rational_twin", 2)])
 def test_shade_ratios_match_column_loop(name, n, request):
-    # the column-by-column read of the formed power, kept as the reference;
-    # the doubled-gap twins of mini hold infinite entries in E
+    # the column-by-column read of the formed power, kept as the reference
+    # (in rational mode the exact power, each entry rounded once); the
+    # doubled-gap twins of mini hold infinite entries in E
     from orbitlab import geometry as geo
     from orbitlab.operators import poly_image
     from orbitlab.profiles import doubled_layoffs, mini_schedule
@@ -173,7 +174,7 @@ def test_shade_ratios_match_column_loop(name, n, request):
         b = request.getfixturevalue(name)
     st = b.schedule.stage(n)
     shift = st.b + 1
-    P = poly_image(b, ((shift, 1),), b.F_csc)
+    P = poly_image(b, ((shift, 1),), b.f_columns())
     gap = np.zeros(st.nu + shift + 1, dtype=bool)
     for iv in geo.stage_table(b.schedule, n):
         if isinstance(iv.tag, geo.BLayOff):

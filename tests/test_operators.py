@@ -15,8 +15,9 @@ from conftest import layoff_weights, max_block_norm_by_svd, op_norm_by_svd
 
 
 def _power(b, m):
-    """The f-frame matrix of T^m, E S^m F."""
-    return ops.poly_image(b, ((m, 1),), b.F_csc)
+    """The f-frame matrix of T^m, E S^m F (in rational mode the exact power,
+    each entry rounded once)."""
+    return ops.poly_image(b, ((m, 1),), b.f_columns())
 
 
 def test_op_norm_identity():
@@ -1014,6 +1015,38 @@ def test_power_norms_of_pairs_only(f_diag, method):
         for (rows, cols), res in zip(blocks, ops.power_norms(b, m, blocks)):
             _assert_same(res, _reference_norm(b, m, rows, cols))
     assert ops.power_norms(b, 1, blocks[:1])[0].method == method
+
+
+def test_power_norms_of_exact_pairs_beyond_the_float_range():
+    # rational diagonals whose float images are inf, subnormal or 0: the pair
+    # entries are the exact products rounded once, as the exact power stores
+    # them, not products of the rounded images (inf * 0 = nan at m = 1)
+    from fractions import Fraction
+
+    from orbitlab.basis import BasisMap, _float_images
+
+    f = [Fraction(2 ** 1100), Fraction(3, 2 ** 1074), Fraction(1, 3), Fraction(1, 2 ** 1100)]
+    e = [Fraction(1), Fraction(1, 2 ** 1100), Fraction(2 ** 1080), Fraction(7)]
+    n = len(f)
+
+    def diag(d):
+        pairs = tuple(np.array(v, dtype=object)
+                      for v in zip(*((x.numerator, x.denominator) for x in d)))
+        M = sparse.csc_matrix((_float_images(*pairs), np.arange(n), np.arange(n + 1)),
+                              shape=(n, n))
+        return M, pairs
+
+    (F, f_exact), (E, e_exact) = diag(f), diag(e)
+    assert np.isinf(F.data[0]) and 0 < F.data[1] < np.finfo(float).tiny
+    assert F.data[3] == E.data[1] == 0
+    b = BasisMap(None, (), F, E, (), exact=(f_exact, e_exact))
+    blocks = [(slice(0, n), slice(0, n)), (slice(1, 3), slice(0, 2)),
+              (slice(2, 4), slice(1, 3))]
+    for m in (1, 2):
+        for (rows, cols), res in zip(blocks, ops.power_norms(b, m, blocks)):
+            _assert_same(res, _reference_norm(b, m, rows, cols))
+    assert b.diagonal_products(1, np.arange(3)).tolist() == [1.0, 192.0, float(Fraction(7, 3))]
+    assert ops.power_norms(b, 1, blocks[:1])[0].value == 192.0
 
 
 def test_op_norm_of_explicit_zeros_is_empty():

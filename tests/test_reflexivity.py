@@ -146,3 +146,20 @@ def test_exact_mode_witnesses(r1_companion_rational):
     assert at == {2: 1.0}
     T = ops.conjugated_power(r1_companion_rational)
     assert (A[:, 1:] - T[:, 1:]).nnz == 0
+
+
+def test_exact_mode_companion_matches_the_fraction_route():
+    # rational mini companion: build_A is the exact product rounded once, and
+    # the independent route sums each column in Fractions; both agree to the
+    # bit.  The float product of the rounded images would store 48 132
+    # entries against 35 702, the extra ones up to 8.1e177 where exact terms
+    # cancel.
+    from orbitlab.profiles import mini_schedule
+
+    b = ol.assemble(*mini_schedule(weight_mode=ol.RATIONAL, companion=True))
+    by_id = {e.claim_id: e
+             for e in refl.reflexivity_entries(b, 1, np.random.default_rng(1))}
+    row = by_id["companion.conjugation"]
+    assert row.status == "pass" and row.measured == 0.0
+    for cid in ("companion.columns", "companion.witness", "companion.norm"):
+        assert by_id[cid].status == "pass", by_id[cid]

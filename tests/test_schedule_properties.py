@@ -7,20 +7,28 @@ slack on each of those, and keeps every schedule at or below MAX_COLUMNS
 columns.  A second stage is drawn only where its minimal growth fits.
 Fans are Polys of degree <= d with coefficients in {-2, ..., 2}, so
 multi-term, zero-constant and zero polynomials all occur; gammas are
-declared dyadics or auto.
+declared dyadics or auto.  Calibration refuses a drawn schedule whose auto
+gamma comes out at or below a later declared one, or at or above an earlier
+one (a ScheduleError); the properties that need a basis run on the others.
 """
 
 import hashlib
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 import orbitlab as ol
+from orbitlab import basis as basis_mod
 from orbitlab import geometry as geo
+from orbitlab import operators as ops
+from orbitlab.errors import ScheduleError
 from orbitlab.polynet import Poly
+
+from conftest import combine_by_terms
 
 MAX_COLUMNS = 5_000
 PROPERTY_SETTINGS = dict(derandomize=True, deadline=None,
@@ -121,6 +129,15 @@ def _digests(basis):
     return out
 
 
+def _assembled(drawn):
+    """assemble(*drawn), or None when calibration refuses a gamma."""
+    try:
+        return ol.assemble(*drawn)
+    except ScheduleError as exc:
+        assert all("breaks gamma strictly decreasing" in v for v in exc.violations), exc
+        return None
+
+
 def _reload(sched, fams):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "schedule.cfg"
@@ -160,12 +177,52 @@ def test_config_roundtrip_reassembles_the_same_maps(drawn):
     sched, fams = drawn
     loaded = _reload(sched, fams)
     assert loaded == (sched, fams)
-    assert _digests(ol.assemble(*loaded)) == _digests(ol.assemble(sched, fams))
+    got, want = (None if b is None else _digests(b)  # None: both refused
+                 for b in map(_assembled, (loaded, (sched, fams))))
+    assert got == want
 
 
 @settings(max_examples=100, **PROPERTY_SETTINGS)
 @given(admissible(modes=[(ol.REAL, ol.RATIONAL)]))
 def test_rational_roundtrip_is_exact_both_ways(drawn):
-    b = ol.assemble(*drawn)
+    b = _assembled(drawn)
+    assume(b is not None)
     assert ol.roundtrip_exact(b, "FE")[0]
     assert ol.roundtrip_exact(b, "EF")[0]
+
+
+@settings(max_examples=60, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_a_build_echo_loads_and_reassembles(drawn):
+    # calibration refuses exactly the schedules whose echo, built without
+    # the check, would not validate; any other build's echo declares every
+    # gamma, loads, and re-assembles the same maps
+    b = _assembled(drawn)
+    with mock.patch.object(basis_mod, "_check_decrease", lambda *a: None):
+        unchecked = ol.assemble(*drawn)
+    assert (b is None) == (ol.validate(unchecked.schedule) != [])
+    event("refused" if b is None else "built")
+    if b is None:
+        return
+    assert _digests(unchecked) == _digests(b)
+    echoed = _reload(b.schedule, b.families)
+    assert all(stage.gamma is not None for stage in echoed[0].stages)
+    assert _digests(ol.assemble(*echoed)) == _digests(b)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(admissible(modes=[(ol.REAL, ol.RATIONAL)]))
+def test_rational_operator_is_the_exact_product(drawn):
+    # sampled columns of T, every multi-entry F column among them: T f_j
+    # summed in Fractions through f_col and e_col, each entry rounded once,
+    # gives exactly T's stored rows and floats
+    b = _assembled(drawn)
+    assume(b is not None)
+    T, n = ops.conjugated_power(b), b.n_trunc
+    multi = np.flatnonzero(np.diff(b.F_csc.indptr) > 1).tolist()
+    for j in sorted(set(range(0, n + 1, max(1, n // 25))) | set(multi)):
+        want = combine_by_terms(b.e_col, {i + 1: v for i, v in b.f_col(j).items() if i < n})
+        rows = sorted(want)
+        lo, hi = T.indptr[j], T.indptr[j + 1]
+        assert T.indices[lo:hi].tolist() == rows, j
+        assert T.data[lo:hi].tolist() == [float(want[i]) for i in rows], j
