@@ -63,7 +63,7 @@ def cmd_build(args) -> int:
         "scalar_field": b.schedule.scalar_field,
         "n_trunc": b.n_trunc,
         "gammas": [repr(g) for g in b.gammas],
-        "frame_constants": [C for _, C in sorted(b.frame_constants.items())],
+        "frame_constants": {str(n): C for n, C in sorted(b.frame_constants.items())},
         "nnz": {"F_in_E": int(b.F_csc.nnz), "E_in_F": int(b.E_csc.nnz)},
         "hashes": {name: _sha256(p) for name, p in sorted(files.items())},
     }

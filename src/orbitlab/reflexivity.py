@@ -127,7 +127,7 @@ def orbit_membership(basis: BasisMap, x_f: dict, n: int,
                  "orbit_point_to_basis_sample": sample_dists})
 
 
-def reflexivity_entries(basis: BasisMap, n: int, rng) -> list[Entry]:
+def reflexivity_entries(basis: BasisMap, n: int) -> list[Entry]:
     entries: list[Entry] = []
     A = build_A(basis)
     T = conjugated_power(basis)

@@ -1,8 +1,8 @@
 """Verifier suites: each one turns a family of estimates into report rows.
 
-Every suite takes (basis, report, rng, seed) and appends its rows to the
-report; ``SUITES`` maps suite names to them, and :func:`run_suite` runs one
-suite or all of them in table order.
+Every suite takes (basis, report, seed), appends its rows to the report and
+derives any draws from the seed alone; ``SUITES`` maps suite names to them,
+and :func:`run_suite` runs one suite or all of them in table order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _stages(b):
     return range(1, b.schedule.n_stages + 1)
 
 
-def boundedness(b, rep: VerificationReport, rng, seed: int) -> None:
+def boundedness(b, rep: VerificationReport, seed: int) -> None:
     entry, res = ops.full_norm_entry(b)
     rep.add(entry)
     for n in _stages(b):
@@ -46,19 +46,20 @@ def boundedness(b, rep: VerificationReport, rng, seed: int) -> None:
         res2.value / res.value, 1.0 - 1e-9, asserted=b_ok, details=details))
 
 
-def fan(b, rep: VerificationReport, rng, seed: int) -> None:
+def fan(b, rep: VerificationReport, seed: int) -> None:
+    draws = np.random.default_rng(seed)
     for n in _stages(b):
-        rep.extend(hyp.fan_entries(b, n, rng))
+        rep.extend(hyp.fan_entries(b, n, draws))
         for k in range(1, b.schedule.stage(n).k + 1):
             rep.add(ops.tail_bound_entry(b, n, k))
 
 
-def bfan(b, rep: VerificationReport, rng, seed: int) -> None:
+def bfan(b, rep: VerificationReport, seed: int) -> None:
     for n in _stages(b):
         rep.extend(hyp.bfan_entries(b, n))
 
 
-def hypercyclic(b, rep: VerificationReport, rng, seed: int) -> hyp.Certificate:
+def hypercyclic(b, rep: VerificationReport, seed: int) -> hyp.Certificate:
     """Rows of the stage-1 certificate toward e_1 and of a modulus chain;
     returns the certificate."""
     cert = hyp.certify_hypercyclic_step(b, {0: 1}, 1)
@@ -83,11 +84,11 @@ def hypercyclic(b, rep: VerificationReport, rng, seed: int) -> hyp.Certificate:
     return cert
 
 
-def unicell(b, rep: VerificationReport, rng, seed: int) -> None:
-    rep.extend(uni.unicell_entries(b, 1, rng))
+def unicell(b, rep: VerificationReport, seed: int) -> None:
+    rep.extend(uni.unicell_entries(b, 1, np.random.default_rng(seed)))
 
 
-def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
+def negligibility(b, rep: VerificationReport, seed: int) -> None:
     for field in (REAL, COMPLEX):
         sched6, fams6 = statistical_schedule(6, field)
         rep.extend(neg.statistics_entries(sched6, fams6, seed))
@@ -107,11 +108,11 @@ def negligibility(b, rep: VerificationReport, rng, seed: int) -> None:
     rep.extend(neg.porosity_entries(b.schedule, b.families, k, seed=seed))
 
 
-def reflexivity(b, rep: VerificationReport, rng, seed: int) -> None:
+def reflexivity(b, rep: VerificationReport, seed: int) -> None:
     if not refl.zero_constant_profile(b):
         raise ProfileError(
             "reflexivity suite needs the zero-constant-term fan profile")
-    rep.extend(refl.reflexivity_entries(b, 1, rng))
+    rep.extend(refl.reflexivity_entries(b, 1))
 
 
 SUITES = {
@@ -127,11 +128,10 @@ SUITES = {
 
 def run_suite(b, suite: str, seed: int
               ) -> tuple[VerificationReport, Optional[hyp.Certificate]]:
-    """Run one suite, or every suite for "all" (skipping reflexivity with a
-    row when the fan profile keeps constant terms).  Returns the report and
-    the stage-1 certificate when the hypercyclic suite ran."""
+    """Run one suite, or for "all" every suite in table order, each row as
+    its suite alone gives it (reflexivity a skip row when the fan profile
+    keeps constant terms); returns the report and any stage-1 certificate."""
     rep = VerificationReport()
-    rng = np.random.default_rng(seed)
     cert = None
     for name in (SUITES if suite == "all" else (suite,)):
         if suite == "all" and name == "reflexivity" \
@@ -141,7 +141,7 @@ def run_suite(b, suite: str, seed: int
                 "companion checks skipped: fan profile keeps constant terms",
                 None, None, asserted=False))
             continue
-        out = SUITES[name](b, rep, rng, seed)
+        out = SUITES[name](b, rep, seed)
         if name == "hypercyclic":
             cert = out
     return rep, cert

@@ -248,7 +248,7 @@ def test_hypercyclic_suite_reads_the_certificate_tolerance(mini_rational):
     # the honesty row and Certificate.verify share one tolerance: 0 when exact
     from orbitlab import suites
     rep = ol.VerificationReport()
-    cert = suites.hypercyclic(mini_rational, rep, np.random.default_rng(0), 0)
+    cert = suites.hypercyclic(mini_rational, rep, 0)
     row, = (e for e in rep.entries if e.claim_id == "certificate.honesty")
     assert row.bound == 0.0 and row.status == ol.PASS
     assert cert.verify() == []

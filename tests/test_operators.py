@@ -748,7 +748,7 @@ def test_boundedness_flags_nonfinite_doubled_mini(mini, monkeypatch):
 
     monkeypatch.setattr(ops, "full_norm_entry", recording)
     rep = ol.VerificationReport()
-    suites.boundedness(mini, rep, np.random.default_rng(0), 0)
+    suites.boundedness(mini, rep, 0)
     (e1, r1_), (e2, r2) = full_entries
     assert r1_.method != "nonfinite" and "flag" not in e1.details
     assert r2.method == "nonfinite" and r2.iterations == 0

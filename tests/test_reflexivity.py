@@ -58,8 +58,7 @@ def test_forced_constant_profile_breaks_column_identity(mini, monkeypatch):
     T = ops.conjugated_power(mini)
     diff = (A - T).tocsc()
     assert np.flatnonzero(np.diff(diff.indptr)).tolist() == [0, 18, 15800]
-    by_id = {e.claim_id: e
-             for e in refl.reflexivity_entries(mini, 1, np.random.default_rng(1))}
+    by_id = {e.claim_id: e for e in refl.reflexivity_entries(mini, 1)}
     assert by_id["companion.columns"].status == "fail"
     assert by_id["companion.conjugation"].status == "pass"
 
@@ -129,8 +128,8 @@ def test_membership_snap_stays_zero_constant(r1_companion):
     assert m.certificate.snapped_poly.constant_term() == 0
 
 
-def test_reflexivity_entries(r1_companion, rng):
-    entries = refl.reflexivity_entries(r1_companion, 1, rng)
+def test_reflexivity_entries(r1_companion):
+    entries = refl.reflexivity_entries(r1_companion, 1)
     by_id = {e.claim_id: e for e in entries}
     for cid in ("companion.conjugation", "companion.columns",
                 "companion.witness", "companion.norm", "membership.exact",
@@ -157,8 +156,7 @@ def test_exact_mode_companion_matches_the_fraction_route():
     from orbitlab.profiles import mini_schedule
 
     b = ol.assemble(*mini_schedule(weight_mode=ol.RATIONAL, companion=True))
-    by_id = {e.claim_id: e
-             for e in refl.reflexivity_entries(b, 1, np.random.default_rng(1))}
+    by_id = {e.claim_id: e for e in refl.reflexivity_entries(b, 1)}
     row = by_id["companion.conjugation"]
     assert row.status == "pass" and row.measured == 0.0
     for cid in ("companion.columns", "companion.witness", "companion.norm"):

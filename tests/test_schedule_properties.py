@@ -26,6 +26,7 @@ from orbitlab import basis as basis_mod
 from orbitlab import geometry as geo
 from orbitlab import operators as ops
 from orbitlab.errors import ScheduleError
+from orbitlab.negligibility import e0_functional_structural
 from orbitlab.polynet import Poly
 
 from conftest import combine_by_terms
@@ -226,3 +227,57 @@ def test_rational_operator_is_the_exact_product(drawn):
         lo, hi = T.indptr[j], T.indptr[j + 1]
         assert T.indices[lo:hi].tolist() == rows, j
         assert T.data[lo:hi].tolist() == [float(want[i]) for i in rows], j
+
+
+def _assert_same_vector(got, want, exact):
+    """got == want: equal Fractions in rational mode, and in float mode within
+    1e-10 of want's largest magnitude."""
+    if exact:
+        assert got == want
+        return
+    scale = max(abs(v) for v in want.values())
+    for i in set(got) | set(want):
+        assert abs(got.get(i, 0) - want.get(i, 0)) <= 1e-10 * scale, i
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_e_columns_are_the_structural_expansion(drawn):
+    # every column of the assembled E against the region rules alone
+    b = _assembled(drawn)
+    assume(b is not None)
+    for m in range(b.n_trunc + 1):
+        _assert_same_vector(basis_mod.expand_e_structural(b, m), b.e_col(m),
+                            b.mode == ol.RATIONAL)
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(admissible(), st.data())
+def test_lattice_descent_is_the_triangular_solve(drawn, data):
+    # drawn c-working indices j: the unrolled descent of j's lattice
+    # coordinate gives the f-frame coordinates of e_j that solving F x = e_j
+    # gives
+    b = _assembled(drawn)
+    assume(b is not None)
+    working = [j for iv in _table(b.schedule) if isinstance(iv.tag, geo.CWorking)
+               for j in range(iv.lo, iv.hi + 1)]
+    for i in data.draw(st.lists(st.integers(0, len(working) - 1),
+                                min_size=1, max_size=8, unique=True)):
+        j = working[i]
+        descent = ol.lattice_descent(b, geo.classify(j, b.schedule).coord)
+        _assert_same_vector(descent.f_coords, basis_mod.solve_F(b, {j: 1}),
+                            b.mode == ol.RATIONAL)
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(admissible())
+def test_structural_head_functional_is_row_0_of_F(drawn):
+    # the functional.crosscheck identity and bound, on every stage's head
+    b = _assembled(drawn)
+    assume(b is not None)
+    for n in range(1, b.schedule.n_stages + 2):
+        structural = e0_functional_structural(b.schedule, b.families, n)
+        assembled = b.e0_functional(n)
+        dev = max(abs(structural.get(j, 0) - assembled.get(j, 0))
+                  for j in set(structural) | set(assembled))
+        assert dev <= 1e-9 * max(1.0, basis_mod.vec_norm(assembled)), n
