@@ -22,7 +22,7 @@ for field in (ol.REAL, ol.COMPLEX):
     sampler = neg.GaussianSampler(field, SEED)
     for n in range(1, 7):
         phi = neg.e0_functional_structural(sched, fams, n)
-        stat = neg.coord_tail_probability(phi, {}, sampler, n, 1.0, 100_000)
+        stat, = neg.coord_tail_probability(phi, {}, sampler, n, (1.0,), 100_000)
         print(f"  n={n}: support {len(phi):2d} points, "
               f"P(|X| <= 2^-{n}) = {stat.empirical:.5f} "
               f"(99% radius {stat.conf_radius:.5f})  "

@@ -443,13 +443,21 @@ def _layoff_images(mant: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     return tuple(np.where((v >= _TINY) & (v < np.inf), v, np.nan) for v in images)
 
 
+_IMAGE_BLOCK = 4096  # pairs divided together once an array overflows the float range
+
+
 def _float_images(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     """num / den per pair (den > 0), correctly rounded as int / int is (the
-    same float as float(Fraction)), +-inf beyond the float range."""
+    same float as float(Fraction)), +-inf beyond the float range.  Past an
+    overflow, only a block of _IMAGE_BLOCK pairs that holds one goes pair by
+    pair."""
     try:
         return np.true_divide(num, den).astype(float)
     except OverflowError:
-        return np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
+        if len(num) <= _IMAGE_BLOCK:
+            return np.frompyfunc(_float_or_inf, 2, 1)(num, den).astype(float)
+        return np.concatenate([_float_images(num[i:i + _IMAGE_BLOCK], den[i:i + _IMAGE_BLOCK])
+                               for i in range(0, len(num), _IMAGE_BLOCK)])
 
 
 def _float_or_inf(num: int, den: int) -> float:

@@ -16,7 +16,7 @@ behind the quadratic tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -89,11 +89,11 @@ class GaussianSampler:
         return rng.standard_normal((m, k))
 
 
-def _chunked_draw(sampler: GaussianSampler, trials: int, k: int, seed: int):
+def _chunked_draw(sampler: GaussianSampler, trials: int, k: int):
     """Deterministic chunked sampling: fixed-size chunks, each drawn from its
-    own child of the seed's SeedSequence."""
+    own child of the sampler seed's SeedSequence."""
     chunk = 20_000
-    seqs = np.random.SeedSequence(seed).spawn(max(1, (trials + chunk - 1) // chunk))
+    seqs = np.random.SeedSequence(sampler.seed).spawn(max(1, (trials + chunk - 1) // chunk))
     sizes = [min(chunk, trials - i * chunk) for i in range(len(seqs))]
     return np.concatenate([sampler.draw(m, k, np.random.default_rng(sq))
                            for sq, m in zip(seqs, sizes)], axis=0)
@@ -101,8 +101,6 @@ def _chunked_draw(sampler: GaussianSampler, trials: int, k: int, seed: int):
 
 @dataclass(frozen=True)
 class CoordStat:
-    stage: int
-    M: float
     level: float
     trials: int
     hits: int
@@ -112,49 +110,54 @@ class CoordStat:
     passed: bool
     mean_closed: complex
     sigma_closed: float
-    field: str
-    seed: int
+
+
+def _head_law(phi: dict, x0_f: dict, sampler: GaussianSampler):
+    """(mean m0, weights c_j phi_j on the sorted support) of the head coordinate."""
+    supp = sorted(phi)
+    m0 = left_sum(phi[j] * x0_f.get(j, 0) for j in supp)
+    return m0, sampler.coefficients(supp) * np.array([phi[j] for j in supp], dtype=float)
 
 
 def head_moments(phi: dict, x0_f: dict, sampler: GaussianSampler):
     """Closed-form mean and standard deviation of the sampled head coordinate."""
-    supp = sorted(phi)
-    m0 = left_sum(phi[j] * x0_f.get(j, 0) for j in supp)
-    c = sampler.coefficients(supp)
-    w = np.array([phi[j] for j in supp], dtype=float)
-    sigma = float(np.sqrt(np.sum((np.abs(c) * np.abs(w)) ** 2)))
-    return m0, sigma
+    m0, w = _head_law(phi, x0_f, sampler)
+    return m0, float(np.sqrt(np.sum(np.abs(w) ** 2)))
 
 
 def sample_head_coordinate(phi: dict, x0_f: dict, sampler: GaussianSampler,
                            trials: int) -> np.ndarray:
-    supp = sorted(phi)
-    m0, _ = head_moments(phi, x0_f, sampler)
-    c = sampler.coefficients(supp)
-    w = np.array([phi[j] for j in supp], dtype=float)
-    G = _chunked_draw(sampler, trials, len(supp), sampler.seed)
-    return m0 + G @ (c * w)
+    m0, w = _head_law(phi, x0_f, sampler)
+    return m0 + _chunked_draw(sampler, trials, len(w)) @ w
+
+
+def _small_ball_bound(level: float, c0_abs: float, field: str) -> float:
+    """Anti-concentration bound on P(|head coordinate| <= level), head coefficient
+    of modulus c0_abs: level / c0_abs (real), level^2 / (2 c0_abs^2) (complex)."""
+    if field == COMPLEX:
+        return level ** 2 / (2 * c0_abs ** 2)
+    return level / c0_abs
 
 
 def coord_tail_probability(phi: dict, x0_f: dict, sampler: GaussianSampler,
-                           n: int, M: float, trials: int) -> CoordStat:
-    """Empirical P(|head coordinate| <= 2^-n M) against the anti-concentration
-    bound 2^-n M / |c_0| (real) or 2^-2n M^2 / (2 |c_0|^2) (complex)."""
+                           n: int, Ms: Sequence[float], trials: int
+                           ) -> tuple[CoordStat, ...]:
+    """For each M in Ms, the empirical P(|head coordinate| <= 2^-n M) against
+    the anti-concentration bound, every level read from one sample."""
     if trials < 1000:
         raise ValueError("at least 1000 trials required")
-    c0 = _coeff(0)
-    level = 2.0 ** (-n) * M
-    X = sample_head_coordinate(phi, x0_f, sampler, trials)
-    hits = int(np.count_nonzero(np.abs(X) <= level))
-    emp = hits / trials
-    radius = Z99 * math.sqrt(max(emp * (1 - emp), 1.0 / trials) / trials)
-    if sampler.field == COMPLEX:
-        bound = level ** 2 / (2 * c0 ** 2)
-    else:
-        bound = level / c0
+    X = np.abs(sample_head_coordinate(phi, x0_f, sampler, trials))
     m0, sig = head_moments(phi, x0_f, sampler)
-    return CoordStat(n, M, level, trials, hits, emp, radius, bound,
-                     emp - radius <= bound, m0, sig, sampler.field, sampler.seed)
+    stats = []
+    for M in Ms:
+        level = 2.0 ** (-n) * M
+        hits = int(np.count_nonzero(X <= level))
+        emp = hits / trials
+        radius = Z99 * math.sqrt(max(emp * (1 - emp), 1.0 / trials) / trials)
+        bound = _small_ball_bound(level, _coeff(0), sampler.field)
+        stats.append(CoordStat(level, trials, hits, emp, radius, bound,
+                               emp - radius <= bound, m0, sig))
+    return tuple(stats)
 
 
 def borel_cantelli_sum(c0_abs: float, M: float, n_stages: int, field: str
@@ -163,14 +166,10 @@ def borel_cantelli_sum(c0_abs: float, M: float, n_stages: int, field: str
     bound of the remaining tail)."""
     if n_stages < 2:
         raise ValueError("at least 2 stages required")
-    if field == COMPLEX:
-        partial = left_sum(2.0 ** (-2 * n) * M ** 2 / (2 * c0_abs ** 2)
-                           for n in range(1, n_stages + 1))
-        tail = (M ** 2 / (2 * c0_abs ** 2)) * (4.0 ** -n_stages) / 3
-    else:
-        partial = left_sum(2.0 ** (-n) * M / c0_abs
-                           for n in range(1, n_stages + 1))
-        tail = (M / c0_abs) * 2.0 ** -n_stages
+    partial = left_sum(_small_ball_bound(2.0 ** (-n) * M, c0_abs, field)
+                       for n in range(1, n_stages + 1))
+    head = _small_ball_bound(M, c0_abs, field)
+    tail = head * (4.0 ** -n_stages) / 3 if field == COMPLEX else head * 2.0 ** -n_stages
     return partial, tail
 
 
@@ -237,9 +236,9 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
         if n > schedule.n_stages:
             break
         phi = e0_functional_structural(schedule, families, n)
-        for M in (1.0, 4.0):
-            sampler = GaussianSampler(field, seed + 17 * n)
-            st = coord_tail_probability(phi, {}, sampler, n, M, TRIALS)
+        sampler = GaussianSampler(field, seed + 17 * n)
+        stats = coord_tail_probability(phi, {}, sampler, n, (1.0, 4.0), TRIALS)
+        for M, st in zip((1.0, 4.0), stats):
             entries.append(check(
                 f"gauss.tail.{field}.n{n}.M{int(M)}",
                 f"empirical small-head probability minus 99% radius vs the "
@@ -253,15 +252,14 @@ def statistics_entries(schedule: StageSchedule, families, seed: int
     x0 = {0: 0.25, 1: -0.5}
     X = sample_head_coordinate(phi, x0, sampler, TRIALS)
     m0, sig = head_moments(phi, x0, sampler)
+    se_mean = sig / math.sqrt(TRIALS)
     if field == COMPLEX:
         emp_mean = complex(np.mean(X))
         emp_var = float(np.mean(np.abs(X - m0) ** 2) / 2)
-        se_mean = sig / math.sqrt(TRIALS)
         se_var = sig ** 2 / math.sqrt(TRIALS)
     else:
         emp_mean = float(np.mean(X))
         emp_var = float(np.var(X))
-        se_mean = sig / math.sqrt(TRIALS)
         se_var = sig ** 2 * math.sqrt(2.0 / TRIALS)
     entries.append(check(
         f"gauss.mean.{field}", "sampled head-coordinate mean vs closed form "

@@ -184,8 +184,10 @@ def _parse_scalar(tok: str, field: str,
                   exact: bool) -> Union[float, Fraction, complex]:
     tok = tok.strip()
     if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
+        num, den = map(int, tok.split("/"))
+        if den == 0:
+            raise ValueError(f"zero denominator in {tok!r}")
+        return Fraction(num, den)
     if exact:
         return Fraction(tok)
     if field == COMPLEX and ("j" in tok or "J" in tok):

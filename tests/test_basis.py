@@ -727,6 +727,28 @@ def test_rational_float_data_are_the_divided_pairs(name, request):
     assert np.isinf(b.E_csc.data).any() == (name == "mini_rational_twin")
 
 
+def test_float_images_past_an_overflow_go_pair_by_pair_per_block(monkeypatch):
+    # one pair beyond the float range sends only its block of _IMAGE_BLOCK
+    # pairs through _float_or_inf; every image is still num / den or +-inf
+    from orbitlab import basis
+
+    rng = np.random.default_rng(5)
+    n = 5 * basis._IMAGE_BLOCK + 17
+    num = np.array([int(v) * 2 ** 1000 for v in rng.integers(-10 ** 6, 10 ** 6, n)],
+                   dtype=object)
+    den = np.array([int(v) * 2 ** 990 for v in rng.integers(1, 10 ** 6, n)], dtype=object)
+    num[3 * basis._IMAGE_BLOCK + 5] = -(10 ** 700)
+    want = np.array([basis._float_or_inf(a, d) for a, d in zip(num, den)])
+    assert np.isinf(want).sum() == 1
+    calls = []
+    one_pair = basis._float_or_inf
+    monkeypatch.setattr(basis, "_float_or_inf",
+                        lambda a, d: calls.append(1) or one_pair(a, d))
+    got = basis._float_images(num, den)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert 0 < len(calls) <= basis._IMAGE_BLOCK
+
+
 def test_layoff_images_are_exact_where_normal():
     # weights mant * 2^s with 41-bit mantissas around both ends of the
     # normal range: each image is num / den bit for bit where that is a
@@ -870,6 +892,13 @@ def _r1_twin_frozen():
     return ol.assemble(_frozen(doubled_layoffs(sched), R1_TWIN_GAMMAS), fams)
 
 
+@pytest.fixture(scope="module")
+def mini_rational_twin(mini_rational):
+    """The doubled-gap twin `verify --suite boundedness` assembles on the
+    rational mini build: 6 804 of its E images are +-inf."""
+    return ol.assemble(doubled_layoffs(mini_rational.schedule), mini_rational.families)
+
+
 # (F, E) digests of the assembled maps
 ASSEMBLY_DIGESTS = {
     "r1": ("5048e815ac9f6201aa527e949d938f7fe52c71ac506f2977bc46e3c44b099e71",
@@ -878,6 +907,8 @@ ASSEMBLY_DIGESTS = {
                 "5f544cf20c7e930947e5da625dfafeb14d4cacc32613d1bf8c9d9a9bd4f33c99"),
     "mini_rational": ("86c58b66bb9650ec634f34a32bcdfaccdbcd7ec47af3262bacb3641ddec310cd",
                       "d14ecb526d75ec8bcb87b9f29710efeea01d4e39ddba4441727fd9cd906eea95"),
+    "mini_rational_twin": ("3cde9f32af8998a1058b4d022f18602a4d7051ee62ffa85997fb96be1b9ac0f6",
+                           "74ebd68b4d4eee59a282390fb7437bc66953c90261dce4ece709d4b8f8e4205f"),
     "r1_rational": ("abb709dd66bd049e90b0a14448f6d253e0f59684cec6aab8a4a1934b4697c5e1",
                     "d869fb3910fe2927417542b9f14fa9e4729f76955fabd8595a0a1975662c023f"),
 }

@@ -584,3 +584,15 @@ def test_build_refuses_misspelled_keys(name, line, typo, named, tmp_path, capsys
     assert rc == 2
     assert f"unknown key {named}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("line, bad, value", [
+    ("fan = 1 | 0 1\n", "fan = 1/0 | 0 1\n", "'1/0'"),
+    ("gamma = auto\n", "gamma = 3/0\n", "'3/0'")], ids=["fan", "gamma"])
+def test_build_refuses_a_zero_denominator(line, bad, value, tmp_path, capsys):
+    cfg = _shipped_cfg_variant(tmp_path, "mini", line, bad)
+    rc = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and cfg in err and value in err
+    assert "Traceback" not in err

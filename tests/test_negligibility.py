@@ -52,7 +52,7 @@ def test_closed_form_vs_normal_cdf():
     sched, fams = statistical_schedule(6, ol.REAL)
     phi = neg.e0_functional_structural(sched, fams, 3)
     sampler = neg.GaussianSampler(ol.REAL, SEED)
-    stat = neg.coord_tail_probability(phi, {}, sampler, 3, 1.0, 100_000)
+    stat, = neg.coord_tail_probability(phi, {}, sampler, 3, (1.0,), 100_000)
     truth = normal_cdf_width(stat.level, stat.sigma_closed)
     # idealized head-only value is 0.0995; the fan points nudge sigma to 1.031
     assert truth == pytest.approx(0.0995, abs=0.005)
@@ -65,7 +65,7 @@ def test_tail_probability_zero_level():
     sched, fams = statistical_schedule(4, ol.REAL)
     phi = neg.e0_functional_structural(sched, fams, 2)
     sampler = neg.GaussianSampler(ol.REAL, SEED)
-    stat = neg.coord_tail_probability(phi, {}, sampler, 2, 0.0, 2000)
+    stat, = neg.coord_tail_probability(phi, {}, sampler, 2, (0.0,), 2000)
     assert stat.hits == 0 and stat.empirical == 0.0
 
 
@@ -74,8 +74,8 @@ def test_tail_probability_mean_free(r1):
     sched, fams = statistical_schedule(4, ol.REAL)
     phi = neg.e0_functional_structural(sched, fams, 3)
     sampler = neg.GaussianSampler(ol.REAL, SEED)
-    a = neg.coord_tail_probability(phi, {}, sampler, 3, 1.0, 50_000)
-    b = neg.coord_tail_probability(phi, {0: 3.0}, sampler, 3, 1.0, 50_000)
+    a, = neg.coord_tail_probability(phi, {}, sampler, 3, (1.0,), 50_000)
+    b, = neg.coord_tail_probability(phi, {0: 3.0}, sampler, 3, (1.0,), 50_000)
     assert a.analytic_bound == b.analytic_bound
     assert b.mean_closed != a.mean_closed
     assert b.passed  # displaced mean only helps
@@ -86,7 +86,7 @@ def test_tail_probability_guards():
     phi = neg.e0_functional_structural(sched, fams, 2)
     sampler = neg.GaussianSampler(ol.REAL, SEED)
     with pytest.raises(ValueError):
-        neg.coord_tail_probability(phi, {}, sampler, 2, 1.0, 10)
+        neg.coord_tail_probability(phi, {}, sampler, 2, (1.0,), 10)
 
 
 def test_moments_match_closed_forms():
@@ -131,7 +131,7 @@ def test_borel_cantelli_empirical_partial(r1):
     total_emp, total_analytic = 0.0, 0.0
     for n in range(1, 6):
         phi = neg.e0_functional_structural(sched, fams, n)
-        stt = neg.coord_tail_probability(phi, {}, sampler, n, 1.0, 20_000)
+        stt, = neg.coord_tail_probability(phi, {}, sampler, n, (1.0,), 20_000)
         total_emp += stt.empirical
         total_analytic += stt.analytic_bound + stt.conf_radius
     assert total_emp <= total_analytic
@@ -144,6 +144,37 @@ def test_statistics_entries_all_pass():
         assert entries and all(e.status != "fail" for e in entries)
         grid = [e for e in entries if e.claim_id.startswith("gauss.tail")]
         assert len(grid) == 12  # n = 1..6 times M in {1, 4}
+        by_id = {e.claim_id: e for e in grid}
+        # each stage's two rows are the two levels of one sample
+        for n in range(1, 7):
+            phi = neg.e0_functional_structural(sched, fams, n)
+            stats = neg.coord_tail_probability(
+                phi, {}, neg.GaussianSampler(field, SEED + 17 * n), n,
+                (1.0, 4.0), neg.TRIALS)
+            for M, st in zip((1, 4), stats, strict=True):
+                e = by_id[f"gauss.tail.{field}.n{n}.M{M}"]
+                assert e.measured == st.empirical - st.conf_radius
+                assert e.bound == st.analytic_bound
+                assert (e.details["empirical"], e.details["hits"],
+                        e.details["sigma"]) == (st.empirical, st.hits,
+                                                st.sigma_closed)
+
+
+def test_statistics_entries_sample_each_stage_once(monkeypatch):
+    # one sample per stage serves both levels, plus the moment sample
+    rows = []
+    draw = neg.GaussianSampler.draw
+
+    def counted(self, m, k, rng):
+        rows.append(m)
+        return draw(self, m, k, rng)
+
+    monkeypatch.setattr(neg.GaussianSampler, "draw", counted)
+    for field in (ol.REAL, ol.COMPLEX):
+        rows.clear()
+        sched, fams = statistical_schedule(6, field)
+        neg.statistics_entries(sched, fams, SEED)
+        assert sum(rows) == 7 * neg.TRIALS
 
 
 def test_porosity_witness_reference_values(r1, rng):
